@@ -11,16 +11,17 @@ criteria under which every interpretation of the structure extends to
 a credibility-filtered revision built from a basic revision table
 (``check_agm_consistency``), and cross-checks those criteria against a
 brute-force enumeration of interpretations (``agm_consistency_bruteforce``,
-which runs the per-proposition extension oracle on every valuation).
-The feasibility algebra is worked out in docs/semantics.md.
+which runs the per-proposition extension oracle on one valuation per
+partition of the states into rows; the oracle sees a valuation only
+through that partition).  The feasibility algebra is worked out in
+docs/semantics.md.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
@@ -546,19 +547,20 @@ class BruteforceOutcome:
         return self.consistent
 
 
-def _bit_permutations(n_atoms: int) -> list[tuple[int, ...]]:
-    size = 1 << n_atoms
-    remaps = []
-    for perm in itertools.permutations(range(n_atoms)):
-        table = []
-        for value in range(size):
-            out = 0
-            for target, source in enumerate(perm):
-                if value >> (n_atoms - 1 - source) & 1:
-                    out |= 1 << (n_atoms - 1 - target)
-            table.append(out)
-        remaps.append(tuple(table))
-    return remaps
+def _row_partitions(size: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
+    """Set partitions of ``size`` states into at most ``max_blocks``
+    blocks, as restricted growth strings in lexicographic order: state
+    i lies in block ``rgs[i]``, and each block's first state opens it
+    with the next unused number."""
+
+    def extend(rgs: tuple[int, ...], blocks: int) -> Iterator[tuple[int, ...]]:
+        if len(rgs) == size:
+            yield rgs
+            return
+        for block in range(min(blocks + 1, max_blocks)):
+            yield from extend(rgs + (block,), max(blocks, block + 1))
+
+    return extend((), 0)
 
 
 def agm_consistency_bruteforce(
@@ -567,9 +569,15 @@ def agm_consistency_bruteforce(
     state_limit: int = 4,
     atom_limit: int = 4,
 ) -> BruteforceOutcome:
-    """Decide consistency by enumerating every valuation of a budget of
-    atoms over the states, one per orbit under atom permutation, and
-    running the extension feasibility check on each.
+    """Decide consistency by running the extension feasibility check on
+    every valuation of a budget of atoms over the states, one per
+    partition of the states into rows.
+
+    The feasibility conditions see a valuation only through which
+    states share a row, so valuations with the same kernel get the same
+    verdict; each set partition with at most 2**atoms blocks is checked
+    once, through the valuation sending block i to row i.
+    ``valuations_checked`` counts these representatives.
 
     The default budget is the smallest one admitting an injective
     valuation (atom count = ceil(log2 of the state count)), which is
@@ -585,13 +593,9 @@ def agm_consistency_bruteforce(
     if not 1 <= n_atoms <= atom_limit:
         raise SizeLimitError(f"atom budget must be 1..{atom_limit}, got {n_atoms}")
 
-    remaps = _bit_permutations(n_atoms)
     atom_names = tuple(f"a{i}" for i in range(n_atoms))
-    rows = 1 << n_atoms
     checked = 0
-    for valuation in itertools.product(range(rows), repeat=size):
-        if any(tuple(remap[cls] for cls in valuation) < valuation for remap in remaps):
-            continue
+    for valuation in _row_partitions(size, 1 << n_atoms):
         checked += 1
         found = _infeasible_event(structure, valuation)
         if found is not None:

@@ -196,7 +196,11 @@ def oracle():
 @click.option("--atoms", type=int, default=None, help="atom budget (default: smallest injective)")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 def oracle_def6(file: str, atoms: int | None, as_json: bool):
-    """Enumerate all valuations and test extension feasibility on each."""
+    """Test extension feasibility under every valuation.
+
+    Valuations that put the same states in one row get the same
+    verdict, so one is checked per partition of the states into rows.
+    """
     structure = _require_structure(_load(file), file)
     try:
         outcome = agm_consistency_bruteforce(structure, atoms=atoms)

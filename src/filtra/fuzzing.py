@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
+from .beliefs import BeliefSet
 from .choice import (
     agm_consistency_bruteforce,
     check_agm_consistency,
@@ -41,7 +42,7 @@ from .sampling import (
     random_labeling,
     random_selection_function,
 )
-from .worlds import canonical_universe
+from .worlds import PointSet, canonical_universe
 
 ATOM_POOL = ("p", "q", "r", "s")
 
@@ -122,9 +123,6 @@ def recovery_suite(atoms: int, cases: int | None, seed: int) -> SuiteResult:
                 # corrupt one entry; agreement must still hold either way
                 entries = dict(table.entries)
                 target = rng.randrange(universe.full_mask + 1)
-                from .beliefs import BeliefSet
-                from .worlds import PointSet
-
                 entries[target] = BeliefSet(
                     PointSet(universe, rng.randrange(universe.full_mask + 1))
                 )

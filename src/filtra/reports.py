@@ -9,6 +9,7 @@ ASCII only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,14 +20,19 @@ from .worlds import PointSet, dnf_of
 class Witness:
     names: tuple[str, ...]
     point_sets: tuple[PointSet, ...]
-    formulas: tuple[str | None, ...]
     detail: str = ""
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[str, PointSet]], detail: str = "") -> "Witness":
         names = tuple(name for name, _ in pairs)
         sets = tuple(ps for _, ps in pairs)
-        return cls(names, sets, tuple(dnf_of(ps) for ps in sets), detail)
+        return cls(names, sets, detail)
+
+    @functools.cached_property
+    def formulas(self) -> tuple[str | None, ...]:
+        """A representative formula per point set, built on first use
+        (rendering), since most witnesses are only counted."""
+        return tuple(dnf_of(ps) for ps in self.point_sets)
 
     def render(self) -> str:
         parts = []

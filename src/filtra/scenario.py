@@ -240,7 +240,7 @@ def _parse_labeling(
     letters = {item.value: item for item in Credibility}
     for key, letter in section.items():
         mask = _parse_event_key(key, universe, f"labeling[{key!r}]")
-        if letter not in letters:
+        if not isinstance(letter, str) or letter not in letters:
             raise ScenarioError(f"labeling[{key!r}]", f"label must be one of C, A, R, got {letter!r}")
         overrides[mask] = letters[letter]
         raw[key] = letter
@@ -311,6 +311,8 @@ def loads(text: str) -> Scenario:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError("<file>", "JSON nested too deeply to parse") from None
     return scenario_from_payload(payload)
 
 

@@ -1,10 +1,13 @@
+import itertools
 from random import Random
 
 import pytest
 
+from filtra import reports
 from filtra.choice import (
     ChoiceStructure,
     InvalidStructureError,
+    _infeasible_event,
     agm_consistency_bruteforce,
     build_model,
     check_agm_consistency,
@@ -22,8 +25,8 @@ from filtra.revision import (
     enumerate_preorders,
     revision_from_preorder,
 )
-from filtra.sampling import random_choice_structure
-from filtra.worlds import PointSet, Universe, truth_set
+from filtra.sampling import all_choice_structures, random_choice_structure
+from filtra.worlds import PointSet, Universe, dnf_of, truth_set
 
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
 
@@ -41,6 +44,18 @@ def detective_structure():
         allowable=frozenset({mask_a}),
         rejected=frozenset({0}),
         f={full: full & ~mask_a, 0: full & ~mask_a, mask_a: full},
+    )
+
+
+def overlap_violation_structure():
+    universe = Universe.from_assignments(("p",), [("s0", {"p": True}), ("s1", {})])
+    full = universe.full_mask
+    return ChoiceStructure(
+        universe,
+        credible=frozenset({full}),
+        allowable=frozenset({1}),
+        rejected=frozenset({0}),
+        f={full: 1, 0: 1, 1: full},  # f(E) != f(omega) despite overlap
     )
 
 
@@ -283,18 +298,10 @@ class TestBruteforce:
     def test_detective_is_consistent_under_every_valuation(self):
         outcome = agm_consistency_bruteforce(detective_structure())
         assert outcome.consistent
-        assert outcome.valuations_checked == 36
+        assert outcome.valuations_checked == 5
 
     def test_allowable_overlap_violation_has_a_counter_model(self):
-        universe = Universe.from_assignments(("p",), [("s0", {"p": True}), ("s1", {})])
-        full = universe.full_mask
-        g = ChoiceStructure(
-            universe,
-            credible=frozenset({full}),
-            allowable=frozenset({1}),
-            rejected=frozenset({0}),
-            f={full: 1, 0: 1, 1: full},  # f(E) != f(omega) despite overlap
-        )
+        g = overlap_violation_structure()
         assert not check_agm_consistency(g).all_hold
         outcome = agm_consistency_bruteforce(g)
         assert not outcome.consistent
@@ -305,6 +312,31 @@ class TestBruteforce:
         replay_outcome = extension_oracle(build_model(replayed))
         assert not replay_outcome.feasible
         assert replay_outcome.infeasible_event.mask == counter.event.mask
+
+    def test_matches_the_full_valuation_product_at_two_states(self):
+        structures = [g for g in all_choice_structures() if validate_structure(g).all_hold]
+        assert len(structures) > 50
+        verdicts = {assert_matches_full_product(g, n_atoms=1) for g in structures}
+        assert verdicts == {True, False}
+
+    def test_matches_the_full_valuation_product_at_three_states(self):
+        rng = Random(11)
+        verdicts = [assert_matches_full_product(random_choice_structure(rng, 3), n_atoms=2) for _ in range(2000)]
+        assert 100 < sum(verdicts) < 1900
+
+    @pytest.mark.parametrize(
+        ("states", "atoms", "count"), [(3, None, 5), (4, None, 15), (3, 1, 4), (4, 1, 8), (2, 3, 2)]
+    )
+    def test_consistent_structures_check_one_valuation_per_partition(self, states, atoms, count):
+        n_atoms = atoms or (states - 1).bit_length()  # the default budget is ceil(log2 states)
+        assert count == sum(stirling2(states, k) for k in range(1, 2**n_atoms + 1))
+        rng = Random(5)
+        g = random_choice_structure(rng, states, conforming=True)
+        while not check_agm_consistency(g).all_hold:
+            g = random_choice_structure(rng, states, conforming=True)
+        outcome = agm_consistency_bruteforce(g, atoms=atoms)
+        assert outcome.consistent
+        assert outcome.valuations_checked == count
 
     def test_criteria_and_bruteforce_agree_on_random_structures(self):
         rng = Random(3)
@@ -317,6 +349,60 @@ class TestBruteforce:
             assert direct == agm_consistency_bruteforce(g).consistent
             seen[direct] += 1
         assert seen[True] and seen[False]
+
+
+def stirling2(n, k):
+    """Partitions of n labelled states into exactly k nonempty blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def assert_matches_full_product(structure, n_atoms):
+    """Run the feasibility check on every valuation of ``n_atoms`` atoms
+    over the states (no reduction at all), assert that the oracle gives
+    the same verdict and that its counter-model replays, and return the
+    verdict."""
+    consistent = all(
+        _infeasible_event(structure, valuation) is None
+        for valuation in itertools.product(range(1 << n_atoms), repeat=structure.universe.size)
+    )
+    outcome = agm_consistency_bruteforce(structure, atoms=n_atoms)
+    assert outcome.consistent == consistent
+    counter = outcome.counterexample
+    assert (counter is None) == consistent
+    if counter is not None:
+        replayed = with_valuation(structure, counter.atoms, counter.rows())
+        replay = extension_oracle(build_model(replayed), build_certificate=False)
+        assert not replay.feasible
+        assert replay.infeasible_event.mask == counter.event.mask
+    return consistent
+
+
+def test_witness_formulas_are_built_only_when_rendered(monkeypatch):
+    g = overlap_violation_structure()
+    calls = []
+
+    def counting_dnf_of(ps):
+        calls.append(ps)
+        return dnf_of(ps)
+
+    monkeypatch.setattr(reports, "dnf_of", counting_dnf_of)
+    lazy = check_agm_consistency(g)
+    assert not lazy.all_hold
+    assert calls == []
+    text, payload = lazy.render_text(), lazy.to_json()
+    witnesses = [w for result in lazy.results for w in result.witnesses]
+    assert len(calls) == sum(len(w.point_sets) for w in witnesses)  # once per point set
+
+    eager = check_agm_consistency(g)
+    for result in eager.results:
+        for witness in result.witnesses:
+            witness.__dict__["formulas"] = tuple(dnf_of(ps) for ps in witness.point_sets)
+    assert any(formula is not None for w in witnesses for formula in w.formulas)
+    assert (text, payload) == (eager.render_text(), eager.to_json())
 
 
 def replay_validation_witness(structure, check, event_mask):
