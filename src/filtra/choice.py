@@ -113,6 +113,61 @@ def with_valuation(
     )
 
 
+_CLAUSES = ("2", "3a", "3b", "3c", "3d")
+
+# One witness of a failing clause: the clause, the witness's (name,
+# mask) parts and a detail line.
+_Fault = tuple[str, tuple[tuple[str, int], ...], str]
+
+
+def _structure_faults(structure: ChoiceStructure) -> list[_Fault]:
+    """Every failing instance of structural laws 2-3d, in clause order
+    (empty for a valid structure)."""
+    full = structure.universe.full_mask
+    f = structure.f
+    faults: list[_Fault] = []
+
+    pairs = [
+        ("credible", structure.credible, "allowable", structure.allowable),
+        ("credible", structure.credible, "rejected", structure.rejected),
+        ("allowable", structure.allowable, "rejected", structure.rejected),
+    ]
+    for name_a, fam_a, name_b, fam_b in pairs:
+        for mask in sorted(fam_a & fam_b):
+            faults.append(("2", (("E", mask),), f"in both {name_a} and {name_b}"))
+    if full not in structure.credible:
+        faults.append(("2", (("E", full),), "full menu is not credible"))
+    if 0 not in structure.rejected:
+        faults.append(("2", (("E", 0),), "empty menu is not rejected"))
+
+    f_omega = f.get(full)
+    if f_omega is None:
+        faults.append(("3a", (("E", full),), "no choice at the full menu"))
+    elif f_omega == 0:
+        faults.append(("3a", (("f(omega)", 0),), "nothing is initially possible"))
+
+    menu_clauses = (
+        ("3b", [m for m in structure.rejected if f[m] != f_omega], "differs from f(omega)"),
+        ("3c", [m for m in structure.credible if f[m] == 0 or f[m] & ~m], "must be nonempty and within E"),
+        ("3d", [m for m in structure.allowable if f[m] & m == 0], "must keep part of E possible"),
+    )
+    for clause, failing, detail in menu_clauses:
+        faults.extend((clause, (("E", m), ("f(E)", f[m])), detail) for m in sorted(failing))
+    return faults
+
+
+def _structure_report(structure: ChoiceStructure, faults: list[_Fault]) -> CheckReport:
+    universe = structure.universe
+    witnesses: dict[str, list[Witness]] = {clause: [] for clause in _CLAUSES}
+    for clause, parts, detail in faults:
+        witnesses[clause].append(
+            Witness.of([(name, PointSet(universe, mask)) for name, mask in parts], detail=detail)
+        )
+    results = [CheckResult("1", True, note="state space is nonempty by construction")]
+    results += [CheckResult(clause, not found, tuple(found)) for clause, found in witnesses.items()]
+    return CheckReport("choice structure laws", tuple(results))
+
+
 def validate_structure(structure: ChoiceStructure) -> CheckReport:
     """Check the structural laws clause by clause.
 
@@ -122,90 +177,16 @@ def validate_structure(structure: ChoiceStructure) -> CheckReport:
     choose nonempty within the menu; 3d: allowable menus keep the menu
     possible.
     """
-    universe = structure.universe
-    full = universe.full_mask
+    return _structure_report(structure, _structure_faults(structure))
 
-    def ps(mask: int) -> PointSet:
-        return PointSet(universe, mask)
 
-    results = [CheckResult("1", True, note="state space is nonempty by construction")]
-
-    clause2: list[Witness] = []
-    pairs = [
-        ("credible", structure.credible, "allowable", structure.allowable),
-        ("credible", structure.credible, "rejected", structure.rejected),
-        ("allowable", structure.allowable, "rejected", structure.rejected),
-    ]
-    for name_a, fam_a, name_b, fam_b in pairs:
-        for mask in sorted(fam_a & fam_b):
-            clause2.append(Witness.of([("E", ps(mask))], detail=f"in both {name_a} and {name_b}"))
-    if full not in structure.credible:
-        clause2.append(Witness.of([("E", ps(full))], detail="full menu is not credible"))
-    if 0 not in structure.rejected:
-        clause2.append(Witness.of([("E", ps(0))], detail="empty menu is not rejected"))
-    results.append(CheckResult("2", not clause2, tuple(clause2)))
-
-    f_omega = structure.f.get(full)
-    if f_omega is None:
-        results.append(
-            CheckResult("3a", False, (Witness.of([("E", ps(full))], detail="no choice at the full menu"),))
-        )
-    else:
-        witnesses = ()
-        if f_omega == 0:
-            witnesses = (Witness.of([("f(omega)", ps(0))], detail="nothing is initially possible"),)
-        results.append(CheckResult("3a", not witnesses, witnesses))
-
-    failing_b = [
-        mask for mask in sorted(structure.rejected) if structure.f[mask] != f_omega
-    ]
-    results.append(
-        CheckResult(
-            "3b",
-            not failing_b,
-            tuple(
-                Witness.of([("E", ps(mask)), ("f(E)", ps(structure.f[mask]))], detail="differs from f(omega)")
-                for mask in failing_b
-            ),
-        )
-    )
-
-    failing_c = [
-        mask
-        for mask in sorted(structure.credible)
-        if structure.f[mask] == 0 or structure.f[mask] & ~mask
-    ]
-    results.append(
-        CheckResult(
-            "3c",
-            not failing_c,
-            tuple(
-                Witness.of(
-                    [("E", ps(mask)), ("f(E)", ps(structure.f[mask]))],
-                    detail="must be nonempty and within E",
-                )
-                for mask in failing_c
-            ),
-        )
-    )
-
-    failing_d = [
-        mask for mask in sorted(structure.allowable) if structure.f[mask] & mask == 0
-    ]
-    results.append(
-        CheckResult(
-            "3d",
-            not failing_d,
-            tuple(
-                Witness.of(
-                    [("E", ps(mask)), ("f(E)", ps(structure.f[mask]))],
-                    detail="must keep part of E possible",
-                )
-                for mask in failing_d
-            ),
-        )
-    )
-    return CheckReport("choice structure laws", tuple(results))
+def _require_valid(structure: ChoiceStructure) -> None:
+    """Raise InvalidStructureError, with the full report, unless the
+    structure passes the structural laws; the report is only built on a
+    fault."""
+    faults = _structure_faults(structure)
+    if faults:
+        raise InvalidStructureError(_structure_report(structure, faults))
 
 
 def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
@@ -218,9 +199,7 @@ def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
     part E' of the menu.  Rejected menus are already pinned by the
     structural laws.
     """
-    report = validate_structure(structure)
-    if not report.all_hold:
-        raise InvalidStructureError(report)
+    _require_valid(structure)
     universe = structure.universe
     initial = structure.f[universe.full_mask]
 
@@ -307,9 +286,7 @@ def build_model(structure: ChoiceStructure, atoms: Sequence[str] | None = None) 
     """
     if atoms is not None and tuple(atoms) != structure.universe.atoms:
         raise ValueError("atoms must match the structure universe's declared atoms")
-    report = validate_structure(structure)
-    if not report.all_hold:
-        raise InvalidStructureError(report)
+    _require_valid(structure)
     universe = structure.universe
     canonical = canonical_universe(universe.atoms)
     point_classes = tuple(universe.valuation_index(i) for i in range(universe.size))
@@ -583,9 +560,7 @@ def agm_consistency_bruteforce(
     valuation (atom count = ceil(log2 of the state count)), which is
     enough to expose every criteria violation.
     """
-    report = validate_structure(structure)
-    if not report.all_hold:
-        raise InvalidStructureError(report)
+    _require_valid(structure)
     size = structure.universe.size
     if size > state_limit:
         raise SizeLimitError(f"brute force supports up to {state_limit} states, got {size}")

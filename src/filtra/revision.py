@@ -23,7 +23,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
-from .worlds import PointSet, SizeLimitError, Universe, UniverseMismatchError, truth_set
+from .worlds import (
+    PointSet,
+    SizeLimitError,
+    Universe,
+    UniverseMismatchError,
+    submasks,
+    truth_set,
+)
 
 
 class SelectionError(ValueError):
@@ -289,16 +296,76 @@ def agm_holds_at(
     return _agm_mask_holds(table, postulate, e.mask)
 
 
+def _agm78_failure_counts(table: RevisionTable) -> dict[int, list[int]]:
+    """Per postulate 7 and 8, the number of failing pairs (E, F) for
+    each E, indexed by E's mask.
+
+    Each F is split as G | H with G = E & F and H disjoint from E.  For
+    a fixed (E, G) the failing H have a closed-form count (derived in
+    docs/semantics.md), so one pass over the 3^m pairs (E, G <= E)
+    replaces the scan over all 4^m pairs (E, F).  No other postulate is
+    assumed to hold.
+    """
+    size = table.universe.size
+    entries = [table.entries[mask].points.mask for mask in range(table.universe.full_mask + 1)]
+    counts7 = [0] * len(entries)
+    counts8 = [0] * len(entries)
+    for e, b in enumerate(entries):
+        every = 1 << (size - e.bit_count())  # 2^n choices of H
+        out = b & ~e
+        # H meeting out: where AGM8's antecedent can hold through H alone
+        meets_out = every - (every >> out.bit_count())
+        if out:
+            groups = submasks(e)
+        else:
+            # with B(E) <= E, a G that misses B(E), or with
+            # B(G) = B(E) & G, fails neither postulate for any H
+            groups = []
+            rest = submasks(e & ~b)
+            for kept in submasks(b)[1:]:
+                groups += [kept | r for r in rest if entries[kept | r] != kept]
+        fail7 = fail8 = 0
+        for g in groups:
+            bg = entries[g]
+            kept = b & g
+            if kept & ~bg:
+                fail7 += every
+            else:
+                fail7 += every - (every >> (out & ~bg).bit_count())
+            if kept:
+                z = bg & ~kept
+                if z & ~out:
+                    fail8 += every
+                else:
+                    fail8 += every - (every >> z.bit_count())
+            elif bg & ~out:
+                fail8 += meets_out
+            elif bg:
+                fail8 += meets_out - (every >> bg.bit_count())
+        counts7[e] = fail7
+        counts8[e] = fail8
+    return {7: counts7, 8: counts8}
+
+
 def check_agm(
     table: RevisionTable, postulates: Iterable[int] = ALL_POSTULATES
 ) -> CheckReport:
     """Check the requested postulates over every proposition (and every
-    pair of propositions for 7/8, the pair standing for a conjunction)."""
+    pair of propositions for 7/8, the pair standing for a conjunction).
+
+    AGM7/AGM8 are decided by counting failing pairs per (E, G <= E) in
+    closed form (``_agm78_failure_counts``), which costs 3^m instead of
+    the 4^m pair scan and yields the same exact count.  Witnesses are
+    the first failing pairs in ascending (E, F) order, found by scanning
+    F only for the first E's with a nonzero count, so reports match a
+    full pair scan exactly.
+    """
     wanted = sorted(set(postulates))
     if not wanted or not set(wanted) <= set(ALL_POSTULATES):
         raise ValueError(f"postulates must be a nonempty subset of 1..8, got {wanted}")
     universe = table.universe
     masks = range(universe.full_mask + 1)
+    pair_counts = _agm78_failure_counts(table) if {7, 8} & set(wanted) else {}
     results = []
     for postulate in wanted:
         name = f"AGM{postulate}"
@@ -307,14 +374,18 @@ def check_agm(
             continue
         failing: list[tuple[int, int | None]] = []
         if postulate in (7, 8):
+            counts = pair_counts[postulate]
+            total = sum(counts)
             for e in masks:
-                for f in masks:
-                    if not _agm_mask_holds(table, postulate, e, f):
-                        failing.append((e, f))
+                if len(failing) >= _MAX_WITNESSES:
+                    break
+                if counts[e]:
+                    failing.extend(
+                        (e, f) for f in masks if not _agm_mask_holds(table, postulate, e, f)
+                    )
         else:
-            for e in masks:
-                if not _agm_mask_holds(table, postulate, e):
-                    failing.append((e, None))
+            failing = [(e, None) for e in masks if not _agm_mask_holds(table, postulate, e)]
+            total = len(failing)
         witnesses = tuple(
             Witness.of(
                 [("E", PointSet(universe, e))]
@@ -322,8 +393,8 @@ def check_agm(
             )
             for e, f in failing[:_MAX_WITNESSES]
         )
-        note = f"{len(failing)} failing propositions" if len(failing) > _MAX_WITNESSES else ""
-        results.append(CheckResult(name, not failing, witnesses, note))
+        note = f"{total} failing propositions" if total > _MAX_WITNESSES else ""
+        results.append(CheckResult(name, not total, witnesses, note))
     return CheckReport("AGM postulates", tuple(results))
 
 
@@ -503,12 +574,7 @@ def _ordered_partitions(mask: int) -> Iterator[tuple[int, ...]]:
     if mask == 0:
         yield ()
         return
-    submasks = []
-    sub = mask
-    while sub:
-        submasks.append(sub)
-        sub = (sub - 1) & mask
-    for first in reversed(submasks):  # ascending bitmask order
+    for first in submasks(mask)[1:]:
         for rest in _ordered_partitions(mask & ~first):
             yield (first,) + rest
 

@@ -21,7 +21,7 @@ from .revision import (
     RevisionTable,
     SelectionFunction,
 )
-from .worlds import Point, PointSet, SizeLimitError, Universe
+from .worlds import Point, PointSet, SizeLimitError, Universe, submasks
 
 
 def random_formula(rng: Random, atoms: Sequence[str], max_depth: int) -> Formula:
@@ -168,17 +168,7 @@ def all_selection_functions(universe: Universe) -> Iterator[SelectionFunction]:
     full = universe.full_mask
     for initial_mask in range(1, full + 1):
         free_events = [e for e in range(1, full + 1) if e & initial_mask == 0]
-        options = []
-        for event in free_events:
-            positions = [1 << i for i in PointSet(universe, event).indices()]
-            submasks = []
-            for selector in range(1, 1 << len(positions)):
-                mask = 0
-                for i, bit in enumerate(positions):
-                    if selector >> i & 1:
-                        mask |= bit
-                submasks.append(mask)
-            options.append(submasks)
+        options = [submasks(event)[1:] for event in free_events]
         for picks in itertools.product(*options):
             choice = {
                 e: e & initial_mask for e in range(1, full + 1) if e & initial_mask

@@ -206,6 +206,17 @@ class PointSet:
         return "{" + ", ".join(self.ids) + "}"
 
 
+def submasks(mask: int) -> list[int]:
+    """Every submask of ``mask`` in ascending order (the empty one
+    first)."""
+    subs = [0]
+    while mask:
+        low = mask & -mask
+        subs += [sub | low for sub in subs]
+        mask ^= low
+    return subs
+
+
 def _atom_mask(universe: Universe, name: str) -> int:
     try:
         column = universe.atoms.index(name)

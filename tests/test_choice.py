@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from filtra import reports
+from filtra import choice, reports
 from filtra.choice import (
     ChoiceStructure,
     InvalidStructureError,
@@ -463,6 +463,39 @@ def test_reported_witnesses_replay_their_failures():
                 assert not replay_criteria_witness(g, result.check, event)
                 replayed += 1
     assert replayed > 50
+
+
+def test_guards_build_the_validation_report_only_on_a_fault(monkeypatch):
+    rng = Random(11)
+    built = []
+    render = choice._structure_report
+
+    def counting_report(structure, faults):
+        built.append(structure)
+        return render(structure, faults)
+
+    monkeypatch.setattr(choice, "_structure_report", counting_report)
+    guards = (check_agm_consistency, agm_consistency_bruteforce, build_model)
+    invalid = 0
+    for _ in range(200):
+        g = random_choice_structure(rng, 3)
+        if rng.random() < 0.5:
+            f = dict(g.f)
+            f[rng.choice(sorted(f))] = rng.randrange(g.universe.full_mask + 1)
+            g = ChoiceStructure(g.universe, g.credible, g.allowable, g.rejected, f)
+        expected = validate_structure(g)
+        built.clear()
+        for guard in guards:
+            if expected.all_hold:
+                guard(g)
+            else:
+                with pytest.raises(InvalidStructureError) as raised:
+                    guard(g)
+                assert raised.value.report == expected
+                assert raised.value.report.render_text() == expected.render_text()
+        assert len(built) == (0 if expected.all_hold else len(guards))
+        invalid += not expected.all_hold
+    assert 20 < invalid < 180
 
 
 class TestRationalization:

@@ -1,13 +1,18 @@
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 from click.testing import CliRunner
 
 from filtra.cli import main
+from filtra.revision import revision_from_selection
+from filtra.sampling import random_selection_function
 from filtra.scenario import Scenario, detective_scenario, dumps, load_scenario
+from filtra.worlds import canonical_universe
 
 from test_choice import three_state_structure
+from test_revision import pair_scan_report
 
 GOLDEN = Path(__file__).parent / "golden"
 DETECTIVE = json.loads(dumps(detective_scenario()))
@@ -162,6 +167,25 @@ class TestCheckCommands:
         assert result.exit_code == 1
         assert "AGM2: FAILS" in result.output
         assert "witness: E = {w0}" in result.output
+
+    def test_agm_reports_match_the_pair_scan(self, runner, tmp_path):
+        # a 3-atom selection table failing AGM7 and AGM8 on hundreds of
+        # pairs: text and JSON output equal the report whose AGM7/8
+        # verdicts, witnesses and counts come from the 4^m pair scan
+        universe = canonical_universe(("p", "q", "r"))
+        table = revision_from_selection(random_selection_function(Random(1), universe))
+        expected = pair_scan_report(table)
+        assert expected.result("AGM7").note == "848 failing propositions"
+        assert expected.result("AGM8").note == "824 failing propositions"
+        path = tmp_path / "selection.json"
+        path.write_text(dumps(Scenario(universe.atoms, universe, table=table)), encoding="utf-8")
+        text = runner.invoke(main, ["check", "agm", str(path)])
+        assert text.exit_code == 1
+        assert text.output == expected.render_text() + "\n"
+        as_json = runner.invoke(main, ["check", "agm", str(path), "--json"])
+        assert as_json.exit_code == 1
+        payload = {"command": "check agm", **expected.to_json()}
+        assert as_json.output == json.dumps(payload, indent=2) + "\n"
 
     def test_table_needed(self, runner, detective_file):
         result = runner.invoke(main, ["check", "agm", detective_file])

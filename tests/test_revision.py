@@ -5,6 +5,7 @@ import pytest
 
 from filtra.beliefs import BeliefSet
 from filtra.formulas import parse_formula
+from filtra.reports import CheckReport, CheckResult, Witness
 from filtra.revision import (
     PlausibilityOrder,
     RevisionTable,
@@ -16,6 +17,7 @@ from filtra.revision import (
     revision_from_preorder,
     revision_from_selection,
 )
+from filtra.revision import _agm78_failure_counts
 from filtra.sampling import random_plausibility_order, random_selection_function
 from filtra.worlds import PointSet, SizeLimitError, canonical_universe
 
@@ -211,6 +213,99 @@ class TestAgmChecker:
                         for e in masks
                     )
                 assert result.holds == simulated
+
+
+def pair_scan(table, postulate):
+    """Reference oracle for AGM7/8: every pair (E, F) through the public
+    single-pair predicate, in ascending (E, F) order, 4^m evaluations."""
+    sets = [PointSet(table.universe, mask) for mask in range(table.universe.full_mask + 1)]
+    return [
+        (e.mask, f.mask)
+        for e in sets
+        for f in sets
+        if not agm_holds_at(table, postulate, e, f)
+    ]
+
+
+def pair_scan_report(table):
+    """The AGM1-8 report with AGM7/8 decided by the pair scan: the first
+    five failing pairs as witnesses, the exact count in the note."""
+    universe = table.universe
+    results = list(check_agm(table, (1, 2, 3, 4, 5, 6)).results)
+    for postulate in (7, 8):
+        failing = pair_scan(table, postulate)
+        witnesses = tuple(
+            Witness.of([("E", PointSet(universe, e)), ("F", PointSet(universe, f))])
+            for e, f in failing[:5]
+        )
+        note = f"{len(failing)} failing propositions" if len(failing) > 5 else ""
+        results.append(CheckResult(f"AGM{postulate}", not failing, witnesses, note))
+    return CheckReport("AGM postulates", tuple(results))
+
+
+def seeded_tables(n_atoms, per_kind, seed):
+    """Pre-order tables (AGM1-8 hold), selection tables (AGM1-6 hold)
+    and arbitrary tables (AGM2 and more fail), drawn from one seed."""
+    universe = canonical_universe(("p", "q", "r")[:n_atoms])
+    full = universe.full_mask
+    rng = Random(seed)
+    for _ in range(per_kind):
+        yield "preorder", revision_from_preorder(random_plausibility_order(rng, universe))
+        yield "selection", revision_from_selection(random_selection_function(rng, universe))
+        entries = {
+            mask: BeliefSet(PointSet(universe, rng.randrange(full + 1))) for mask in range(full + 1)
+        }
+        initial = BeliefSet(PointSet(universe, rng.randrange(1, full + 1)))
+        yield "arbitrary", RevisionTable(universe, initial, entries)
+
+
+class TestAgmSupplementaryOracle:
+    """check_agm decides AGM7/8 per (E, G = E & F) in closed form; the
+    pair scan over all (E, F) is its reference at up to 3 atoms."""
+
+    @pytest.mark.parametrize("n_atoms,per_kind", [(1, 40), (2, 12), (3, 2)])
+    def test_matches_pair_scan(self, n_atoms, per_kind):
+        noted = set()
+        for kind, table in seeded_tables(n_atoms, per_kind, seed=30 + n_atoms):
+            report = check_agm(table)
+            counts = _agm78_failure_counts(table)
+            for postulate in (7, 8):
+                failing = pair_scan(table, postulate)
+                result = report.result(f"AGM{postulate}")
+                assert result.holds == (not failing)
+                per_event = [0] * (table.universe.full_mask + 1)
+                for e, _ in failing:
+                    per_event[e] += 1
+                assert counts[postulate] == per_event
+                expected_note = f"{len(failing)} failing propositions" if len(failing) > 5 else ""
+                assert result.note == expected_note
+                pairs = [(w.point_sets[0].mask, w.point_sets[1].mask) for w in result.witnesses]
+                assert pairs == failing[:5]
+                for witness in result.witnesses:
+                    assert not agm_holds_at(table, postulate, *witness.point_sets)
+                if result.note:
+                    noted.add(kind)
+                if kind == "preorder":
+                    assert result.holds
+        assert noted  # some case fails more than five times, so the note shows
+
+    def test_single_postulate_requests(self):
+        universe = canonical_universe(("p", "q", "r"))
+        table = revision_from_selection(random_selection_function(Random(1), universe))
+        both = check_agm(table, (7, 8))
+        assert not any(result.holds for result in both.results)
+        assert check_agm(table, (7,)).results == both.results[:1]
+        assert check_agm(table, (8,)).results == both.results[1:]
+
+    def test_four_atom_preorder_table_passes_every_postulate(self):
+        # Grove / Katsuno-Mendelzon: a pre-order (faithful assignment)
+        # table satisfies AGM1-8; 65,536 propositions, 4^16 pairs
+        universe = canonical_universe(("p", "q", "r", "s"))
+        table = revision_from_preorder(random_plausibility_order(Random(4), universe))
+        report = check_agm(table)
+        assert report.all_hold
+        assert all(not result.witnesses for result in report.results)
+        assert report.result("AGM7").note == report.result("AGM8").note == ""
 
 
 def fubini(n):

@@ -16,6 +16,7 @@ from filtra.worlds import (
     canonical_universe,
     classify,
     dnf_of,
+    submasks,
     truth_set,
 )
 
@@ -184,3 +185,8 @@ def test_exhaustive_universe_masks_cover_all_formula_classes(u2):
         text = dnf_of(PointSet(u2, mask))
         seen.add(truth_set(parse_formula(text, ATOMS), u2).mask)
     assert seen == set(range(u2.full_mask + 1))
+
+
+@pytest.mark.parametrize("mask", [0, 0b1, 0b1010, 0b10110, 0xFF])
+def test_submasks_are_every_submask_in_ascending_order(mask):
+    assert submasks(mask) == [sub for sub in range(mask + 1) if sub & ~mask == 0]
