@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Iterator, Mapping, Sequence
 
 from .beliefs import BeliefSet
@@ -30,10 +31,8 @@ from .revision import (
     CredibilityLabeling,
     PlausibilityOrder,
     RevisionTable,
-    SelectionFunction,
-    build_filtered,
     enumerate_preorders,
-    revision_from_selection,
+    recover_basic,
 )
 from .worlds import PointSet, SizeLimitError, Universe, canonical_universe
 
@@ -243,6 +242,48 @@ def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
     return CheckReport("consistency criteria", results, tuple(notes))
 
 
+def _union_through(table: Sequence[int], mask: int) -> int:
+    """Union of ``table[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+class _Quotient:
+    """The valuation quotient of a state space: which states share a row.
+
+    State i lies on row ``point_classes[i]`` out of ``n_rows``; rows no
+    state lands on are empty.  Three maps, each one table lookup per
+    set bit of its argument:
+
+    * ``rows(mask)``: the rows the states in ``mask`` occupy, v(mask);
+    * ``states(row_mask)``: the states on those rows, the state-space
+      image of a canonical proposition;
+    * ``saturate(mask)``: the states sharing a row with some state in
+      ``mask``.
+    """
+
+    __slots__ = ("rows", "states", "saturate")
+
+    def __init__(self, point_classes: Sequence[int], n_rows: int):
+        row_states = [0] * n_rows
+        for i, row in enumerate(point_classes):
+            row_states[row] |= 1 << i
+        self.rows = partial(_union_through, [1 << row for row in point_classes])
+        self.states = partial(_union_through, row_states)
+        self.saturate = partial(_union_through, [row_states[row] for row in point_classes])
+
+
+@lru_cache(maxsize=1024)
+def _quotient(point_classes: tuple[int, ...], n_rows: int) -> _Quotient:
+    # the brute force revisits the same few partitions for every
+    # structure, and a model's operations share one quotient
+    return _Quotient(point_classes, n_rows)
+
+
 @dataclass(frozen=True)
 class Model:
     """A choice structure read over the worlds of its own valuation.
@@ -250,8 +291,8 @@ class Model:
     ``point_classes`` maps each state to its row in the canonical
     universe over the structure's atoms; ``labeling`` labels every
     canonical proposition by the family of its state-space image
-    (defaulting to rejected where no family constrains it, except the
-    tautology class which stays credible).
+    (defaulting to rejected where no family constrains it; the
+    tautology's image is the full menu, which is always credible).
     """
 
     structure: ChoiceStructure
@@ -259,23 +300,10 @@ class Model:
     labeling: CredibilityLabeling
     point_classes: tuple[int, ...]
 
-    def class_masks(self) -> dict[int, int]:
-        masks: dict[int, int] = {}
-        for i, cls in enumerate(self.point_classes):
-            masks[cls] = masks.get(cls, 0) | (1 << i)
-        return masks
-
     def image_of(self, canonical_mask: int) -> int:
         """State-space truth set of any formula whose canonical truth
         set is ``canonical_mask``."""
-        masks = self.class_masks()
-        image = 0
-        remaining = canonical_mask
-        while remaining:
-            low = remaining & -remaining
-            image |= masks.get(low.bit_length() - 1, 0)
-            remaining ^= low
-        return image
+        return _quotient(self.point_classes, self.canonical.size).states(canonical_mask)
 
 
 def build_model(structure: ChoiceStructure, atoms: Sequence[str] | None = None) -> Model:
@@ -290,36 +318,11 @@ def build_model(structure: ChoiceStructure, atoms: Sequence[str] | None = None) 
     universe = structure.universe
     canonical = canonical_universe(universe.atoms)
     point_classes = tuple(universe.valuation_index(i) for i in range(universe.size))
-
-    class_masks: dict[int, int] = {}
-    for i, cls in enumerate(point_classes):
-        class_masks[cls] = class_masks.get(cls, 0) | (1 << i)
-
-    labels: dict[int, Credibility] = {}
-    for prop in range(canonical.full_mask + 1):
-        image = 0
-        remaining = prop
-        while remaining:
-            low = remaining & -remaining
-            image |= class_masks.get(low.bit_length() - 1, 0)
-            remaining ^= low
-        forced = [
-            family
-            for family, members in (
-                (Credibility.CREDIBLE, structure.credible),
-                (Credibility.ALLOWABLE, structure.allowable),
-                (Credibility.REJECTED, structure.rejected),
-            )
-            if image in members
-        ]
-        if len(forced) > 1:
-            raise InvalidStructureError(validate_structure(structure))
-        if forced:
-            labels[prop] = forced[0]
-        elif prop == canonical.full_mask:
-            labels[prop] = Credibility.CREDIBLE
-        else:
-            labels[prop] = Credibility.REJECTED
+    image = _quotient(point_classes, canonical.size).states
+    labels = {
+        prop: structure.family_of(image(prop)) or Credibility.REJECTED
+        for prop in range(canonical.full_mask + 1)
+    }
     return Model(structure, canonical, CredibilityLabeling(canonical, labels), point_classes)
 
 
@@ -340,17 +343,7 @@ def induced_beliefs(model: Model) -> PartialRevision:
     structure = model.structure
     universe = structure.universe
     initial = BeliefSet(structure.initial_points())
-    class_masks = model.class_masks()
-
-    def saturate(mask: int) -> int:
-        out = 0
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            out |= class_masks[model.point_classes[low.bit_length() - 1]]
-            remaining ^= low
-        return out
-
+    saturate = _quotient(model.point_classes, model.canonical.size).saturate
     entries = {
         event: BeliefSet(PointSet(universe, structure.f[event]))
         for event in sorted(structure.events)
@@ -360,7 +353,7 @@ def induced_beliefs(model: Model) -> PartialRevision:
 
 
 def _infeasible_event(
-    structure: ChoiceStructure, point_classes: Sequence[int]
+    structure: ChoiceStructure, point_classes: tuple[int, ...]
 ) -> tuple[int, str] | None:
     """First menu (ascending mask order) whose pinned entry admits no
     selection value under the given valuation, or None.
@@ -368,28 +361,9 @@ def _infeasible_event(
     Only menus that are unions of valuation classes are pinned; the
     rest correspond to no formula and constrain nothing.
     """
-    class_masks: dict[int, int] = {}
-    for i, cls in enumerate(point_classes):
-        class_masks[cls] = class_masks.get(cls, 0) | (1 << i)
-
-    def vset(mask: int) -> int:
-        out = 0
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            out |= 1 << point_classes[low.bit_length() - 1]
-            remaining ^= low
-        return out
-
-    def saturate(mask: int) -> int:
-        out = 0
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            out |= class_masks[point_classes[low.bit_length() - 1]]
-            remaining ^= low
-        return out
-
+    quotient = _quotient(point_classes, max(point_classes) + 1)
+    vset = quotient.rows
+    saturate = quotient.saturate
     initial = structure.f[structure.universe.full_mask]
     v_initial = vset(initial)
     sat_initial = saturate(initial)
@@ -448,7 +422,10 @@ def extension_oracle(model: Model, build_certificate: bool = True) -> ExtensionO
     Feasibility decomposes per pinned menu; propositions pinned by no
     menu always admit a selection value, so they never matter.  On
     success (and by default) a witness table pair over the canonical
-    universe is constructed.
+    universe is constructed: the filtered table takes the theory of
+    f(image) where a proposition's image is a menu and the initial
+    theory elsewhere, and ``recover_basic`` supplies the basic table it
+    is built from.
     """
     structure = model.structure
     found = _infeasible_event(structure, model.point_classes)
@@ -459,46 +436,24 @@ def extension_oracle(model: Model, build_certificate: bool = True) -> ExtensionO
         return ExtensionOutcome(True)
 
     canonical = model.canonical
-    class_masks = model.class_masks()
-
-    def vmask(mask: int) -> int:
-        out = 0
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            out |= 1 << model.point_classes[low.bit_length() - 1]
-            remaining ^= low
-        return out
-
-    initial_can = vmask(structure.f[structure.universe.full_mask])
-    events = structure.events
-    choice: dict[int, int] = {}
-    for prop in range(1, canonical.full_mask + 1):
-        image = 0
-        remaining = prop
-        while remaining:
-            low = remaining & -remaining
-            image |= class_masks.get(low.bit_length() - 1, 0)
-            remaining ^= low
-        overlap = initial_can & prop
-        if image in events:
-            entry_can = vmask(structure.f[image])
-            label = model.labeling.labels[prop]
-            if overlap:
-                choice[prop] = overlap
-            elif label is Credibility.CREDIBLE:
-                choice[prop] = entry_can
-            elif label is Credibility.ALLOWABLE:
-                choice[prop] = entry_can & ~initial_can
-            else:
-                choice[prop] = prop
+    quotient = _quotient(model.point_classes, canonical.size)
+    f = structure.f
+    initial = BeliefSet(PointSet(canonical, quotient.rows(f[structure.universe.full_mask])))
+    entries: dict[int, BeliefSet] = {}
+    for prop in range(canonical.full_mask + 1):
+        image = quotient.states(prop)
+        if image in f:
+            entries[prop] = BeliefSet(PointSet(canonical, quotient.rows(f[image])))
         else:
-            choice[prop] = overlap if overlap else prop
-    basic = revision_from_selection(
-        SelectionFunction(canonical, BeliefSet(PointSet(canonical, initial_can)), choice)
-    )
-    filtered = build_filtered(basic, model.labeling)
-    return ExtensionOutcome(True, ExtensionCertificate(basic, filtered))
+            entries[prop] = initial
+    filtered = RevisionTable(canonical, initial, entries)
+    recovered = recover_basic(filtered, model.labeling)
+    if not recovered:
+        raise RuntimeError(
+            f"extension check passed but recovery fails at {recovered.infeasible.render()}: "
+            f"{recovered.reason}"
+        )
+    return ExtensionOutcome(True, ExtensionCertificate(recovered.basic, filtered))
 
 
 @dataclass(frozen=True)

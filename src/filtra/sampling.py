@@ -44,7 +44,8 @@ def random_point_set(rng: Random, universe: Universe, nonempty: bool = False) ->
 
 
 def _random_nonempty_submask(rng: Random, mask: int) -> int:
-    # spread a random nonzero selector over the bits of ``mask``
+    # spread a random nonzero selector over the bits of ``mask``; this
+    # is submasks(mask)[selector] without building all 2**|mask| of them
     positions = []
     remaining = mask
     while remaining:

@@ -20,6 +20,7 @@ from filtra.choice import (
 from filtra.formulas import parse_formula
 from filtra.revision import (
     Credibility,
+    RecoveryOutcome,
     check_agm,
     build_filtered,
     enumerate_preorders,
@@ -249,25 +250,67 @@ class TestExtensionOracle:
 
     def test_certificates_reverify_on_random_conforming_structures(self):
         rng = Random(2)
-        checked = 0
-        for _ in range(40):
-            g = random_choice_structure(rng, 3, conforming=True)
-            if not validate_structure(g).all_hold:
-                continue
+        duplicate_rows = empty_rows = 0
+        # 1 atom over 3-4 states puts several states on one row; 2-3
+        # atoms over 3 states leave rows that no state lands on
+        for n_states, atoms in [(3, ("p", "q")), (3, ("p",)), (4, ("p",)), (3, ("p", "q", "r"))]:
+            checked = 0
+            for _ in range(40):
+                g = random_choice_structure(rng, n_states, atoms, conforming=True)
+                if not validate_structure(g).all_hold:
+                    continue
+                model = build_model(g)
+                outcome = extension_oracle(model)
+                assert outcome.feasible
+                checked += 1
+                rows_used = len(set(model.point_classes))
+                duplicate_rows += rows_used < n_states
+                empty_rows += rows_used < model.canonical.size
+                certificate = outcome.certificate
+                assert check_agm(certificate.basic, (1, 2, 3, 4, 5, 6)).all_hold
+                assert build_filtered(certificate.basic, model.labeling) == certificate.revision
+                for prop in range(model.canonical.full_mask + 1):
+                    image = model.image_of(prop)
+                    if image in g.events:
+                        assert certificate.revision.entries[prop].points.mask == vmask(
+                            model, g.f[image]
+                        )
+            assert checked > 10
+        assert duplicate_rows and empty_rows
+
+    def test_feasible_models_always_recover_a_basic_table(self):
+        # the extension check passing must imply that recover_basic
+        # accepts the pinned filtered table, so a certificate is built
+        structures = list(all_choice_structures(("p",)))
+        rng = Random(17)
+        for n_states, atoms in [(3, ("p",)), (3, ("p", "q")), (4, ("p",)), (4, ("p", "q"))]:
+            for _ in range(60):
+                structures.append(random_choice_structure(rng, n_states, atoms))
+                # a conforming structure with one menu's choice redrawn
+                # breaks at most that menu, near the feasibility boundary
+                g = random_choice_structure(rng, n_states, atoms, conforming=True)
+                menu = rng.choice(sorted(g.events))
+                f = {**g.f, menu: rng.randrange(g.universe.full_mask + 1)}
+                structures.append(ChoiceStructure(g.universe, g.credible, g.allowable, g.rejected, f))
+        valid = [g for g in structures if validate_structure(g).all_hold]
+        feasible = 0
+        for g in valid:
             model = build_model(g)
-            outcome = extension_oracle(model)
-            assert outcome.feasible
-            checked += 1
-            certificate = outcome.certificate
+            if not extension_oracle(model, build_certificate=False).feasible:
+                continue
+            feasible += 1
+            certificate = extension_oracle(model).certificate
             assert check_agm(certificate.basic, (1, 2, 3, 4, 5, 6)).all_hold
             assert build_filtered(certificate.basic, model.labeling) == certificate.revision
-            for prop in range(model.canonical.full_mask + 1):
-                image = model.image_of(prop)
-                if image in g.events:
-                    assert certificate.revision.entries[prop].points.mask == vmask(
-                        model, g.f[image]
-                    )
-        assert checked > 10
+        assert 100 < feasible < len(valid)
+
+    def test_a_failed_recovery_is_an_explicit_error(self, monkeypatch):
+        def failing_recovery(filtered, labeling):
+            return RecoveryOutcome(None, PointSet(filtered.universe, 1), "forced failure")
+
+        monkeypatch.setattr(choice, "recover_basic", failing_recovery)
+        with pytest.raises(RuntimeError, match="forced failure"):
+            extension_oracle(build_model(detective_structure()))
 
     def test_violating_menu_is_infeasible_under_a_separating_valuation(self):
         g = three_state_structure(
