@@ -438,15 +438,10 @@ def extension_oracle(model: Model, build_certificate: bool = True) -> ExtensionO
     canonical = model.canonical
     quotient = _quotient(model.point_classes, canonical.size)
     f = structure.f
-    initial = BeliefSet(PointSet(canonical, quotient.rows(f[structure.universe.full_mask])))
-    entries: dict[int, BeliefSet] = {}
-    for prop in range(canonical.full_mask + 1):
-        image = quotient.states(prop)
-        if image in f:
-            entries[prop] = BeliefSet(PointSet(canonical, quotient.rows(f[image])))
-        else:
-            entries[prop] = initial
-    filtered = RevisionTable(canonical, initial, entries)
+    initial = quotient.rows(f[structure.universe.full_mask])
+    images = [quotient.states(prop) for prop in range(canonical.full_mask + 1)]
+    masks = [quotient.rows(f[image]) if image in f else initial for image in images]
+    filtered = RevisionTable.from_masks(canonical, initial, masks)
     recovered = recover_basic(filtered, model.labeling)
     if not recovered:
         raise RuntimeError(
@@ -557,9 +552,6 @@ def find_rationalizing_preorder(
         )
     menus = sorted(structure.credible)
     for order in enumerate_preorders(universe, limit=limit):
-        if all(
-            order.most_plausible(PointSet(universe, menu)).mask == structure.f[menu]
-            for menu in menus
-        ):
+        if all(order._lowest(menu) == structure.f[menu] for menu in menus):
             return order
     return None

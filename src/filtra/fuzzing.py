@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .beliefs import BeliefSet
 from .choice import (
     InvalidStructureError,
     agm_consistency_bruteforce,
@@ -42,7 +41,7 @@ from .sampling import (
     random_labeling,
     random_selection_function,
 )
-from .worlds import PointSet, canonical_universe
+from .worlds import canonical_universe
 
 ATOM_POOL = ("p", "q", "r", "s")
 
@@ -121,12 +120,10 @@ def recovery_suite(atoms: int, cases: int | None, seed: int) -> SuiteResult:
             )
             if rng.random() < 0.5:
                 # corrupt one entry; agreement must still hold either way
-                entries = dict(table.entries)
+                masks = list(table._masks)
                 target = rng.randrange(universe.full_mask + 1)
-                entries[target] = BeliefSet(
-                    PointSet(universe, rng.randrange(universe.full_mask + 1))
-                )
-                table = RevisionTable(universe, table.initial, entries)
+                masks[target] = rng.randrange(universe.full_mask + 1)
+                table = RevisionTable.from_masks(universe, table.initial.points.mask, masks)
             if not _recovery_agrees(table, labeling):
                 failures += 1
     return SuiteResult("recover-roundtrip", ran, failures)

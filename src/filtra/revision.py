@@ -18,6 +18,7 @@ docs/semantics.md; the checkers implement those forms literally.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -91,26 +92,25 @@ class PlausibilityOrder:
         dense = {value: i for i, value in enumerate(sorted(set(ranking.values())))}
         return cls(universe, tuple(dense[ranking[point.id]] for point in universe.points))
 
-    def level_sets(self) -> tuple[PointSet, ...]:
-        top = max(self.ranks)
-        masks = [0] * (top + 1)
+    @functools.cached_property
+    def _levels(self) -> tuple[int, ...]:
+        masks = [0] * (max(self.ranks) + 1)
         for i, rank in enumerate(self.ranks):
             masks[rank] |= 1 << i
-        return tuple(PointSet(self.universe, mask) for mask in masks)
+        return tuple(masks)
+
+    def _lowest(self, mask: int) -> int:
+        """The lowest-rank points of ``mask`` (0 for 0)."""
+        return next((mask & level for level in self._levels if mask & level), 0)
+
+    def level_sets(self) -> tuple[PointSet, ...]:
+        return tuple(PointSet(self.universe, mask) for mask in self._levels)
 
     def most_plausible(self, among: PointSet) -> PointSet:
         """The lowest-rank members of ``among`` (empty for the empty set)."""
         if among.universe != self.universe:
             raise UniverseMismatchError("point set over a different universe")
-        best: int | None = None
-        mask = 0
-        for i in among.indices():
-            rank = self.ranks[i]
-            if best is None or rank < best:
-                best, mask = rank, 1 << i
-            elif rank == best:
-                mask |= 1 << i
-        return PointSet(self.universe, mask)
+        return PointSet(self.universe, self._lowest(among.mask))
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,25 @@ class RevisionTable:
         expected = set(range(self.universe.full_mask + 1))
         if set(self.entries) != expected:
             raise ValueError("entries must cover every proposition exactly once")
-        for belief in self.entries.values():
+        # equal entries usually share one object; check each object once
+        for belief in {id(belief): belief for belief in self.entries.values()}.values():
             if belief.universe != self.universe:
                 raise UniverseMismatchError("entry belief set over a different universe")
+
+    @classmethod
+    def from_masks(
+        cls, universe: Universe, initial_mask: int, masks: Sequence[int]
+    ) -> "RevisionTable":
+        """The table whose entry at proposition ``i`` is the theory of
+        the points in ``masks[i]``.  Equal entries share one BeliefSet."""
+        theories = {mask: BeliefSet(PointSet(universe, mask)) for mask in {initial_mask, *masks}}
+        entries = {prop: theories[mask] for prop, mask in enumerate(masks)}
+        return cls(universe, theories[initial_mask], entries)
+
+    @functools.cached_property
+    def _masks(self) -> tuple[int, ...]:
+        # entry point sets as one flat sequence indexed by proposition
+        return tuple(self.entries[mask].points.mask for mask in range(self.universe.full_mask + 1))
 
     def entry(self, proposition: PointSet) -> BeliefSet:
         if proposition.universe != self.universe:
@@ -232,23 +248,17 @@ def revision_from_preorder(order: PlausibilityOrder) -> RevisionTable:
     """Revision by minimizing rank: each proposition maps to the theory
     of its most plausible points; the empty proposition maps to the
     absurd theory."""
-    universe = order.universe
-    entries: dict[int, BeliefSet] = {0: BeliefSet.absurd(universe)}
-    for mask in range(1, universe.full_mask + 1):
-        entries[mask] = BeliefSet(order.most_plausible(PointSet(universe, mask)))
-    initial = BeliefSet(order.most_plausible(PointSet.full(universe)))
-    return RevisionTable(universe, initial, entries)
+    masks = [order._lowest(mask) for mask in range(order.universe.full_mask + 1)]
+    return RevisionTable.from_masks(order.universe, masks[-1], masks)
 
 
 def revision_from_selection(selection: SelectionFunction) -> RevisionTable:
     """Table with entries Th(S(E)) and the absurd theory at the empty
     proposition.  Satisfies AGM1-AGM6 by construction (not necessarily
     AGM7/AGM8)."""
-    universe = selection.universe
-    entries: dict[int, BeliefSet] = {0: BeliefSet.absurd(universe)}
-    for mask in range(1, universe.full_mask + 1):
-        entries[mask] = BeliefSet(PointSet(universe, selection.choice[mask]))
-    return RevisionTable(universe, selection.initial, entries)
+    choice = selection.choice
+    masks = [0] + [choice[mask] for mask in range(1, selection.universe.full_mask + 1)]
+    return RevisionTable.from_masks(selection.universe, selection.initial.points.mask, masks)
 
 
 ALL_POSTULATES = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -261,9 +271,10 @@ _AGM_NOTES = {
 _MAX_WITNESSES = 5
 
 
-def _agm_mask_holds(table: RevisionTable, postulate: int, e: int, f: int = 0) -> bool:
-    initial = table.initial.points.mask
-    entry = table.entries[e].points.mask
+def _agm_mask_holds(
+    entries: Sequence[int], initial: int, postulate: int, e: int, f: int = 0
+) -> bool:
+    entry = entries[e]
     if postulate in (1, 6):
         return True
     if postulate == 2:
@@ -275,9 +286,9 @@ def _agm_mask_holds(table: RevisionTable, postulate: int, e: int, f: int = 0) ->
     if postulate == 5:
         return (entry == 0) == (e == 0)
     if postulate == 7:
-        return (entry & f) & ~table.entries[e & f].points.mask == 0
+        return (entry & f) & ~entries[e & f] == 0
     if postulate == 8:
-        return entry & f == 0 or table.entries[e & f].points.mask & ~(entry & f) == 0
+        return entry & f == 0 or entries[e & f] & ~(entry & f) == 0
     raise ValueError(f"unknown postulate {postulate}")
 
 
@@ -289,11 +300,10 @@ def agm_holds_at(
     This is the same predicate ``check_agm`` quantifies, so a reported
     witness always reproduces its failure here.
     """
-    if postulate in (7, 8):
-        if f is None:
-            raise ValueError(f"postulate {postulate} needs a pair of propositions")
-        return _agm_mask_holds(table, postulate, e.mask, f.mask)
-    return _agm_mask_holds(table, postulate, e.mask)
+    if postulate in (7, 8) and f is None:
+        raise ValueError(f"postulate {postulate} needs a pair of propositions")
+    f_mask = 0 if f is None else f.mask
+    return _agm_mask_holds(table._masks, table.initial.points.mask, postulate, e.mask, f_mask)
 
 
 def _agm78_failure_counts(table: RevisionTable) -> dict[int, list[int]]:
@@ -307,7 +317,7 @@ def _agm78_failure_counts(table: RevisionTable) -> dict[int, list[int]]:
     assumed to hold.
     """
     size = table.universe.size
-    entries = [table.entries[mask].points.mask for mask in range(table.universe.full_mask + 1)]
+    entries = table._masks
     counts7 = [0] * len(entries)
     counts8 = [0] * len(entries)
     for e, b in enumerate(entries):
@@ -364,6 +374,7 @@ def check_agm(
     if not wanted or not set(wanted) <= set(ALL_POSTULATES):
         raise ValueError(f"postulates must be a nonempty subset of 1..8, got {wanted}")
     universe = table.universe
+    holds = functools.partial(_agm_mask_holds, table._masks, table.initial.points.mask)
     masks = range(universe.full_mask + 1)
     pair_counts = _agm78_failure_counts(table) if {7, 8} & set(wanted) else {}
     results = []
@@ -380,11 +391,9 @@ def check_agm(
                 if len(failing) >= _MAX_WITNESSES:
                     break
                 if counts[e]:
-                    failing.extend(
-                        (e, f) for f in masks if not _agm_mask_holds(table, postulate, e, f)
-                    )
+                    failing.extend((e, f) for f in masks if not holds(postulate, e, f))
         else:
-            failing = [(e, None) for e in masks if not _agm_mask_holds(table, postulate, e)]
+            failing = [(e, None) for e in masks if not holds(postulate, e)]
             total = len(failing)
         witnesses = tuple(
             Witness.of(
@@ -402,13 +411,12 @@ _FILTER_CHECKS = ("F1", "F2a", "F2b", "F3", "F3a", "F3b")
 
 
 def _filter_mask_holds(
-    table: RevisionTable, labeling: CredibilityLabeling, check: str, e: int
+    entries: Sequence[int], initial: int, labels: Mapping[int, Credibility], check: str, e: int
 ) -> bool:
-    initial = table.initial.points.mask
-    entry = table.entries[e].points.mask
-    label = labeling.labels[e]
+    entry = entries[e]
+    label = labels[e]
     overlap = e & initial
-    full = table.universe.full_mask
+    full = len(entries) - 1
     if check == "F1":
         return label is not Credibility.REJECTED or entry == initial
     if check == "F2a":
@@ -442,7 +450,9 @@ def filter_holds_at(
     table: RevisionTable, labeling: CredibilityLabeling, check: str, e: PointSet
 ) -> bool:
     """Evaluate one filter law at a single proposition (see check_filtered)."""
-    return _filter_mask_holds(table, labeling, check, e.mask)
+    return _filter_mask_holds(
+        table._masks, table.initial.points.mask, labeling.labels, check, e.mask
+    )
 
 
 def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> CheckReport:
@@ -461,13 +471,12 @@ def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> Check
     if labeling.universe != table.universe:
         raise UniverseMismatchError("labeling over a different universe")
     universe = table.universe
+    holds = functools.partial(
+        _filter_mask_holds, table._masks, table.initial.points.mask, labeling.labels
+    )
     results = []
     for check in _FILTER_CHECKS:
-        failing = [
-            e
-            for e in range(universe.full_mask + 1)
-            if not _filter_mask_holds(table, labeling, check, e)
-        ]
+        failing = [e for e in range(universe.full_mask + 1) if not holds(check, e)]
         witnesses = tuple(
             Witness.of([("E", PointSet(universe, e))], detail=f"label {labeling.labels[e].value}")
             for e in failing[:_MAX_WITNESSES]
@@ -489,19 +498,20 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
     """
     if labeling.universe != star.universe:
         raise UniverseMismatchError("labeling over a different universe")
-    report = check_agm(star, (1, 2, 3, 4, 5, 6))
-    if not report.all_hold:
-        raise PostulateViolation(report)
-    entries: dict[int, BeliefSet] = {}
-    for mask in range(star.universe.full_mask + 1):
+    entries, initial = star._masks, star.initial.points.mask
+    holds = functools.partial(_agm_mask_holds, entries, initial)
+    # AGM1 and AGM6 hold by representation; a report is built only on a failure
+    if not all(holds(p, e) for p in (2, 3, 4, 5) for e in range(len(entries))):
+        raise PostulateViolation(check_agm(star, (1, 2, 3, 4, 5, 6)))
+    masks = []
+    for mask, entry in enumerate(entries):
         label = labeling.labels[mask]
         if label is Credibility.REJECTED:
-            entries[mask] = star.initial
-        elif label is Credibility.CREDIBLE:
-            entries[mask] = star.entries[mask]
-        else:
-            entries[mask] = star.initial.intersect(star.entries[mask])
-    return RevisionTable(star.universe, star.initial, entries)
+            entry = initial
+        elif label is Credibility.ALLOWABLE:
+            entry |= initial
+        masks.append(entry)
+    return RevisionTable.from_masks(star.universe, initial, masks)
 
 
 @dataclass(frozen=True)
@@ -537,12 +547,13 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     def fail(mask: int, reason: str) -> RecoveryOutcome:
         return RecoveryOutcome(None, PointSet(universe, mask), reason)
 
-    if filtered.entries[0].points.mask != initial:
+    entries = filtered._masks
+    if entries[0] != initial:
         return fail(0, "revision by a contradiction must preserve the initial beliefs")
 
     choice: dict[int, int] = {}
-    for event in range(1, universe.full_mask + 1):
-        got = filtered.entries[event].points.mask
+    for event in range(1, len(entries)):
+        got = entries[event]
         label = labeling.labels[event]
         overlap = event & initial
         if overlap:

@@ -84,12 +84,9 @@ def random_revision_table(rng: Random, universe: Universe) -> RevisionTable:
     """Arbitrary total table with a consistent initial theory; makes no
     attempt to satisfy any postulate."""
     full = universe.full_mask
-    initial = BeliefSet(PointSet(universe, rng.randrange(1, full + 1)))
-    entries = {
-        mask: BeliefSet(PointSet(universe, rng.randrange(full + 1)))
-        for mask in range(full + 1)
-    }
-    return RevisionTable(universe, initial, entries)
+    initial = rng.randrange(1, full + 1)
+    masks = [rng.randrange(full + 1) for _ in range(full + 1)]
+    return RevisionTable.from_masks(universe, initial, masks)
 
 
 def random_plausibility_order(rng: Random, universe: Universe) -> PlausibilityOrder:
@@ -201,13 +198,8 @@ def all_revision_tables(universe: Universe) -> Iterator[RevisionTable]:
         raise SizeLimitError("exhaustive table enumeration supports up to 2 points")
     full = universe.full_mask
     for initial_mask in range(1, full + 1):
-        initial = BeliefSet(PointSet(universe, initial_mask))
         for picks in itertools.product(range(full + 1), repeat=full + 1):
-            entries = {
-                mask: BeliefSet(PointSet(universe, pick))
-                for mask, pick in enumerate(picks)
-            }
-            yield RevisionTable(universe, initial, entries)
+            yield RevisionTable.from_masks(universe, initial_mask, picks)
 
 
 def all_choice_structures(atoms: Sequence[str] = ("p",)) -> Iterator[ChoiceStructure]:

@@ -20,7 +20,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .beliefs import BeliefSet
 from .choice import ChoiceStructure
 from .formulas import ATOM_NAME
 from .revision import (
@@ -33,6 +32,9 @@ from .revision import (
 from .worlds import PointSet, Universe
 
 ATOM_LIMIT = 6
+# a labeling, pre-order or table section stands for one entry per
+# subset of the states; 16 states is 65,536 of them, as at 4 atoms
+STATE_LIMIT = 16
 
 _TOP_KEYS = {"atoms", "states", "gcs", "preorder", "labeling", "table", "comments"}
 _GCS_KEYS = {"credible", "allowable", "rejected", "f"}
@@ -257,22 +259,20 @@ def _parse_table(payload, universe: Universe) -> RevisionTable:
         raise ScenarioError("table", f"unknown field(s) {sorted(extra)}")
     initial_mask = _parse_event_list(section.get("initial"), universe, "table.initial")
     entries_section = _expect_object(section.get("entries"), "table.entries")
-    entries: dict[int, BeliefSet] = {}
+    entries: dict[int, int] = {}
     for key, value in entries_section.items():
         mask = _parse_event_key(key, universe, f"table.entries[{key!r}]")
         if mask in entries:
             raise ScenarioError(f"table.entries[{key!r}]", "duplicate event key")
-        entries[mask] = BeliefSet(
-            PointSet(universe, _parse_event_list(value, universe, f"table.entries[{key!r}]"))
-        )
-    expected = set(range(universe.full_mask + 1))
-    if set(entries) != expected:
+        entries[mask] = _parse_event_list(value, universe, f"table.entries[{key!r}]")
+    expected = range(universe.full_mask + 1)
+    if set(entries) != set(expected):
         raise ScenarioError(
             "table.entries",
             f"entries must cover all {len(expected)} propositions over the states, got {len(entries)}",
         )
     try:
-        return RevisionTable(universe, BeliefSet(PointSet(universe, initial_mask)), entries)
+        return RevisionTable.from_masks(universe, initial_mask, [entries[mask] for mask in expected])
     except ValueError as exc:
         raise ScenarioError("table", str(exc)) from None
 
@@ -284,6 +284,10 @@ def scenario_from_payload(payload) -> Scenario:
         raise ScenarioError("<root>", f"unknown field(s) {sorted(extra)}")
     atoms = _parse_atoms(payload)
     universe = _parse_states(payload, atoms)
+    for section in ("preorder", "labeling", "table"):
+        if section in payload and universe.size > STATE_LIMIT:
+            message = f"a {section} section supports at most {STATE_LIMIT} states"
+            raise ScenarioError(section, f"{message}, got {universe.size}")
     scenario = Scenario(atoms, universe)
     if "gcs" in payload:
         scenario.structure = _parse_gcs(payload["gcs"], universe)

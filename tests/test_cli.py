@@ -119,6 +119,25 @@ class TestExitCodes:
         assert f"{path}: {field}: " in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            ("preorder", {f"s{i:02d}": 0 for i in range(17)}),
+            ("labeling", {"s00": "A"}),
+            ("table", {"initial": ["s00"], "entries": {}}),
+        ],
+        ids=["preorder", "labeling", "table"],
+    )
+    def test_state_budget_refuses_seventeen_states(self, runner, tmp_path, section):
+        name, value = section
+        states = [{"id": f"s{i:02d}", "true_atoms": []} for i in range(17)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"atoms": ["p"], "states": states, name: value}))
+        result = runner.invoke(main, ["check", "filtered", str(path)])
+        assert result.exit_code == 2
+        assert f"{path}: {name}: a {name} section supports at most 16 states, got 17" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestCheckCommands:
     def test_prop2_cites_clause_two(self, runner, detective_file):
@@ -304,6 +323,14 @@ class TestDeterminism:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert result.output == (GOLDEN / "fuzz_atoms1_cases200_seed0.txt").read_text(
+            encoding="utf-8"
+        )
+
+    def test_exhaustive_fuzz_matches_golden(self, runner):
+        # pins all_selection_functions, all_revision_tables and all_labelings
+        result = runner.invoke(main, ["fuzz", "--atoms", "1", "--cases", "all"])
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / "fuzz_atoms1_casesall_seed0.txt").read_text(
             encoding="utf-8"
         )
 

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from filtra.beliefs import BeliefSet
+from filtra import revision
 from filtra.formulas import parse_formula
 from filtra.revision import (
     Credibility,
@@ -11,6 +12,7 @@ from filtra.revision import (
     RevisionTable,
     SelectionFunction,
     build_filtered,
+    check_agm,
     check_filtered,
     filter_holds_at,
     recover_basic,
@@ -23,7 +25,9 @@ from filtra.sampling import (
     random_labeling,
     random_selection_function,
 )
-from filtra.worlds import PointSet, Universe
+from filtra.worlds import PointSet, Universe, canonical_universe
+
+from test_revision import assert_entries_shared
 
 ATOMS = ("p", "q")
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
@@ -99,7 +103,7 @@ class TestBuildFiltered:
                     assert entry.mask & ~mask  # information not believed
                     assert entry.mask & mask  # its negation not believed either
 
-    def test_rejects_non_basic_input(self, u2):
+    def test_rejects_non_basic_input(self, u2, monkeypatch):
         table = revision_from_selection(random_selection_function(Random(4), u2))
         entries = dict(table.entries)
         entries[1] = BeliefSet(PointSet(u2, 2))  # breaks AGM2 at E = {w0}
@@ -107,6 +111,33 @@ class TestBuildFiltered:
         with pytest.raises(PostulateViolation) as err:
             build_filtered(broken, CredibilityLabeling.all_credible(u2))
         assert "AGM2" in str(err.value)
+        assert err.value.report == check_agm(broken, (1, 2, 3, 4, 5, 6))
+        # the gate reads masks; a report is built only for a failing table
+        reports = []
+        monkeypatch.setattr(revision, "check_agm", lambda *args: reports.append(args))
+        build_filtered(table, CredibilityLabeling.all_credible(u2))
+        assert reports == []
+
+    @pytest.mark.parametrize("n_atoms,draws", [(1, 20), (2, 20), (3, 6), (4, 1)])
+    def test_equals_routing_through_intersect(self, n_atoms, draws):
+        # the per-proposition construction build_filtered replaced
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        rng = Random(70 + n_atoms)
+        for _ in range(draws):
+            star = revision_from_selection(random_selection_function(rng, universe))
+            labeling = random_labeling(rng, universe)
+            entries = {}
+            for mask in range(universe.full_mask + 1):
+                label = labeling.labels[mask]
+                if label is R:
+                    entries[mask] = star.initial
+                elif label is C:
+                    entries[mask] = star.entries[mask]
+                else:
+                    entries[mask] = star.initial.intersect(star.entries[mask])
+            filtered = build_filtered(star, labeling)
+            assert filtered == RevisionTable(universe, star.initial, entries)
+            assert_entries_shared(filtered)
 
 
 class TestCheckFiltered:

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from filtra.beliefs import BeliefSet
+from filtra.choice import build_model, extension_oracle
 from filtra.formulas import parse_formula
 from filtra.reports import CheckReport, CheckResult, Witness
 from filtra.revision import (
@@ -12,13 +13,22 @@ from filtra.revision import (
     SelectionError,
     SelectionFunction,
     agm_holds_at,
+    build_filtered,
     check_agm,
     enumerate_preorders,
+    recover_basic,
     revision_from_preorder,
     revision_from_selection,
 )
 from filtra.revision import _agm78_failure_counts
-from filtra.sampling import random_plausibility_order, random_selection_function
+from filtra.sampling import (
+    all_revision_tables,
+    random_labeling,
+    random_plausibility_order,
+    random_revision_table,
+    random_selection_function,
+)
+from filtra.scenario import Scenario, detective_scenario, dumps, loads
 from filtra.worlds import PointSet, SizeLimitError, canonical_universe
 
 ATOMS = ("p", "q")
@@ -306,6 +316,94 @@ class TestAgmSupplementaryOracle:
         assert report.all_hold
         assert all(not result.witnesses for result in report.results)
         assert report.result("AGM7").note == report.result("AGM8").note == ""
+
+
+def rank_loop_min(order, mask):
+    """The per-point rank loop most_plausible ran before the level scan."""
+    best, out = None, 0
+    for i in range(order.universe.size):
+        if mask >> i & 1:
+            rank = order.ranks[i]
+            if best is None or rank < best:
+                best, out = rank, 1 << i
+            elif rank == best:
+                out |= 1 << i
+    return out
+
+
+def naive_preorder_table(order):
+    """revision_from_preorder as it was: one PointSet and one BeliefSet
+    per proposition, through most_plausible."""
+    u = order.universe
+    entries = {
+        mask: BeliefSet(order.most_plausible(PointSet(u, mask))) for mask in range(u.full_mask + 1)
+    }
+    return RevisionTable(u, BeliefSet(order.most_plausible(PointSet.full(u))), entries)
+
+
+def naive_selection_table(selection):
+    """revision_from_selection as it was: entries wrapped from the
+    choice dict one by one."""
+    u = selection.universe
+    entries = {0: BeliefSet.absurd(u)}
+    for mask in range(1, u.full_mask + 1):
+        entries[mask] = BeliefSet(PointSet(u, selection.choice[mask]))
+    return RevisionTable(u, selection.initial, entries)
+
+
+def assert_entries_shared(table):
+    """Equal entries are one object: as many objects as distinct masks."""
+    beliefs = table.entries.values()
+    assert len({id(belief) for belief in beliefs}) == len({b.points.mask for b in beliefs})
+
+
+class TestMaskConstructors:
+    """revision_from_preorder and revision_from_selection compute masks
+    and wrap each distinct one once; the per-proposition constructions
+    they replaced are the reference."""
+
+    @pytest.mark.parametrize("n_atoms,draws", [(1, 12), (2, 12), (3, 4), (4, 1)])
+    def test_tables_equal_the_naive_constructions(self, n_atoms, draws):
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        rng = Random(60 + n_atoms)
+        for _ in range(draws):
+            order = random_plausibility_order(rng, universe)
+            for mask in range(universe.full_mask + 1):
+                got = order.most_plausible(PointSet(universe, mask)).mask
+                assert got == rank_loop_min(order, mask)
+            table = revision_from_preorder(order)
+            assert table == naive_preorder_table(order)
+            assert_entries_shared(table)
+            selection = random_selection_function(rng, universe)
+            table = revision_from_selection(selection)
+            assert table == naive_selection_table(selection)
+            assert_entries_shared(table)
+
+    def test_every_table_producer_shares_equal_entries(self, u1, u2):
+        rng = Random(8)
+        assert_entries_shared(random_revision_table(rng, u2))
+        for table in all_revision_tables(u1):
+            assert_entries_shared(table)
+        labeling = random_labeling(rng, u2)
+        star = revision_from_selection(random_selection_function(rng, u2))
+        filtered = build_filtered(star, labeling)
+        assert_entries_shared(filtered)
+        assert_entries_shared(recover_basic(filtered, labeling).basic)
+        loaded = loads(dumps(Scenario(u2.atoms, u2, table=filtered))).table
+        assert loaded == filtered
+        assert_entries_shared(loaded)
+        model = build_model(detective_scenario().require_structure())
+        certificate = extension_oracle(model).certificate
+        assert_entries_shared(certificate.basic)
+        assert_entries_shared(certificate.revision)
+
+    def test_from_masks_keeps_the_table_checks(self, u2):
+        with pytest.raises(ValueError, match="cover every proposition"):
+            RevisionTable.from_masks(u2, 1, [0] * u2.full_mask)
+        with pytest.raises(ValueError, match="out of range"):
+            RevisionTable.from_masks(u2, 1, [0] * u2.full_mask + [u2.full_mask + 1])
+        with pytest.raises(ValueError, match="consistent"):
+            RevisionTable.from_masks(u2, 0, [0] * (u2.full_mask + 1))
 
 
 def fubini(n):

@@ -5,6 +5,7 @@ import pytest
 from filtra.revision import Credibility
 from filtra.scenario import (
     Scenario,
+    STATE_LIMIT,
     ScenarioError,
     detective_scenario,
     dumps,
@@ -138,6 +139,33 @@ class TestLoading:
                 )
             )
         assert "cover all 4 propositions" in str(err.value)
+
+    def test_state_budget_admits_its_limit(self):
+        ids = [f"s{i:02d}" for i in range(STATE_LIMIT)]
+        text = json.dumps(
+            {
+                "atoms": ["p"],
+                "states": [{"id": i, "true_atoms": []} for i in ids],
+                "preorder": {i: 0 for i in ids},
+                "labeling": {"s00": "A"},
+            }
+        )
+        scenario = loads(text)
+        assert scenario.universe.size == STATE_LIMIT
+        assert scenario.preorder is not None and scenario.labeling is not None
+
+    def test_state_budget_leaves_gcs_only_files_unlimited(self):
+        ids = [f"s{i:02d}" for i in range(STATE_LIMIT + 1)]
+        gcs = {
+            "credible": [ids],
+            "allowable": [],
+            "rejected": [[]],
+            "f": {"": ["s00"], event_key(ids): ["s00"]},
+        }
+        text = json.dumps(
+            {"atoms": ["p"], "states": [{"id": i, "true_atoms": []} for i in ids], "gcs": gcs}
+        )
+        assert loads(text).universe.size == STATE_LIMIT + 1
 
 
 class TestSaving:
