@@ -12,15 +12,21 @@ procedure that recovers a basic table from a filtered one or proves
 none exists.
 
 Point-set forms of the postulates and filter laws are derived in
-docs/semantics.md; the checkers implement those forms literally.
+docs/semantics.md.  ``agm_holds_at`` and ``filter_holds_at`` evaluate
+them at one proposition; the whole-table checks, the ``build_filtered``
+gate and the ``recover_basic`` scan evaluate the same forms bit-sliced,
+as a few operations on one int per state whose bit E stands for
+proposition E (``_agm_failures``, ``_filter_failures``).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
@@ -71,16 +77,6 @@ class PlausibilityOrder:
             raise ValueError(f"ranks must form a contiguous range from 0, got {sorted(levels)}")
 
     @classmethod
-    def from_levels(cls, universe: Universe, levels: Sequence[Iterable[str]]) -> "PlausibilityOrder":
-        ranks: dict[str, int] = {}
-        for rank, level in enumerate(levels):
-            for point_id in level:
-                if point_id in ranks:
-                    raise ValueError(f"point {point_id!r} appears in two levels")
-                ranks[point_id] = rank
-        return cls.from_ranks(universe, ranks)
-
-    @classmethod
     def from_ranks(cls, universe: Universe, ranking: Mapping[str, int]) -> "PlausibilityOrder":
         """Build from any integer ranking; values are densified, only
         their relative order matters."""
@@ -126,13 +122,12 @@ class SelectionFunction:
     choice: Mapping[int, int]
 
     def __post_init__(self):
-        if self.initial.universe != self.universe:
+        if self.initial.universe is not self.universe and self.initial.universe != self.universe:
             raise UniverseMismatchError("initial beliefs over a different universe")
         if not self.initial.is_consistent:
             raise SelectionError("initial beliefs must be consistent")
         full = self.universe.full_mask
-        expected = set(range(1, full + 1))
-        if set(self.choice) != expected:
+        if self.choice.keys() != set(range(1, full + 1)):
             raise SelectionError("choice must cover every nonempty proposition exactly")
         initial_mask = self.initial.points.mask
         for event in range(1, full + 1):
@@ -147,9 +142,6 @@ class SelectionFunction:
                     "S(E) must equal E & initial when they overlap", PointSet(self.universe, event)
                 )
 
-    def select(self, event: PointSet) -> PointSet:
-        return PointSet(self.universe, self.choice[event.mask])
-
 
 @dataclass(frozen=True)
 class RevisionTable:
@@ -160,16 +152,15 @@ class RevisionTable:
     entries: Mapping[int, BeliefSet]
 
     def __post_init__(self):
-        if self.initial.universe != self.universe:
+        if self.initial.universe is not self.universe and self.initial.universe != self.universe:
             raise UniverseMismatchError("initial beliefs over a different universe")
         if not self.initial.is_consistent:
             raise ValueError("initial beliefs must be consistent")
-        expected = set(range(self.universe.full_mask + 1))
-        if set(self.entries) != expected:
+        if self.entries.keys() != set(range(self.universe.full_mask + 1)):
             raise ValueError("entries must cover every proposition exactly once")
         # equal entries usually share one object; check each object once
         for belief in {id(belief): belief for belief in self.entries.values()}.values():
-            if belief.universe != self.universe:
+            if belief.universe is not self.universe and belief.universe != self.universe:
                 raise UniverseMismatchError("entry belief set over a different universe")
 
     @classmethod
@@ -178,14 +169,28 @@ class RevisionTable:
     ) -> "RevisionTable":
         """The table whose entry at proposition ``i`` is the theory of
         the points in ``masks[i]``.  Equal entries share one BeliefSet."""
-        theories = {mask: BeliefSet(PointSet(universe, mask)) for mask in {initial_mask, *masks}}
-        entries = {prop: theories[mask] for prop, mask in enumerate(masks)}
-        return cls(universe, theories[initial_mask], entries)
+        distinct = {initial_mask, *masks}
+        shared = dict(zip(distinct, distinct))  # one int object per distinct mask
+        theories = {mask: BeliefSet(PointSet(universe, mask)) for mask in distinct}
+        entries = dict(enumerate(map(theories.__getitem__, masks)))
+        table = cls(universe, theories[initial_mask], entries)
+        # the flat view holds the entries' own ints, not the caller's
+        table.__dict__["_masks"] = tuple(map(shared.__getitem__, masks))
+        return table
 
     @functools.cached_property
     def _masks(self) -> tuple[int, ...]:
         # entry point sets as one flat sequence indexed by proposition
         return tuple(self.entries[mask].points.mask for mask in range(self.universe.full_mask + 1))
+
+    @functools.cached_property
+    def _slices(self) -> list[int]:
+        # the table transposed: S_s per state s, bit E set iff s is in B(E)
+        return _transpose(self._masks, self.universe.size)
+
+    @functools.cached_property
+    def _terms(self) -> "_Terms":
+        return _Terms.of(self._slices, self.initial.points.mask, self.universe.size)
 
     def entry(self, proposition: PointSet) -> BeliefSet:
         if proposition.universe != self.universe:
@@ -243,6 +248,157 @@ class CredibilityLabeling:
             raise UniverseMismatchError("proposition over a different universe")
         return self.labels[proposition.mask]
 
+    @functools.cached_property
+    def _view(self) -> "_Labels":
+        # the labels as "CAR" codes indexed by proposition, plus bitsets
+        labels = map(self.labels.__getitem__, range(self.universe.full_mask + 1))
+        return _Labels.of(bytes(map(_CODES.__getitem__, labels)))
+
+
+# Bit-sliced evaluation (docs/semantics.md): a law at every proposition
+# at once, as a few operations on ints whose bit E stands for proposition E.
+
+_CODES = {label: ord(label.value) for label in Credibility}
+_CREDIBLE, _ALLOWABLE, _REJECTED = (_CODES[label] for label in Credibility)
+
+
+class _Labels(NamedTuple):
+    """A labeling as one "CAR" code byte per proposition plus, per
+    label, the int whose bit E is set iff E carries that label."""
+
+    codes: bytes
+    credible: int
+    allowable: int
+    rejected: int
+
+    @classmethod
+    def of(cls, codes: bytes) -> "_Labels":
+        text = codes[::-1]  # int(., 2) reads the highest proposition first
+        credible, allowable = [int(text.translate(bits).decode(), 2) for bits in _LABEL_BITS]
+        return cls(codes, credible, allowable, (1 << len(codes)) - 1 ^ credible ^ allowable)
+
+
+_LABEL_BITS = (bytes.maketrans(b"CAR", b"100"), bytes.maketrans(b"CAR", b"010"))
+# _BIT_TEXT[k] maps a byte to b"1" if its bit k is set, else to b"0"
+_BIT_TEXT = tuple(bytes(48 + (byte >> k & 1) for byte in range(256)) for k in range(8))
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(size: int) -> tuple[str, int, tuple[tuple[int, bytes], ...]]:
+    """The array type holding one mask over ``size`` states, its width
+    in bytes, and per state the byte that holds its bit plus the table
+    that reads the bit."""
+    code = next(code for code in "BHLQ" if array(code).itemsize * 8 >= size)
+    width = array(code).itemsize
+    # the byte of a native-order word that holds bits 8k..8k+7
+    byte = range(width) if sys.byteorder == "little" else range(width - 1, -1, -1)
+    return code, width, tuple((byte[s >> 3], _BIT_TEXT[s & 7]) for s in range(size))
+
+
+def _transpose(masks: Sequence[int], size: int) -> list[int]:
+    """One int per state s whose bit E is set iff s is in ``masks[E]``."""
+    code, width, planes = _layout(size)
+    raw = array(code, masks[::-1]).tobytes()  # int(., 2) reads the highest proposition first
+    return [int(raw[byte::width].translate(table).decode(), 2) for byte, table in planes]
+
+
+@functools.lru_cache(maxsize=None)
+def _containment(size: int) -> tuple[int, ...]:
+    """P_s per state s: bit E set iff s is in E, over the 2^size
+    propositions.  Blocks of 2^s clear bits then 2^s set bits repeat."""
+    everything = (1 << (1 << size)) - 1
+    patterns = []
+    for s in range(size):
+        block = 1 << s
+        patterns.append(everything // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block))
+    return tuple(patterns)
+
+
+class _Terms(NamedTuple):
+    """A table's per-state reductions: bit E of each field is set iff
+    the condition holds at proposition E.  Every law below is a few
+    operations on these (docs/semantics.md, "Bit-sliced evaluation")."""
+
+    everything: int  # always
+    nonempty: int  # B(E) != 0
+    outside: int  # B(E) - E != 0
+    meets: int  # B(E) & E != 0
+    overlap: int  # E & I != 0
+    missed: int  # (E & I) - B(E) != 0
+    beyond: int  # B(E) - (E & I) != 0
+    changed: int  # B(E) != I
+    off_overlap: int  # B(E) != E & I
+    off_rest: int  # B(E) - E != I
+
+    @classmethod
+    def of(cls, slices: Sequence[int], initial: int, size: int) -> "_Terms":
+        """Each term is an OR over states s of S_s (s in B(E)) against
+        P_s (s in E) and the constant s in I."""
+        everything = (1 << (1 << size)) - 1
+        nonempty = outside = meets = overlap = missed = beyond = 0
+        changed = off_overlap = off_rest = 0
+        state = 1  # the bit of state s in I
+        for entry, member in zip(slices, _containment(size)):
+            out = entry & ~member
+            nonempty |= entry
+            outside |= out
+            meets |= entry & member
+            if initial & state:
+                overlap |= member
+                missed |= member & ~entry
+                beyond |= out
+                changed |= entry ^ everything
+                off_overlap |= entry ^ member
+                off_rest |= out ^ everything
+            else:
+                beyond |= entry
+                changed |= entry
+                off_overlap |= entry
+                off_rest |= out
+            state <<= 1
+        return cls(
+            everything, nonempty, outside, meets, overlap, missed, beyond,
+            changed, off_overlap, off_rest,
+        )  # fmt: skip
+
+
+def _agm_failures(table: RevisionTable) -> dict[str, int]:
+    """AGM2-AGM5's failing propositions, each as one int: bit E is set
+    iff the postulate fails at E."""
+    t = table._terms
+    return {
+        "AGM2": t.outside & ~1,
+        "AGM3": t.missed,
+        "AGM4": t.overlap & t.beyond,
+        "AGM5": t.nonempty ^ t.everything ^ 1,
+    }
+
+
+def _filter_failures(table: RevisionTable, labels: _Labels) -> dict[str, int]:
+    """F1-F3b's failing propositions, each as one int: bit E is set iff
+    the law fails at E."""
+    t = table._terms
+    disjoint = t.everything ^ t.overlap
+    return {
+        "F1": labels.rejected & t.changed,
+        "F2a": t.overlap & labels.credible & t.off_overlap,
+        "F2b": t.overlap & labels.allowable & t.changed,
+        "F3": disjoint & ~t.nonempty,
+        "F3a": disjoint & labels.credible & t.outside,
+        # with E & I = 0, B(E) - E = I already puts I inside B(E)
+        "F3b": disjoint & labels.allowable & (t.off_rest | ~t.meets),
+    }
+
+
+def _lowest_bits(bits: int, count: int) -> list[int]:
+    """The positions of the ``count`` lowest set bits, ascending."""
+    found = []
+    while bits and len(found) < count:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return found
+
 
 def revision_from_preorder(order: PlausibilityOrder) -> RevisionTable:
     """Revision by minimizing rank: each proposition maps to the theory
@@ -256,8 +412,7 @@ def revision_from_selection(selection: SelectionFunction) -> RevisionTable:
     """Table with entries Th(S(E)) and the absurd theory at the empty
     proposition.  Satisfies AGM1-AGM6 by construction (not necessarily
     AGM7/AGM8)."""
-    choice = selection.choice
-    masks = [0] + [choice[mask] for mask in range(1, selection.universe.full_mask + 1)]
+    masks = [0, *map(selection.choice.__getitem__, range(1, selection.universe.full_mask + 1))]
     return RevisionTable.from_masks(selection.universe, selection.initial.points.mask, masks)
 
 
@@ -363,12 +518,15 @@ def check_agm(
     """Check the requested postulates over every proposition (and every
     pair of propositions for 7/8, the pair standing for a conjunction).
 
-    AGM7/AGM8 are decided by counting failing pairs per (E, G <= E) in
-    closed form (``_agm78_failure_counts``), which costs 3^m instead of
-    the 4^m pair scan and yields the same exact count.  Witnesses are
-    the first failing pairs in ascending (E, F) order, found by scanning
-    F only for the first E's with a nonzero count, so reports match a
-    full pair scan exactly.
+    AGM2-AGM5 are read off their bit-sliced failure sets
+    (``_agm_failures``): the count is the number of set bits and the
+    witnesses are the lowest ones, i.e. the first failing propositions
+    in ascending order.  AGM7/AGM8 are decided by counting failing pairs
+    per (E, G <= E) in closed form (``_agm78_failure_counts``), which
+    costs 3^m instead of the 4^m pair scan and yields the same exact
+    count.  Witnesses are the first failing pairs in ascending (E, F)
+    order, found by scanning F only for the first E's with a nonzero
+    count, so reports match a full pair scan exactly.
     """
     wanted = sorted(set(postulates))
     if not wanted or not set(wanted) <= set(ALL_POSTULATES):
@@ -377,6 +535,7 @@ def check_agm(
     holds = functools.partial(_agm_mask_holds, table._masks, table.initial.points.mask)
     masks = range(universe.full_mask + 1)
     pair_counts = _agm78_failure_counts(table) if {7, 8} & set(wanted) else {}
+    fails = _agm_failures(table) if {2, 3, 4, 5} & set(wanted) else {}
     results = []
     for postulate in wanted:
         name = f"AGM{postulate}"
@@ -393,8 +552,8 @@ def check_agm(
                 if counts[e]:
                     failing.extend((e, f) for f in masks if not holds(postulate, e, f))
         else:
-            failing = [(e, None) for e in masks if not holds(postulate, e)]
-            total = len(failing)
+            total = fails[name].bit_count()
+            failing = [(e, None) for e in _lowest_bits(fails[name], _MAX_WITNESSES)]
         witnesses = tuple(
             Witness.of(
                 [("E", PointSet(universe, e))]
@@ -467,22 +626,23 @@ def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> Check
     new beliefs, the disbelief itself gone, re-adding it restores the
     initial theory).
     F4 (extensionality) holds by representation.
+
+    Each law is read off its bit-sliced failure set (``_filter_failures``):
+    the count is its number of set bits, the witnesses its lowest ones.
     """
     if labeling.universe != table.universe:
         raise UniverseMismatchError("labeling over a different universe")
     universe = table.universe
-    holds = functools.partial(
-        _filter_mask_holds, table._masks, table.initial.points.mask, labeling.labels
-    )
+    fails = _filter_failures(table, labeling._view)
     results = []
     for check in _FILTER_CHECKS:
-        failing = [e for e in range(universe.full_mask + 1) if not holds(check, e)]
+        total = fails[check].bit_count()
         witnesses = tuple(
             Witness.of([("E", PointSet(universe, e))], detail=f"label {labeling.labels[e].value}")
-            for e in failing[:_MAX_WITNESSES]
+            for e in _lowest_bits(fails[check], _MAX_WITNESSES)
         )
-        note = f"{len(failing)} failing propositions" if len(failing) > _MAX_WITNESSES else ""
-        results.append(CheckResult(check, not failing, witnesses, note))
+        note = f"{total} failing propositions" if total > _MAX_WITNESSES else ""
+        results.append(CheckResult(check, not total, witnesses, note))
     results.append(
         CheckResult("F4", True, note="by representation: entries are keyed by truth sets")
     )
@@ -498,20 +658,24 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
     """
     if labeling.universe != star.universe:
         raise UniverseMismatchError("labeling over a different universe")
-    entries, initial = star._masks, star.initial.points.mask
-    holds = functools.partial(_agm_mask_holds, entries, initial)
     # AGM1 and AGM6 hold by representation; a report is built only on a failure
-    if not all(holds(p, e) for p in (2, 3, 4, 5) for e in range(len(entries))):
+    if any(_agm_failures(star).values()):
         raise PostulateViolation(check_agm(star, (1, 2, 3, 4, 5, 6)))
-    masks = []
-    for mask, entry in enumerate(entries):
-        label = labeling.labels[mask]
-        if label is Credibility.REJECTED:
-            entry = initial
-        elif label is Credibility.ALLOWABLE:
-            entry |= initial
-        masks.append(entry)
-    return RevisionTable.from_masks(star.universe, initial, masks)
+    initial = star.initial.points.mask
+    view = labeling._view
+    masks = [
+        initial if code == _REJECTED else entry | initial if code == _ALLOWABLE else entry
+        for entry, code in zip(star._masks, view.codes)
+    ]
+    filtered = RevisionTable.from_masks(star.universe, initial, masks)
+    # the same routing per state: a state of I is in every entry not
+    # labeled C, any other state only in entries not labeled R
+    kept = view.allowable | view.rejected
+    filtered.__dict__["_slices"] = [
+        entry | kept if initial >> s & 1 else entry & ~view.rejected
+        for s, entry in enumerate(star._slices)
+    ]
+    return filtered
 
 
 @dataclass(frozen=True)
@@ -536,49 +700,59 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     overlap; elsewhere the filtered entry pins it (credible: the entry
     itself; allowable: the entry minus the initial points).  Where the
     label leaves the choice free, the largest admissible set is chosen,
-    deterministically.  Propositions are scanned in ascending bitmask
-    order, so the reported infeasible proposition is the first one.
+    deterministically.  The infeasible propositions form one bit-sliced
+    set (``_infeasible``); the reported one is its lowest bit, i.e. the
+    first in ascending bitmask order, with the reason of the branch it
+    falls in.
     """
     if labeling.universe != filtered.universe:
         raise UniverseMismatchError("labeling over a different universe")
     universe = filtered.universe
     initial = filtered.initial.points.mask
-
-    def fail(mask: int, reason: str) -> RecoveryOutcome:
-        return RecoveryOutcome(None, PointSet(universe, mask), reason)
-
-    entries = filtered._masks
-    if entries[0] != initial:
-        return fail(0, "revision by a contradiction must preserve the initial beliefs")
-
-    choice: dict[int, int] = {}
-    for event in range(1, len(entries)):
-        got = entries[event]
-        label = labeling.labels[event]
-        overlap = event & initial
-        if overlap:
-            required = overlap if label is Credibility.CREDIBLE else initial
-            if got != required:
-                return fail(event, f"entry incompatible with label {label.value} on overlapping information")
-            choice[event] = overlap
-        elif label is Credibility.CREDIBLE:
-            if got == 0 or got & ~event:
-                return fail(event, "credible entry must be a consistent theory of points within the information")
-            choice[event] = got
-        elif label is Credibility.ALLOWABLE:
-            extra = got & ~initial
-            if initial & ~got or extra == 0 or extra & ~event:
-                return fail(
-                    event,
-                    "allowable entry must add a nonempty set of information points to the initial ones",
-                )
-            choice[event] = extra
-        else:
-            if got != initial:
-                return fail(event, "rejected information must preserve the initial beliefs")
-            choice[event] = event
+    view = labeling._view
+    infeasible = _infeasible(filtered, view)
+    if infeasible:
+        event = (infeasible & -infeasible).bit_length() - 1
+        reason = _recovery_reason(event, initial, labeling.labels[event])
+        return RecoveryOutcome(None, PointSet(universe, event), reason)
+    choice = {
+        event: event & initial
+        or (got if code == _CREDIBLE else got & ~initial if code == _ALLOWABLE else event)
+        for event, (got, code) in enumerate(zip(filtered._masks, view.codes))
+        if event
+    }
     selection = SelectionFunction(universe, filtered.initial, choice)
     return RecoveryOutcome(revision_from_selection(selection))
+
+
+def _infeasible(table: RevisionTable, labels: _Labels) -> int:
+    """The propositions no selection value builds to, as one int: per
+    branch of the recovery (overlapping; disjoint and credible,
+    allowable or rejected), where its equation fails, and proposition 0
+    unless its entry is I (docs/semantics.md)."""
+    t = table._terms
+    credible, allowable, rejected = labels.credible, labels.allowable, labels.rejected
+    disjoint = t.everything ^ t.overlap ^ 1  # from proposition 1 on
+    return (
+        t.overlap & (credible & t.off_overlap | (allowable | rejected) & t.changed)
+        | disjoint & credible & (t.outside | ~t.nonempty)
+        | disjoint & allowable & (t.off_rest | ~t.meets)
+        | disjoint & rejected & t.changed
+        | t.changed & 1
+    )
+
+
+def _recovery_reason(event: int, initial: int, label: Credibility) -> str:
+    """Why ``event`` is infeasible, by the branch it falls in."""
+    if event == 0:
+        return "revision by a contradiction must preserve the initial beliefs"
+    if event & initial:
+        return f"entry incompatible with label {label.value} on overlapping information"
+    if label is Credibility.CREDIBLE:
+        return "credible entry must be a consistent theory of points within the information"
+    if label is Credibility.ALLOWABLE:
+        return "allowable entry must add a nonempty set of information points to the initial ones"
+    return "rejected information must preserve the initial beliefs"
 
 
 def _ordered_partitions(mask: int) -> Iterator[tuple[int, ...]]:

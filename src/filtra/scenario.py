@@ -362,15 +362,15 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         }
     if scenario.table is not None:
         table = scenario.table
+        # each proposition's id list, rendered once: it is a key, a sort
+        # key and the value of every entry with those points
+        ids = [ids_of_mask(universe, mask) for mask in range(universe.full_mask + 1)]
+        keys = [event_key(item) for item in ids]
         payload["table"] = {
-            "initial": ids_of_mask(universe, table.initial.points.mask),
+            "initial": ids[table.initial.points.mask],
             "entries": {
-                event_key(ids_of_mask(universe, mask)): ids_of_mask(
-                    universe, table.entries[mask].points.mask
-                )
-                for mask in sorted(
-                    table.entries, key=lambda m: event_key(ids_of_mask(universe, m))
-                )
+                keys[mask]: ids[table._masks[mask]]
+                for mask in sorted(range(len(ids)), key=keys.__getitem__)
             },
         }
     if scenario.comments is not None:

@@ -334,6 +334,25 @@ class TestDeterminism:
             encoding="utf-8"
         )
 
+    @pytest.mark.parametrize(
+        ("args", "golden"),
+        [
+            (["check", "agm"], "check_agm_failing_laws.txt"),
+            (["check", "agm", "--json"], "check_agm_failing_laws.json"),
+            (["check", "filtered"], "check_filtered_failing_laws.txt"),
+            (["check", "filtered", "--json"], "check_filtered_failing_laws.json"),
+        ],
+        ids=["agm", "agm-json", "filtered", "filtered-json"],
+    )
+    def test_failing_reports_match_golden(self, runner, args, golden):
+        # an arbitrary 3-atom table on which every AGM2-8 postulate and
+        # every filter law F1-F3b fails more than five times
+        result = runner.invoke(main, [*args, str(GOLDEN / "failing_laws_3atoms.json")])
+        assert result.exit_code == 1
+        assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
+        notes = [line for line in result.output.splitlines() if "failing propositions" in line]
+        assert len(notes) == 6
+
     def test_repeated_runs_are_byte_identical(self, runner):
         args = ["fuzz", "--atoms", "1", "--cases", "150", "--seed", "7"]
         first = runner.invoke(main, args)

@@ -5,10 +5,12 @@ import pytest
 from filtra.beliefs import BeliefSet
 from filtra import revision
 from filtra.formulas import parse_formula
+from filtra.reports import CheckReport, CheckResult, Witness
 from filtra.revision import (
     Credibility,
     CredibilityLabeling,
     PostulateViolation,
+    RecoveryOutcome,
     RevisionTable,
     SelectionFunction,
     build_filtered,
@@ -17,6 +19,15 @@ from filtra.revision import (
     filter_holds_at,
     recover_basic,
     revision_from_selection,
+)
+from filtra.revision import (
+    _FILTER_CHECKS,
+    _Labels,
+    _filter_failures,
+    _filter_mask_holds,
+    _infeasible,
+    _recovery_reason,
+    _transpose,
 )
 from filtra.sampling import (
     all_labelings,
@@ -27,7 +38,7 @@ from filtra.sampling import (
 )
 from filtra.worlds import PointSet, Universe, canonical_universe
 
-from test_revision import assert_entries_shared
+from test_revision import assert_entries_shared, bits, kernel_tables
 
 ATOMS = ("p", "q")
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
@@ -117,6 +128,21 @@ class TestBuildFiltered:
         monkeypatch.setattr(revision, "check_agm", lambda *args: reports.append(args))
         build_filtered(table, CredibilityLabeling.all_credible(u2))
         assert reports == []
+
+    @pytest.mark.parametrize(
+        ("postulate", "event", "entry"),
+        [(2, 0b0100, 0b1000), (3, 0b0011, 0b0001), (4, 0b0111, 0b0111), (5, 0b0100, 0)],
+    )
+    def test_gate_refuses_each_basic_postulate_alone(self, u2, postulate, event, entry):
+        star = selection_keeping(u2, 0b0011)
+        masks = list(star._masks)
+        masks[event] = entry  # breaks exactly one of AGM2-5, at one proposition
+        broken = RevisionTable.from_masks(u2, 0b0011, masks)
+        report = check_agm(broken, (1, 2, 3, 4, 5, 6))
+        assert [result.check for result in report.failures()] == [f"AGM{postulate}"]
+        with pytest.raises(PostulateViolation) as err:
+            build_filtered(broken, CredibilityLabeling.all_credible(u2))
+        assert err.value.report == report
 
     @pytest.mark.parametrize("n_atoms,draws", [(1, 20), (2, 20), (3, 6), (4, 1)])
     def test_equals_routing_through_intersect(self, n_atoms, draws):
@@ -238,3 +264,131 @@ class TestRecovery:
                 assert outcome.infeasible is not None
                 assert outcome.reason
         assert seen_failure
+
+
+def naive_check_filtered(table, labeling):
+    """check_filtered as it was: one predicate call per (law,
+    proposition), witnesses the first five failing propositions."""
+    universe = table.universe
+    initial = table.initial.points.mask
+    results = []
+    for check in _FILTER_CHECKS:
+        failing = [
+            e
+            for e in range(universe.full_mask + 1)
+            if not _filter_mask_holds(table._masks, initial, labeling.labels, check, e)
+        ]
+        witnesses = tuple(
+            Witness.of([("E", PointSet(universe, e))], detail=f"label {labeling.labels[e].value}")
+            for e in failing[:5]
+        )
+        note = f"{len(failing)} failing propositions" if len(failing) > 5 else ""
+        results.append(CheckResult(check, not failing, witnesses, note))
+    results.append(check_filtered(table, labeling).results[-1])  # F4, by representation
+    return CheckReport("filtered revision laws", tuple(results))
+
+
+def scan_step(event, got, initial, label):
+    """One proposition of the ascending recovery scan: its selection
+    value, or None and the reason it is infeasible."""
+    if event == 0:
+        if got != initial:
+            return None, "revision by a contradiction must preserve the initial beliefs"
+        return 0, ""
+    overlap = event & initial
+    if overlap:
+        required = overlap if label is C else initial
+        if got != required:
+            return None, f"entry incompatible with label {label.value} on overlapping information"
+        return overlap, ""
+    if label is C:
+        if got == 0 or got & ~event:
+            return None, "credible entry must be a consistent theory of points within the information"
+        return got, ""
+    if label is A:
+        extra = got & ~initial
+        if initial & ~got or extra == 0 or extra & ~event:
+            return None, "allowable entry must add a nonempty set of information points to the initial ones"
+        return extra, ""
+    if got != initial:
+        return None, "rejected information must preserve the initial beliefs"
+    return event, ""
+
+
+def naive_recover_basic(filtered, labeling):
+    """recover_basic as it was: scan the propositions in ascending order
+    and stop at the first infeasible one."""
+    universe = filtered.universe
+    initial = filtered.initial.points.mask
+    choice = {}
+    for event in range(universe.full_mask + 1):
+        value, reason = scan_step(event, filtered._masks[event], initial, labeling.labels[event])
+        if value is None:
+            return RecoveryOutcome(None, PointSet(universe, event), reason)
+        if event:
+            choice[event] = value
+    selection = SelectionFunction(universe, filtered.initial, choice)
+    return RecoveryOutcome(revision_from_selection(selection))
+
+
+class TestBitSlicedLaws:
+    """F1-F3b and the recovery branches read off whole-table sets must
+    equal the per-proposition predicates and the ascending scan."""
+
+    def test_failure_bits_equal_the_predicates_on_every_tuple(self, u2):
+        # every (I, E, label, B(E)) at two atoms, labels on the empty and
+        # full propositions included: table (label, d) maps every E to
+        # E ^ d under that one label
+        full = u2.full_mask
+        seen = set()
+        for initial in range(1, full + 1):
+            for label in (C, A, R):
+                labels = _Labels.of(label.value.encode() * (full + 1))
+                per_prop = dict.fromkeys(range(full + 1), label)
+                for d in range(full + 1):
+                    masks = [e ^ d for e in range(full + 1)]
+                    table = RevisionTable.from_masks(u2, initial, masks)
+                    fails = _filter_failures(table, labels)
+                    for check in _FILTER_CHECKS:
+                        expected = [
+                            int(not _filter_mask_holds(masks, initial, per_prop, check, e))
+                            for e in range(full + 1)
+                        ]
+                        assert bits(fails[check], u2.size) == expected, (initial, label, d, check)
+                    infeasible = _infeasible(table, labels)
+                    for e in range(full + 1):
+                        value, reason = scan_step(e, masks[e], initial, label)
+                        assert infeasible >> e & 1 == (value is None), (initial, label, d, e)
+                        if value is None:
+                            assert _recovery_reason(e, initial, label) == reason
+                        seen.add((initial, e, label, masks[e]))
+        assert len(seen) == 11_520
+
+    @pytest.mark.parametrize("n_atoms,draws", [(1, 30), (2, 10), (3, 3), (4, 1)])
+    def test_reports_and_recovery_equal_the_scan(self, n_atoms, draws):
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        noted, verdicts = set(), set()
+        for draw in range(draws):
+            rng = Random(110 + 10 * n_atoms + draw)
+            for kind, table in kernel_tables(n_atoms, seed=rng.randrange(10**6)):
+                labeling = random_labeling(rng, universe)
+                subjects = [table]
+                if kind in ("preorder", "selection"):
+                    built = build_filtered(table, labeling)
+                    # the built table's slices are routed, not transposed
+                    assert built._slices == _transpose(built._masks, universe.size)
+                    masks = list(built._masks)
+                    masks[rng.randrange(len(masks))] = rng.randrange(universe.full_mask + 1)
+                    corrupted = RevisionTable.from_masks(universe, built.initial.points.mask, masks)
+                    subjects = [built, corrupted]
+                for subject in subjects:
+                    report = check_filtered(subject, labeling)
+                    assert report == naive_check_filtered(subject, labeling)
+                    outcome = recover_basic(subject, labeling)
+                    assert outcome == naive_recover_basic(subject, labeling)
+                    assert bool(outcome) == report.all_hold
+                    verdicts.add(outcome.reason or "feasible")
+                    noted.update(r.check for r in report.results if r.note.endswith("propositions"))
+        assert "feasible" in verdicts and len(verdicts) > 1
+        if n_atoms == 4:  # more than five failures of each law, so every note shows
+            assert noted == set(_FILTER_CHECKS)

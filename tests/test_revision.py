@@ -20,7 +20,13 @@ from filtra.revision import (
     revision_from_preorder,
     revision_from_selection,
 )
-from filtra.revision import _agm78_failure_counts
+from filtra.revision import (
+    _agm78_failure_counts,
+    _agm_failures,
+    _agm_mask_holds,
+    _containment,
+    _transpose,
+)
 from filtra.sampling import (
     all_revision_tables,
     random_labeling,
@@ -352,9 +358,11 @@ def naive_selection_table(selection):
 
 
 def assert_entries_shared(table):
-    """Equal entries are one object: as many objects as distinct masks."""
+    """Equal entries are one object: as many objects as distinct masks;
+    and the flat mask view holds the entries' own ints."""
     beliefs = table.entries.values()
     assert len({id(belief) for belief in beliefs}) == len({b.points.mask for b in beliefs})
+    assert all(mask is belief.points.mask for mask, belief in zip(table._masks, beliefs))
 
 
 class TestMaskConstructors:
@@ -404,6 +412,103 @@ class TestMaskConstructors:
             RevisionTable.from_masks(u2, 1, [0] * u2.full_mask + [u2.full_mask + 1])
         with pytest.raises(ValueError, match="consistent"):
             RevisionTable.from_masks(u2, 0, [0] * (u2.full_mask + 1))
+
+
+def naive_agm_report(table):
+    """check_agm for AGM1-6 as it was: one predicate call per
+    (postulate, proposition), witnesses the first five failing
+    propositions in ascending order."""
+    universe = table.universe
+    initial = table.initial.points.mask
+    results = []
+    for postulate in range(1, 7):
+        name = f"AGM{postulate}"
+        if postulate in (1, 6):
+            results.append(check_agm(table, (postulate,)).results[0])
+            continue
+        failing = [
+            e
+            for e in range(universe.full_mask + 1)
+            if not _agm_mask_holds(table._masks, initial, postulate, e)
+        ]
+        witnesses = tuple(Witness.of([("E", PointSet(universe, e))]) for e in failing[:5])
+        note = f"{len(failing)} failing propositions" if len(failing) > 5 else ""
+        results.append(CheckResult(name, not failing, witnesses, note))
+    return CheckReport("AGM postulates", tuple(results))
+
+
+def kernel_tables(n_atoms, seed):
+    """A pre-order, a selection, a corrupted selection and an arbitrary
+    table, drawn from one seed (the corrupted one has a few entries
+    redrawn at random)."""
+    universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+    full = universe.full_mask
+    rng = Random(seed)
+    yield "preorder", revision_from_preorder(random_plausibility_order(rng, universe))
+    selection = revision_from_selection(random_selection_function(rng, universe))
+    yield "selection", selection
+    masks = list(selection._masks)
+    for _ in range(1 + full // 8):
+        masks[rng.randrange(full + 1)] = rng.randrange(full + 1)
+    initial = selection.initial.points.mask
+    yield "corrupted", RevisionTable.from_masks(universe, initial, masks)
+    # about a quarter of the entries absurd, so AGM5 and F3 fail often too
+    masks = [rng.randrange(full + 1) if rng.randrange(4) else 0 for _ in range(full + 1)]
+    yield "arbitrary", RevisionTable.from_masks(universe, rng.randrange(1, full + 1), masks)
+
+
+def bits(value, size):
+    """Bit E of ``value`` for every E below 2**size."""
+    return [value >> e & 1 for e in range(1 << size)]
+
+
+class TestBitSlicedKernel:
+    """AGM2-5 read off whole-table failure sets must equal the
+    per-proposition predicate, bit by bit and report by report."""
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_slices_and_containment_patterns(self, n_atoms):
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        rng = Random(80 + n_atoms)
+        table = random_revision_table(rng, universe)
+        masks, size = table._masks, universe.size
+        assert table._slices == _transpose(masks, size)
+        # every proposition up to 3 atoms, a sample of 4,096 at 4
+        props = range(len(masks)) if n_atoms < 4 else rng.sample(range(len(masks)), 4096)
+        for s, (entry, member) in enumerate(zip(table._slices, _containment(size))):
+            assert [entry >> e & 1 for e in props] == [masks[e] >> s & 1 for e in props]
+            assert [member >> e & 1 for e in props] == [e >> s & 1 for e in props]
+
+    def test_failure_bits_equal_the_predicate_on_every_tuple(self, u2):
+        # every (I, E, B(E)) at two atoms: table d maps E to E ^ d, so the
+        # 16 tables per initial theory pair each E with every entry once
+        full = u2.full_mask
+        seen = set()
+        for initial in range(1, full + 1):
+            for d in range(full + 1):
+                masks = [e ^ d for e in range(full + 1)]
+                fails = _agm_failures(RevisionTable.from_masks(u2, initial, masks))
+                for postulate in (2, 3, 4, 5):
+                    expected = [
+                        int(not _agm_mask_holds(masks, initial, postulate, e))
+                        for e in range(full + 1)
+                    ]
+                    assert bits(fails[f"AGM{postulate}"], u2.size) == expected
+                seen.update((initial, e, masks[e]) for e in range(full + 1))
+        assert len(seen) == 15 * 16 * 16
+
+    @pytest.mark.parametrize("n_atoms,draws", [(1, 30), (2, 10), (3, 3), (4, 1)])
+    def test_reports_equal_the_per_proposition_scan(self, n_atoms, draws):
+        noted = set()
+        for draw in range(draws):
+            for kind, table in kernel_tables(n_atoms, seed=90 + 10 * n_atoms + draw):
+                report = check_agm(table, (1, 2, 3, 4, 5, 6))
+                assert report == naive_agm_report(table)
+                if kind in ("preorder", "selection"):
+                    assert report.all_hold
+                noted.update(r.check for r in report.results if r.note.endswith("propositions"))
+        if n_atoms > 1:  # more than five failures, so the note shows
+            assert noted == {"AGM2", "AGM3", "AGM4", "AGM5"}
 
 
 def fubini(n):

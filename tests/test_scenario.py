@@ -10,9 +10,11 @@ from filtra.scenario import (
     detective_scenario,
     dumps,
     event_key,
+    ids_of_mask,
     loads,
+    scenario_to_payload,
 )
-from filtra.worlds import PointSet
+from filtra.worlds import PointSet, Universe, canonical_universe
 
 
 def payload_text(**overrides):
@@ -183,6 +185,38 @@ class TestSaving:
         )
         once = dumps(loads(text))
         assert dumps(loads(once)) == once
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3])
+    def test_table_section_equals_the_per_entry_rendering(self, n_atoms):
+        from random import Random
+
+        from filtra.sampling import random_revision_table
+
+        rng = Random(40 + n_atoms)
+        size = 2**n_atoms
+        # ids out of index order, and "s10" sorting before "s2", so the
+        # key order is not the mask order
+        ids = [f"s{i}" for i in rng.sample(range(3 * size), size)]
+        shuffled = Universe.from_assignments(("p",), [(i, {"p": k % 2}) for k, i in enumerate(ids)])
+        for universe in (canonical_universe(("p", "q", "r")[:n_atoms]), shuffled):
+            table = random_revision_table(rng, universe)
+            scenario = Scenario(universe.atoms, universe, table=table)
+            payload = scenario_to_payload(scenario)
+            # the rendering before each id list was computed once
+            old = {
+                "initial": ids_of_mask(universe, table.initial.points.mask),
+                "entries": {
+                    event_key(ids_of_mask(universe, mask)): ids_of_mask(
+                        universe, table.entries[mask].points.mask
+                    )
+                    for mask in sorted(
+                        table.entries, key=lambda m: event_key(ids_of_mask(universe, m))
+                    )
+                },
+            }
+            assert payload["table"] == old
+            assert list(payload["table"]["entries"]) == list(old["entries"])
+            assert dumps(scenario) == json.dumps({**payload, "table": old}, indent=2) + "\n"
 
     def test_event_key_helper(self):
         assert event_key([]) == ""
