@@ -25,8 +25,9 @@ import enum
 import functools
 import sys
 from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
@@ -143,45 +144,114 @@ class SelectionFunction:
                 )
 
 
+class _Entries(Mapping):
+    """A table's entries as a read-only mapping from proposition mask to
+    BeliefSet, over one tuple of entry masks indexed by proposition.
+
+    The masks must lie in the universe and are kept as one int object
+    per distinct value.  Each distinct theory is made once, on first
+    lookup (the initial one is given), so equal entries share one
+    BeliefSet.  Two views compare by their masks.
+    """
+
+    __slots__ = ("universe", "masks", "_theories")
+
+    def __init__(self, universe: Universe, initial: BeliefSet, masks: Sequence[int]):
+        distinct = {initial.points.mask, *masks}
+        low, high = min(distinct), max(distinct)
+        if low < 0 or high > universe.full_mask:
+            raise ValueError(f"mask {low if low < 0 else high:#x} out of range for universe")
+        shared = dict(zip(distinct, distinct))  # one int object per distinct mask
+        self.universe = universe
+        self.masks = tuple(map(shared.__getitem__, masks))
+        self._theories = {initial.points.mask: initial}
+
+    def __getitem__(self, proposition: int) -> BeliefSet:
+        try:
+            # a bare tuple index would wrap a negative key
+            if proposition >= 0:
+                return self._theories[self.masks[proposition]]
+        except KeyError:  # the first lookup of this theory
+            mask = self.masks[proposition]
+            theory = self._theories[mask] = BeliefSet(PointSet(self.universe, mask))
+            return theory
+        except (TypeError, IndexError):
+            pass
+        raise KeyError(proposition)
+
+    def __contains__(self, proposition) -> bool:
+        return isinstance(proposition, int) and 0 <= proposition < len(self.masks)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.masks)))
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Entries):
+            return self.masks == other.masks and self.universe == other.universe
+        return super().__eq__(other)
+
+
 @dataclass(frozen=True)
 class RevisionTable:
-    """Total map from every proposition over the universe to a belief set."""
+    """Total map from every proposition over the universe to a belief set.
+
+    The table is stored as one tuple of entry masks indexed by
+    proposition (``_masks``); ``entries`` is a read-only view over it
+    that wraps each distinct entry in a BeliefSet on first lookup.  A
+    caller's mapping passed as ``entries`` is checked and converted to
+    that view once.
+    """
 
     universe: Universe
     initial: BeliefSet
     entries: Mapping[int, BeliefSet]
 
     def __post_init__(self):
-        if self.initial.universe is not self.universe and self.initial.universe != self.universe:
+        universe = self.universe
+        if self.initial.universe is not universe and self.initial.universe != universe:
             raise UniverseMismatchError("initial beliefs over a different universe")
         if not self.initial.is_consistent:
             raise ValueError("initial beliefs must be consistent")
-        if self.entries.keys() != set(range(self.universe.full_mask + 1)):
-            raise ValueError("entries must cover every proposition exactly once")
-        # equal entries usually share one object; check each object once
-        for belief in {id(belief): belief for belief in self.entries.values()}.values():
-            if belief.universe is not self.universe and belief.universe != self.universe:
+        entries = self.entries
+        propositions = range(universe.full_mask + 1)
+        if isinstance(entries, _Entries):
+            if len(entries) != len(propositions):
+                raise ValueError("entries must cover every proposition exactly once")
+            if entries.universe is not universe and entries.universe != universe:
                 raise UniverseMismatchError("entry belief set over a different universe")
+            return
+        if len(entries) != len(propositions) or not all(map(entries.__contains__, propositions)):
+            raise ValueError("entries must cover every proposition exactly once")
+        beliefs = list(map(entries.__getitem__, propositions))
+        # equal entries usually share one object; check each object once
+        for belief in dict(zip(map(id, beliefs), beliefs)).values():
+            if belief.universe is not universe and belief.universe != universe:
+                raise UniverseMismatchError("entry belief set over a different universe")
+        masks = [belief.points.mask for belief in beliefs]
+        object.__setattr__(self, "entries", _Entries(universe, self.initial, masks))
 
     @classmethod
     def from_masks(
         cls, universe: Universe, initial_mask: int, masks: Sequence[int]
     ) -> "RevisionTable":
         """The table whose entry at proposition ``i`` is the theory of
-        the points in ``masks[i]``.  Equal entries share one BeliefSet."""
-        distinct = {initial_mask, *masks}
-        shared = dict(zip(distinct, distinct))  # one int object per distinct mask
-        theories = {mask: BeliefSet(PointSet(universe, mask)) for mask in distinct}
-        entries = dict(enumerate(map(theories.__getitem__, masks)))
-        table = cls(universe, theories[initial_mask], entries)
-        # the flat view holds the entries' own ints, not the caller's
-        table.__dict__["_masks"] = tuple(map(shared.__getitem__, masks))
-        return table
+        the points in ``masks[i]``.
 
-    @functools.cached_property
+        The masks are checked in bulk (one per proposition, each within
+        the universe, a consistent initial one) and stored as they are,
+        one int object per distinct mask; no BeliefSet is made but the
+        initial one.
+        """
+        initial = BeliefSet(PointSet(universe, initial_mask))
+        return cls(universe, initial, _Entries(universe, initial, masks))
+
+    @property
     def _masks(self) -> tuple[int, ...]:
         # entry point sets as one flat sequence indexed by proposition
-        return tuple(self.entries[mask].points.mask for mask in range(self.universe.full_mask + 1))
+        return self.entries.masks
 
     @functools.cached_property
     def _slices(self) -> list[int]:
@@ -404,7 +474,15 @@ def revision_from_preorder(order: PlausibilityOrder) -> RevisionTable:
     """Revision by minimizing rank: each proposition maps to the theory
     of its most plausible points; the empty proposition maps to the
     absurd theory."""
-    masks = [order._lowest(mask) for mask in range(order.universe.full_mask + 1)]
+    masks = [0] * (order.universe.full_mask + 1)
+    rest = order.universe.full_mask  # the points less plausible than the level
+    for level in order._levels:
+        rest &= ~level
+        tails = submasks(rest)
+        # E = kept | r has lowest points kept, for every r below the level
+        for kept in submasks(level)[1:]:
+            for r in tails:
+                masks[kept | r] = kept
     return RevisionTable.from_masks(order.universe, masks[-1], masks)
 
 
@@ -704,6 +782,11 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     set (``_infeasible``); the reported one is its lowest bit, i.e. the
     first in ascending bitmask order, with the reason of the branch it
     falls in.
+
+    The basic table is built straight from those selection values.  Its
+    selection invariants are checked as AGM2-5 on it (``_agm_failures``;
+    docs/semantics.md, "Recovery arithmetic"); a failure there means
+    the scan is wrong and raises SelectionError.
     """
     if labeling.universe != filtered.universe:
         raise UniverseMismatchError("labeling over a different universe")
@@ -715,14 +798,21 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
         event = (infeasible & -infeasible).bit_length() - 1
         reason = _recovery_reason(event, initial, labeling.labels[event])
         return RecoveryOutcome(None, PointSet(universe, event), reason)
-    choice = {
-        event: event & initial
+    basic = [
+        event & initial
         or (got if code == _CREDIBLE else got & ~initial if code == _ALLOWABLE else event)
         for event, (got, code) in enumerate(zip(filtered._masks, view.codes))
-        if event
-    }
-    selection = SelectionFunction(universe, filtered.initial, choice)
-    return RecoveryOutcome(revision_from_selection(selection))
+    ]
+    recovered = RevisionTable.from_masks(universe, initial, basic)
+    # the selection invariants S(E) != 0, S(E) <= E and S(E) = E & I on
+    # overlap are AGM5, AGM2 and AGM3+4 on a table whose entry at 0 is 0
+    failed = {law: bits for law, bits in _agm_failures(recovered).items() if bits}
+    if failed:
+        event = min((bits & -bits).bit_length() - 1 for bits in failed.values())
+        raise SelectionError(
+            f"recovered selection violates {', '.join(failed)}", PointSet(universe, event)
+        )
+    return RecoveryOutcome(recovered)
 
 
 def _infeasible(table: RevisionTable, labels: _Labels) -> int:

@@ -149,15 +149,14 @@ def _parse_states(payload: Mapping, atoms: tuple[str, ...]) -> Universe:
 
 def _parse_event_list(value, universe: Universe, field: str) -> int:
     ids = _expect_list(value, field)
+    index = universe._index
     mask = 0
     for j, state_id in enumerate(ids):
         if not isinstance(state_id, str):
             raise ScenarioError(f"{field}[{j}]", "state id must be a string")
-        try:
-            index = universe.index_of(state_id)
-        except KeyError:
-            raise ScenarioError(f"{field}[{j}]", f"unknown state id {state_id!r}") from None
-        bit = 1 << index
+        if state_id not in index:
+            raise ScenarioError(f"{field}[{j}]", f"unknown state id {state_id!r}")
+        bit = 1 << index[state_id]
         if mask & bit:
             raise ScenarioError(f"{field}[{j}]", f"duplicate state id {state_id!r}")
         mask |= bit
@@ -171,12 +170,12 @@ def _parse_event_key(key: str, universe: Universe, field: str) -> int:
     canonical = event_key(ids)
     if key != canonical:
         raise ScenarioError(field, f"non-canonical event key {key!r}; expected {canonical!r}")
+    index = universe._index
     mask = 0
     for state_id in ids:
-        try:
-            mask |= 1 << universe.index_of(state_id)
-        except KeyError:
-            raise ScenarioError(field, f"unknown state id {state_id!r} in event key {key!r}") from None
+        if state_id not in index:
+            raise ScenarioError(field, f"unknown state id {state_id!r} in event key {key!r}")
+        mask |= 1 << index[state_id]
     return mask
 
 
@@ -366,10 +365,11 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         # key and the value of every entry with those points
         ids = [ids_of_mask(universe, mask) for mask in range(universe.full_mask + 1)]
         keys = [event_key(item) for item in ids]
+        masks = table._masks
         payload["table"] = {
             "initial": ids[table.initial.points.mask],
             "entries": {
-                keys[mask]: ids[table._masks[mask]]
+                keys[mask]: ids[masks[mask]]
                 for mask in sorted(range(len(ids)), key=keys.__getitem__)
             },
         }

@@ -13,6 +13,7 @@ operations are exact.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -91,11 +92,13 @@ class Universe:
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        # point id -> position, for loaders that resolve ids by the thousand
+        return {point.id: i for i, point in enumerate(self.points)}
+
     def index_of(self, point_id: str) -> int:
-        for i, point in enumerate(self.points):
-            if point.id == point_id:
-                return i
-        raise KeyError(point_id)
+        return self._index[point_id]
 
     def assignment(self, index: int) -> dict[str, bool]:
         return dict(zip(self.atoms, self.points[index].values))

@@ -12,6 +12,7 @@ from filtra.revision import (
     PostulateViolation,
     RecoveryOutcome,
     RevisionTable,
+    SelectionError,
     SelectionFunction,
     build_filtered,
     check_agm,
@@ -264,6 +265,19 @@ class TestRecovery:
                 assert outcome.infeasible is not None
                 assert outcome.reason
         assert seen_failure
+
+    def test_recovered_selection_is_checked(self, u2, monkeypatch):
+        # a scan that misses an infeasible entry must not yield a table
+        initial_mask = 0b1000
+        star = selection_keeping(u2, initial_mask)
+        labeling = CredibilityLabeling.from_overrides(u2, {0b0011: C})
+        entries = dict(build_filtered(star, labeling).entries)
+        entries[0b0011] = BeliefSet(PointSet(u2, 0b0111))  # credible, outside E
+        target = RevisionTable(u2, star.initial, entries)
+        assert not recover_basic(target, labeling)
+        monkeypatch.setattr(revision, "_infeasible", lambda table, labels: 0)
+        with pytest.raises(SelectionError, match="violates AGM2 at E = {w0, w1}"):
+            recover_basic(target, labeling)
 
 
 def naive_check_filtered(table, labeling):

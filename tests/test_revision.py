@@ -405,13 +405,81 @@ class TestMaskConstructors:
         assert_entries_shared(certificate.basic)
         assert_entries_shared(certificate.revision)
 
+    @pytest.mark.parametrize("n_atoms,draws", [(1, 0), (2, 0), (3, 6), (4, 2)])
+    def test_preorder_tables_equal_the_naive_construction(self, n_atoms, draws):
+        # every pre-order on 2 and 4 points, seeded ones on 8 and 16
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        if draws:
+            rng = Random(70 + n_atoms)
+            orders = [random_plausibility_order(rng, universe) for _ in range(draws)]
+            orders.append(PlausibilityOrder(universe, (0,) * universe.size))
+        else:
+            orders = list(enumerate_preorders(universe))
+        for order in orders:
+            table = revision_from_preorder(order)
+            assert table == naive_preorder_table(order)
+            assert_entries_shared(table)
+
     def test_from_masks_keeps_the_table_checks(self, u2):
         with pytest.raises(ValueError, match="cover every proposition"):
             RevisionTable.from_masks(u2, 1, [0] * u2.full_mask)
         with pytest.raises(ValueError, match="out of range"):
             RevisionTable.from_masks(u2, 1, [0] * u2.full_mask + [u2.full_mask + 1])
+        with pytest.raises(ValueError, match="mask -0x1 out of range"):
+            RevisionTable.from_masks(u2, 1, [-1] + [0] * u2.full_mask)
         with pytest.raises(ValueError, match="consistent"):
             RevisionTable.from_masks(u2, 0, [0] * (u2.full_mask + 1))
+
+
+class TestEntriesView:
+    """``RevisionTable.entries`` is a read-only view over the mask tuple
+    that keeps the contract of the dict it replaced."""
+
+    def test_keeps_the_dict_contract(self, u2):
+        table = revision_from_preorder(spec_order(u2))
+        view = table.entries
+        assert len(view) == 16
+        assert list(view) == list(range(16))
+        assert list(view.keys()) == list(range(16))
+        assert view.keys() == set(range(16))
+        assert [entry.points.mask for entry in view.values()] == list(table._masks)
+        assert 15 in view and -1 not in view and 16 not in view and "1" not in view
+        # a bare tuple index would wrap -1 to the last entry
+        for key in (-1, 16, 1 << 20, "1", None, 1.5):
+            with pytest.raises(KeyError):
+                view[key]
+        assert view.get(-1) is None
+        assert view[3] is view[3]
+        assert view[15] is table.initial
+
+    def test_compares_with_views_and_dicts(self, u1, u2):
+        rng = Random(12)
+        for table in [*all_revision_tables(u1), random_revision_table(rng, u2)]:
+            copy = dict(table.entries)
+            assert table.entries == copy and copy == table.entries
+            rebuilt = RevisionTable(table.universe, table.initial, copy)
+            assert rebuilt == table
+            assert rebuilt.entries == table.entries
+            assert_entries_shared(rebuilt)
+        other = dict(copy)
+        other[5] = BeliefSet(PointSet(u2, copy[5].points.mask ^ 1))
+        assert RevisionTable(u2, table.initial, other) != table
+        assert RevisionTable(u2, table.initial, other).entries != copy
+        renamed = canonical_universe(("x", "y"))
+        assert RevisionTable.from_masks(renamed, 15, table._masks).entries != table.entries
+
+    def test_a_callers_mapping_is_checked(self, u1, u2):
+        table = revision_from_preorder(spec_order(u2))
+        entries = dict(table.entries)
+        for broken in ({}, {**entries, 16: table.initial}, {k: entries[k] for k in range(15)}):
+            with pytest.raises(ValueError, match="cover every proposition"):
+                RevisionTable(u2, table.initial, broken)
+        entries[3] = BeliefSet.tautologies(u1)
+        with pytest.raises(ValueError, match="different universe"):
+            RevisionTable(u2, table.initial, entries)
+        renamed = canonical_universe(("x", "y"))
+        with pytest.raises(ValueError, match="different universe"):
+            RevisionTable(renamed, BeliefSet.tautologies(renamed), table.entries)
 
 
 def naive_agm_report(table):

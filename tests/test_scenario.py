@@ -76,7 +76,12 @@ class TestLoading:
         }
         with pytest.raises(ScenarioError) as err:
             loads(payload_text(gcs=bad))
-        assert "unknown state id 'z'" in str(err.value)
+        assert str(err.value) == "gcs.credible[0][1]: unknown state id 'z'"
+        bad["credible"] = [["a", "b"]]
+        bad["f"]["a,b"] = ["a"]
+        with pytest.raises(ScenarioError) as err:
+            loads(payload_text(gcs=bad))
+        assert str(err.value) == "gcs.f['a,z']: unknown state id 'z' in event key 'a,z'"
 
     def test_missing_choice_entry(self):
         bad = {
