@@ -16,7 +16,10 @@ docs/semantics.md.  ``agm_holds_at`` and ``filter_holds_at`` evaluate
 them at one proposition; the whole-table checks, the ``build_filtered``
 gate and the ``recover_basic`` scan evaluate the same forms bit-sliced,
 as a few operations on one int per state whose bit E stands for
-proposition E (``_agm_failures``, ``_filter_failures``).
+proposition E (``_agm_failures``, ``_filter_failures``).  A table is
+stored as one packed array with a native word per proposition, and
+``build_filtered`` and ``recover_basic`` route all its words at once as
+a few operations on that array read as one int.
 """
 
 from __future__ import annotations
@@ -146,29 +149,25 @@ class SelectionFunction:
 
 class _Entries(Mapping):
     """A table's entries as a read-only mapping from proposition mask to
-    BeliefSet, over one tuple of entry masks indexed by proposition.
+    BeliefSet, over one packed array of entry masks indexed by
+    proposition: one native word of ``_layout(size)``'s type each.
 
-    The masks must lie in the universe and are kept as one int object
-    per distinct value.  Each distinct theory is made once, on first
-    lookup (the initial one is given), so equal entries share one
-    BeliefSet.  Two views compare by their masks.
+    The masks are checked to lie in the universe as they are packed.
+    Each distinct theory is made once, on first lookup (the initial one
+    is given), so equal entries share one BeliefSet.  Two views compare
+    by their masks.
     """
 
     __slots__ = ("universe", "masks", "_theories")
 
     def __init__(self, universe: Universe, initial: BeliefSet, masks: Sequence[int]):
-        distinct = {initial.points.mask, *masks}
-        low, high = min(distinct), max(distinct)
-        if low < 0 or high > universe.full_mask:
-            raise ValueError(f"mask {low if low < 0 else high:#x} out of range for universe")
-        shared = dict(zip(distinct, distinct))  # one int object per distinct mask
         self.universe = universe
-        self.masks = tuple(map(shared.__getitem__, masks))
+        self.masks = _pack(universe, masks)
         self._theories = {initial.points.mask: initial}
 
     def __getitem__(self, proposition: int) -> BeliefSet:
         try:
-            # a bare tuple index would wrap a negative key
+            # a bare array index would wrap a negative key
             if proposition >= 0:
                 return self._theories[self.masks[proposition]]
         except KeyError:  # the first lookup of this theory
@@ -198,11 +197,11 @@ class _Entries(Mapping):
 class RevisionTable:
     """Total map from every proposition over the universe to a belief set.
 
-    The table is stored as one tuple of entry masks indexed by
-    proposition (``_masks``); ``entries`` is a read-only view over it
-    that wraps each distinct entry in a BeliefSet on first lookup.  A
-    caller's mapping passed as ``entries`` is checked and converted to
-    that view once.
+    The table is stored as one packed array of entry masks indexed by
+    proposition (``_masks``, one native word each); ``entries`` is a
+    read-only view over it that wraps each distinct entry in a BeliefSet
+    on first lookup.  A caller's mapping passed as ``entries`` is
+    checked and packed into that view once.
     """
 
     universe: Universe
@@ -230,7 +229,7 @@ class RevisionTable:
         for belief in dict(zip(map(id, beliefs), beliefs)).values():
             if belief.universe is not universe and belief.universe != universe:
                 raise UniverseMismatchError("entry belief set over a different universe")
-        masks = [belief.points.mask for belief in beliefs]
+        masks = array(_layout(universe.size).code, [belief.points.mask for belief in beliefs])
         object.__setattr__(self, "entries", _Entries(universe, self.initial, masks))
 
     @classmethod
@@ -240,17 +239,17 @@ class RevisionTable:
         """The table whose entry at proposition ``i`` is the theory of
         the points in ``masks[i]``.
 
-        The masks are checked in bulk (one per proposition, each within
-        the universe, a consistent initial one) and stored as they are,
-        one int object per distinct mask; no BeliefSet is made but the
-        initial one.
+        The masks are packed into one array and checked in bulk on it
+        (one per proposition, each an int within the universe, a
+        consistent initial one); no BeliefSet or other per-entry object
+        is made but the initial one.
         """
         initial = BeliefSet(PointSet(universe, initial_mask))
         return cls(universe, initial, _Entries(universe, initial, masks))
 
     @property
-    def _masks(self) -> tuple[int, ...]:
-        # entry point sets as one flat sequence indexed by proposition
+    def _masks(self) -> array:
+        # entry point sets as one packed array indexed by proposition
         return self.entries.masks
 
     @functools.cached_property
@@ -329,47 +328,126 @@ class CredibilityLabeling:
 # at once, as a few operations on ints whose bit E stands for proposition E.
 
 _CODES = {label: ord(label.value) for label in Credibility}
-_CREDIBLE, _ALLOWABLE, _REJECTED = (_CODES[label] for label in Credibility)
 
 
 class _Labels(NamedTuple):
-    """A labeling as one "CAR" code byte per proposition plus, per
-    label, the int whose bit E is set iff E carries that label."""
+    """A labeling as its "CAR" codes widened to the packed-table layout
+    (every byte of word E is E's code) plus, per label, the int whose
+    bit E is set iff E carries that label."""
 
-    codes: bytes
+    words: bytearray
     credible: int
     allowable: int
     rejected: int
 
     @classmethod
     def of(cls, codes: bytes) -> "_Labels":
+        """From one "CAR" code byte per proposition."""
         text = codes[::-1]  # int(., 2) reads the highest proposition first
-        credible, allowable = [int(text.translate(bits).decode(), 2) for bits in _LABEL_BITS]
-        return cls(codes, credible, allowable, (1 << len(codes)) - 1 ^ credible ^ allowable)
+        credible, allowable = [int(text.translate(bits), 2) for bits in _LABEL_BITS]
+        width = _layout(len(codes).bit_length() - 1).width
+        words = bytearray(len(codes) * width)
+        for k in range(width):
+            words[k::width] = codes
+        return cls(words, credible, allowable, (1 << len(codes)) - 1 ^ credible ^ allowable)
+
+    def flags(self, table: bytes) -> int:
+        """The packed table, read as an int, whose word E is all ones iff
+        ``table`` maps E's code to 0xff (and 0 iff to 0)."""
+        return int.from_bytes(self.words.translate(table), sys.byteorder)
 
 
 _LABEL_BITS = (bytes.maketrans(b"CAR", b"100"), bytes.maketrans(b"CAR", b"010"))
-# _BIT_TEXT[k] maps a byte to b"1" if its bit k is set, else to b"0"
-_BIT_TEXT = tuple(bytes(48 + (byte >> k & 1) for byte in range(256)) for k in range(8))
+# "CAR" codes to word flags: one label, or build_filtered's keep (not R)
+# and add (A or R)
+_IS_C, _IS_A, _IS_R, _KEEP, _ADD = (
+    bytes.maketrans(b"CAR", flags)
+    for flags in (b"\xff\0\0", b"\0\xff\0", b"\0\0\xff", b"\xff\xff\0", b"\0\xff\xff")
+)
+# the delta swaps (shift, mask) that transpose a 64-bit int read as an
+# 8x8 bit matrix, byte r its row r: bit c of byte r goes to bit r of byte c
+_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+class _Layout(NamedTuple):
+    """How tables over one universe size are packed, with the constants
+    of their transpose and word-parallel routing."""
+
+    code: str  # the array type of one word
+    width: int  # its bytes
+    # per byte of the word that holds states: its index in a native-order
+    # word and the states whose bits it holds (bit j of byte k: 8k + j)
+    planes: tuple[tuple[int, range], ...]
+    swaps: tuple[tuple[int, int], ...]  # _SWAPS over every 8 propositions
+    # packed tables read as ints, by what their word E holds:
+    ones: int  # 1
+    fulls: int  # the full mask
+    identity: int  # E
+    lows: int  # every bit but the top one
+    tops: int  # the top bit
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(size: int) -> tuple[str, int, tuple[tuple[int, bytes], ...]]:
-    """The array type holding one mask over ``size`` states, its width
-    in bytes, and per state the byte that holds its bit plus the table
-    that reads the bit."""
+def _layout(size: int) -> _Layout:
     code = next(code for code in "BHLQ" if array(code).itemsize * 8 >= size)
     width = array(code).itemsize
-    # the byte of a native-order word that holds bits 8k..8k+7
     byte = range(width) if sys.byteorder == "little" else range(width - 1, -1, -1)
-    return code, width, tuple((byte[s >> 3], _BIT_TEXT[s & 7]) for s in range(size))
+    planes = tuple((byte[k], range(min(8, size - 8 * k))) for k in range(-(-size // 8)))
+    count = 1 << size
+    lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * -(-count // 8), "little")
+    swaps = tuple((shift, mask * lanes) for shift, mask in _SWAPS)
+    ones = int.from_bytes(array(code, [1]) * count, sys.byteorder)
+    identity = int.from_bytes(array(code, range(count)), sys.byteorder)
+    tops = ones << 8 * width - 1
+    fulls = ones * (count - 1)
+    return _Layout(code, width, planes, swaps, ones, fulls, identity, tops - ones, tops)
 
 
-def _transpose(masks: Sequence[int], size: int) -> list[int]:
-    """One int per state s whose bit E is set iff s is in ``masks[E]``."""
-    code, width, planes = _layout(size)
-    raw = array(code, masks[::-1]).tobytes()  # int(., 2) reads the highest proposition first
-    return [int(raw[byte::width].translate(table).decode(), 2) for byte, table in planes]
+def _nonzero(packed: int, layout: _Layout) -> int:
+    """The packed table, read as an int, whose word E is all ones iff
+    word E of ``packed`` is nonzero, else 0."""
+    # the low bits plus all ones carry into the top bit iff any is set;
+    # neither sum nor shift crosses a word
+    top = ((packed & layout.lows) + layout.lows | packed) & layout.tops
+    bits = 8 * layout.width
+    return (top >> bits - 1) * ((1 << bits) - 1)
+
+
+def _pack(universe: Universe, masks: Sequence[int]) -> array:
+    """``masks`` as one packed array, each checked to be an int within
+    the universe; the first that is not is reported."""
+    layout = _layout(universe.size)
+    try:
+        packed = array(layout.code, masks)
+    except (TypeError, OverflowError):  # not an int, or too wide for the word
+        packed = None
+    if packed is None or int.from_bytes(packed, sys.byteorder) | layout.fulls != layout.fulls:
+        full = universe.full_mask
+        bad = next(m for m in masks if not isinstance(m, int) or not 0 <= m <= full)
+        shown = f"{bad:#x}" if isinstance(bad, int) else repr(bad)
+        raise ValueError(f"mask {shown} out of range for universe")
+    return packed
+
+
+def _transpose(masks: array, size: int) -> list[int]:
+    """One int per state s whose bit E is set iff s is in ``masks[E]``.
+
+    A byte of the word, taken across the array and read as one int, is
+    a run of 64-bit lanes of 8 propositions each.  Transposing every
+    lane as an 8x8 bit matrix at once puts state j's bits of the lane's
+    propositions in its byte j, so every 8th byte is state j's slice.
+    """
+    layout = _layout(size)
+    raw = masks.tobytes()
+    slices = []
+    for byte, states in layout.planes:
+        x = int.from_bytes(raw[byte :: layout.width], "little")
+        for shift, mask in layout.swaps:
+            t = (x ^ x >> shift) & mask
+            x ^= t ^ t << shift
+        lanes = x.to_bytes(len(masks) + 7 & ~7, "little")
+        slices += [int.from_bytes(lanes[j::8], "little") for j in states]
+    return slices
 
 
 @functools.lru_cache(maxsize=None)
@@ -490,8 +568,10 @@ def revision_from_selection(selection: SelectionFunction) -> RevisionTable:
     """Table with entries Th(S(E)) and the absurd theory at the empty
     proposition.  Satisfies AGM1-AGM6 by construction (not necessarily
     AGM7/AGM8)."""
-    masks = [0, *map(selection.choice.__getitem__, range(1, selection.universe.full_mask + 1))]
-    return RevisionTable.from_masks(selection.universe, selection.initial.points.mask, masks)
+    universe = selection.universe
+    masks = array(_layout(universe.size).code, [0])
+    masks.extend(map(selection.choice.__getitem__, range(1, universe.full_mask + 1)))
+    return RevisionTable.from_masks(universe, selection.initial.points.mask, masks)
 
 
 ALL_POSTULATES = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -550,7 +630,7 @@ def _agm78_failure_counts(table: RevisionTable) -> dict[int, list[int]]:
     assumed to hold.
     """
     size = table.universe.size
-    entries = table._masks
+    entries = table._masks.tolist()
     counts7 = [0] * len(entries)
     counts8 = [0] * len(entries)
     for e, b in enumerate(entries):
@@ -732,6 +812,12 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
     propositions keep the initial beliefs, credible ones take the basic
     revision, allowable ones take the intersection of the two.
 
+    The routing is word-parallel (docs/semantics.md, "Word-parallel
+    routing"): with the packed table read as one int ``x``, the result
+    is ``x & keep | add & ones * I``, where word E of ``keep`` is all
+    ones unless E is labeled R and word E of ``add`` is all ones where
+    E is labeled A or R.
+
     Requires ``star`` to satisfy AGM1-AGM6 (PostulateViolation otherwise).
     """
     if labeling.universe != star.universe:
@@ -741,11 +827,12 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
         raise PostulateViolation(check_agm(star, (1, 2, 3, 4, 5, 6)))
     initial = star.initial.points.mask
     view = labeling._view
-    masks = [
-        initial if code == _REJECTED else entry | initial if code == _ALLOWABLE else entry
-        for entry, code in zip(star._masks, view.codes)
-    ]
-    filtered = RevisionTable.from_masks(star.universe, initial, masks)
+    universe = star.universe
+    entries = int.from_bytes(star._masks, sys.byteorder)
+    routed = entries & view.flags(_KEEP) | view.flags(_ADD) & _layout(universe.size).ones * initial
+    masks = array(star._masks.typecode, routed.to_bytes(len(view.words), sys.byteorder))
+    # the input's initial BeliefSet is reused, not made again
+    filtered = RevisionTable(universe, star.initial, _Entries(universe, star.initial, masks))
     # the same routing per state: a state of I is in every entry not
     # labeled C, any other state only in entries not labeled R
     kept = view.allowable | view.rejected
@@ -783,10 +870,14 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     first in ascending bitmask order, with the reason of the branch it
     falls in.
 
-    The basic table is built straight from those selection values.  Its
-    selection invariants are checked as AGM2-5 on it (``_agm_failures``;
-    docs/semantics.md, "Recovery arithmetic"); a failure there means
-    the scan is wrong and raises SelectionError.
+    The basic table is built straight from those selection values, all
+    at once by word-parallel routing (docs/semantics.md, "Word-parallel
+    routing"): word E is E & I where that is nonempty, else the
+    filtered entry (C), the entry minus I (A) or E itself (R).  Its
+    selection invariants are checked as AGM2-5 on its own transposed
+    masks (``_agm_failures``; docs/semantics.md, "Recovery arithmetic");
+    a failure there means the routing is wrong and raises
+    SelectionError.
     """
     if labeling.universe != filtered.universe:
         raise UniverseMismatchError("labeling over a different universe")
@@ -798,12 +889,19 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
         event = (infeasible & -infeasible).bit_length() - 1
         reason = _recovery_reason(event, initial, labeling.labels[event])
         return RecoveryOutcome(None, PointSet(universe, event), reason)
-    basic = [
-        event & initial
-        or (got if code == _CREDIBLE else got & ~initial if code == _ALLOWABLE else event)
-        for event, (got, code) in enumerate(zip(filtered._masks, view.codes))
-    ]
-    recovered = RevisionTable.from_masks(universe, initial, basic)
+    layout = _layout(universe.size)
+    kept = layout.ones * initial
+    meet = layout.identity & kept  # word E is E & I
+    got = int.from_bytes(filtered._masks, sys.byteorder)
+    # meet's word is 0 wherever the overlap flag's is, so it needs no mask
+    routed = meet | ~_nonzero(meet, layout) & (
+        view.flags(_IS_C) & got
+        | view.flags(_IS_A) & got & ~kept
+        | view.flags(_IS_R) & layout.identity
+    )
+    basic = array(filtered._masks.typecode, routed.to_bytes(len(view.words), sys.byteorder))
+    initial_theory = filtered.initial
+    recovered = RevisionTable(universe, initial_theory, _Entries(universe, initial_theory, basic))
     # the selection invariants S(E) != 0, S(E) <= E and S(E) = E & I on
     # overlap are AGM5, AGM2 and AGM3+4 on a table whose entry at 0 is 0
     failed = {law: bits for law, bits in _agm_failures(recovered).items() if bits}

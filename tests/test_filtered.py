@@ -39,7 +39,7 @@ from filtra.sampling import (
 )
 from filtra.worlds import PointSet, Universe, canonical_universe
 
-from test_revision import assert_entries_shared, bits, kernel_tables
+from test_revision import assert_entries_shared, bits, kernel_tables, word_universe
 
 ATOMS = ("p", "q")
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
@@ -406,3 +406,35 @@ class TestBitSlicedLaws:
         assert "feasible" in verdicts and len(verdicts) > 1
         if n_atoms == 4:  # more than five failures of each law, so every note shows
             assert noted == set(_FILTER_CHECKS)
+
+
+class TestWordWidths:
+    """The word-parallel routing where the packed word (B at 5 states,
+    H at 9) is wider than the universe."""
+
+    @pytest.mark.parametrize("size,draws", [(5, 12), (9, 3)])
+    def test_routing_equals_the_per_entry_scan(self, size, draws):
+        universe = word_universe(size)
+        rng = Random(130 + size)
+        verdicts = set()
+        for _ in range(draws):
+            star = revision_from_selection(random_selection_function(rng, universe))
+            labeling = random_labeling(rng, universe)
+            initial = star.initial.points.mask
+            labels = map(labeling.labels.__getitem__, range(universe.full_mask + 1))
+            routed = [
+                initial if label is R else entry | initial if label is A else entry
+                for entry, label in zip(star._masks, labels)
+            ]
+            filtered = build_filtered(star, labeling)
+            assert filtered._masks.tolist() == routed
+            assert filtered._slices == _transpose(filtered._masks, size)
+            masks = routed.copy()
+            masks[rng.randrange(1, len(masks))] ^= 1 << rng.randrange(size)
+            corrupted = RevisionTable.from_masks(universe, initial, masks)
+            for subject in (filtered, corrupted):
+                outcome = recover_basic(subject, labeling)
+                assert outcome == naive_recover_basic(subject, labeling)
+                verdicts.add(bool(outcome))
+            assert build_filtered(recover_basic(filtered, labeling).basic, labeling) == filtered
+        assert verdicts == {True, False}

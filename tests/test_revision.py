@@ -1,4 +1,6 @@
 import math
+import re
+from array import array
 from random import Random
 
 import pytest
@@ -25,6 +27,7 @@ from filtra.revision import (
     _agm_failures,
     _agm_mask_holds,
     _containment,
+    _layout,
     _transpose,
 )
 from filtra.sampling import (
@@ -35,11 +38,21 @@ from filtra.sampling import (
     random_selection_function,
 )
 from filtra.scenario import Scenario, detective_scenario, dumps, loads
-from filtra.worlds import PointSet, SizeLimitError, canonical_universe
+from filtra.worlds import PointSet, SizeLimitError, Universe, canonical_universe
 
 ATOMS = ("p", "q")
 
 # canonical {p,q}: w0 = neither, w1 = q only, w2 = p only, w3 = both
+
+
+def word_universe(size):
+    """A universe of ``size`` states over four atoms; state i makes the
+    atoms of i's set bits true."""
+    atoms = ("p", "q", "r", "s")
+    return Universe.from_assignments(
+        atoms,
+        [(f"s{i}", {a: bool(i >> k & 1) for k, a in enumerate(atoms)}) for i in range(size)],
+    )
 
 
 def spec_order(u2):
@@ -359,10 +372,12 @@ def naive_selection_table(selection):
 
 def assert_entries_shared(table):
     """Equal entries are one object: as many objects as distinct masks;
-    and the flat mask view holds the entries' own ints."""
+    and the table's storage is one packed array of the entry masks."""
     beliefs = table.entries.values()
     assert len({id(belief) for belief in beliefs}) == len({b.points.mask for b in beliefs})
-    assert all(mask is belief.points.mask for mask, belief in zip(table._masks, beliefs))
+    assert type(table._masks) is array
+    assert table._masks.typecode == _layout(table.universe.size)[0]
+    assert table._masks.tolist() == [belief.points.mask for belief in beliefs]
 
 
 class TestMaskConstructors:
@@ -429,6 +444,23 @@ class TestMaskConstructors:
             RevisionTable.from_masks(u2, 1, [-1] + [0] * u2.full_mask)
         with pytest.raises(ValueError, match="consistent"):
             RevisionTable.from_masks(u2, 0, [0] * (u2.full_mask + 1))
+
+    @pytest.mark.parametrize("size", [3, 9, 16])
+    def test_from_masks_checks_the_range_at_every_word_width(self, size):
+        # the word (B at 3 states, H at 9) is wider than the universe, so
+        # a too-high mask fits it; at 16 states the word is full
+        universe = word_universe(size)
+        full = universe.full_mask
+        masks = [(e * 5 + 3) & full for e in range(full + 1)]
+        assert RevisionTable.from_masks(universe, 1, masks)._masks.tolist() == masks
+        too_high = (full + 1, f"{full + 1:#x}"), (1 << 70, f"{1 << 70:#x}")
+        for bad, shown in (*too_high, (-1, "-0x1"), (1.5, "1.5"), ("3", "'3'")):
+            broken = masks.copy()
+            broken[full // 2] = bad
+            broken[full // 2 + 1] = full + 2  # reported is the first offender
+            message = f"^mask {re.escape(shown)} out of range for universe$"
+            with pytest.raises(ValueError, match=message):
+                RevisionTable.from_masks(universe, 1, broken)
 
 
 class TestEntriesView:
@@ -546,6 +578,17 @@ class TestBitSlicedKernel:
         for s, (entry, member) in enumerate(zip(table._slices, _containment(size))):
             assert [entry >> e & 1 for e in props] == [masks[e] >> s & 1 for e in props]
             assert [member >> e & 1 for e in props] == [e >> s & 1 for e in props]
+
+    @pytest.mark.parametrize("size", [3, 5, 9, 12])
+    def test_slices_at_every_word_width(self, size):
+        # a word byte that holds fewer than 8 states: the only one at 3
+        # and 5 states, the high one at 9 and 12
+        universe = word_universe(size)
+        table = random_revision_table(Random(size), universe)
+        masks = table._masks.tolist()
+        assert len(table._slices) == size
+        for s, entry in enumerate(table._slices):
+            assert entry == sum((mask >> s & 1) << e for e, mask in enumerate(masks))
 
     def test_failure_bits_equal_the_predicate_on_every_tuple(self, u2):
         # every (I, E, B(E)) at two atoms: table d maps E to E ^ d, so the
