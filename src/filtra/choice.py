@@ -379,19 +379,14 @@ def _infeasible_event(
                     return event, "credible entry must be the theory of the overlap"
             elif vset(chosen) != v_initial:
                 return event, "entry must leave the initial theory unchanged"
-        elif family is Credibility.CREDIBLE:
-            if chosen == 0 or chosen & ~event:
-                return event, "credible entry must be a consistent theory within the information"
         elif family is Credibility.ALLOWABLE:
-            v_chosen = vset(chosen)
-            if v_initial & ~v_chosen:
+            if v_initial & ~vset(chosen):
                 return event, "allowable entry may not add new beliefs"
-            if v_chosen == v_initial:
-                return event, "allowable entry must drop the disbelief in the information"
             if (chosen & ~sat_initial) & ~event:
                 return event, "allowable entry adds worlds outside the information"
-        elif vset(chosen) != v_initial:
-            return event, "rejected entry must leave the initial theory unchanged"
+        # off f(omega), laws 3c and 3b make credible and rejected menus
+        # feasible, and 3d puts a row outside v(f(omega)) into an
+        # allowable one's choice (docs/semantics.md, "Choice structures")
     return None
 
 

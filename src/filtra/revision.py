@@ -17,15 +17,18 @@ them at one proposition; the whole-table checks, the ``build_filtered``
 gate and the ``recover_basic`` scan evaluate the same forms bit-sliced,
 as a few operations on one int per state whose bit E stands for
 proposition E (``_agm_failures``, ``_filter_failures``).  A table is
-stored as one packed array with a native word per proposition, and
-``build_filtered`` and ``recover_basic`` route all its words at once as
-a few operations on that array read as one int.
+stored as one packed array with a native word per proposition.  The
+pre-order constructor, ``build_filtered`` and ``recover_basic`` compute
+their tables as those per-state ints and pack them into the array once
+(``_untranspose``).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
+import operator
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -229,7 +232,7 @@ class RevisionTable:
         for belief in dict(zip(map(id, beliefs), beliefs)).values():
             if belief.universe is not universe and belief.universe != universe:
                 raise UniverseMismatchError("entry belief set over a different universe")
-        masks = array(_layout(universe.size).code, [belief.points.mask for belief in beliefs])
+        masks = [belief.points.mask for belief in beliefs]
         object.__setattr__(self, "entries", _Entries(universe, self.initial, masks))
 
     @classmethod
@@ -319,7 +322,7 @@ class CredibilityLabeling:
 
     @functools.cached_property
     def _view(self) -> "_Labels":
-        # the labels as "CAR" codes indexed by proposition, plus bitsets
+        # the labels as one bitset per label, bit E for proposition E
         labels = map(self.labels.__getitem__, range(self.universe.full_mask + 1))
         return _Labels.of(bytes(map(_CODES.__getitem__, labels)))
 
@@ -331,11 +334,9 @@ _CODES = {label: ord(label.value) for label in Credibility}
 
 
 class _Labels(NamedTuple):
-    """A labeling as its "CAR" codes widened to the packed-table layout
-    (every byte of word E is E's code) plus, per label, the int whose
-    bit E is set iff E carries that label."""
+    """A labeling as, per label, the int whose bit E is set iff E
+    carries that label."""
 
-    words: bytearray
     credible: int
     allowable: int
     rejected: int
@@ -345,25 +346,10 @@ class _Labels(NamedTuple):
         """From one "CAR" code byte per proposition."""
         text = codes[::-1]  # int(., 2) reads the highest proposition first
         credible, allowable = [int(text.translate(bits), 2) for bits in _LABEL_BITS]
-        width = _layout(len(codes).bit_length() - 1).width
-        words = bytearray(len(codes) * width)
-        for k in range(width):
-            words[k::width] = codes
-        return cls(words, credible, allowable, (1 << len(codes)) - 1 ^ credible ^ allowable)
-
-    def flags(self, table: bytes) -> int:
-        """The packed table, read as an int, whose word E is all ones iff
-        ``table`` maps E's code to 0xff (and 0 iff to 0)."""
-        return int.from_bytes(self.words.translate(table), sys.byteorder)
+        return cls(credible, allowable, (1 << len(codes)) - 1 ^ credible ^ allowable)
 
 
 _LABEL_BITS = (bytes.maketrans(b"CAR", b"100"), bytes.maketrans(b"CAR", b"010"))
-# "CAR" codes to word flags: one label, or build_filtered's keep (not R)
-# and add (A or R)
-_IS_C, _IS_A, _IS_R, _KEEP, _ADD = (
-    bytes.maketrans(b"CAR", flags)
-    for flags in (b"\xff\0\0", b"\0\xff\0", b"\0\0\xff", b"\xff\xff\0", b"\0\xff\xff")
-)
 # the delta swaps (shift, mask) that transpose a 64-bit int read as an
 # 8x8 bit matrix, byte r its row r: bit c of byte r goes to bit r of byte c
 _SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
@@ -371,7 +357,7 @@ _SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0
 
 class _Layout(NamedTuple):
     """How tables over one universe size are packed, with the constants
-    of their transpose and word-parallel routing."""
+    of their transpose."""
 
     code: str  # the array type of one word
     width: int  # its bytes
@@ -379,12 +365,7 @@ class _Layout(NamedTuple):
     # word and the states whose bits it holds (bit j of byte k: 8k + j)
     planes: tuple[tuple[int, range], ...]
     swaps: tuple[tuple[int, int], ...]  # _SWAPS over every 8 propositions
-    # packed tables read as ints, by what their word E holds:
-    ones: int  # 1
-    fulls: int  # the full mask
-    identity: int  # E
-    lows: int  # every bit but the top one
-    tops: int  # the top bit
+    fulls: int  # the packed table of full masks, read as an int
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,21 +377,8 @@ def _layout(size: int) -> _Layout:
     count = 1 << size
     lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * -(-count // 8), "little")
     swaps = tuple((shift, mask * lanes) for shift, mask in _SWAPS)
-    ones = int.from_bytes(array(code, [1]) * count, sys.byteorder)
-    identity = int.from_bytes(array(code, range(count)), sys.byteorder)
-    tops = ones << 8 * width - 1
-    fulls = ones * (count - 1)
-    return _Layout(code, width, planes, swaps, ones, fulls, identity, tops - ones, tops)
-
-
-def _nonzero(packed: int, layout: _Layout) -> int:
-    """The packed table, read as an int, whose word E is all ones iff
-    word E of ``packed`` is nonzero, else 0."""
-    # the low bits plus all ones carry into the top bit iff any is set;
-    # neither sum nor shift crosses a word
-    top = ((packed & layout.lows) + layout.lows | packed) & layout.tops
-    bits = 8 * layout.width
-    return (top >> bits - 1) * ((1 << bits) - 1)
+    fulls = int.from_bytes(array(code, [count - 1]) * count, sys.byteorder)
+    return _Layout(code, width, planes, swaps, fulls)
 
 
 def _pack(universe: Universe, masks: Sequence[int]) -> array:
@@ -429,6 +397,15 @@ def _pack(universe: Universe, masks: Sequence[int]) -> array:
     return packed
 
 
+def _swap_lanes(x: int, swaps: Sequence[tuple[int, int]]) -> int:
+    """``x`` with the delta swaps applied in order: each exchanges the
+    bits under ``mask`` with those ``shift`` above them."""
+    for shift, mask in swaps:
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x
+
+
 def _transpose(masks: array, size: int) -> list[int]:
     """One int per state s whose bit E is set iff s is in ``masks[E]``.
 
@@ -441,13 +418,33 @@ def _transpose(masks: array, size: int) -> list[int]:
     raw = masks.tobytes()
     slices = []
     for byte, states in layout.planes:
-        x = int.from_bytes(raw[byte :: layout.width], "little")
-        for shift, mask in layout.swaps:
-            t = (x ^ x >> shift) & mask
-            x ^= t ^ t << shift
+        x = _swap_lanes(int.from_bytes(raw[byte :: layout.width], "little"), layout.swaps)
         lanes = x.to_bytes(len(masks) + 7 & ~7, "little")
         slices += [int.from_bytes(lanes[j::8], "little") for j in states]
     return slices
+
+
+def _untranspose(slices: Sequence[int], size: int) -> array:
+    """The packed array whose entry E holds state s iff bit E of
+    ``slices[s]`` is set: ``_transpose`` run backwards.
+
+    Every 8th byte of a run of lanes takes one state's slice, the delta
+    swaps are undone in reverse order, and the lanes' bytes go to their
+    byte of every word.
+    """
+    layout = _layout(size)
+    count = 1 << size
+    span = count + 7 & ~7  # the propositions, rounded up to whole lanes
+    raw = bytearray(count * layout.width)
+    first = 0  # the plane's first state
+    for byte, states in layout.planes:
+        lanes = bytearray(span)
+        for j in states:
+            lanes[j::8] = slices[first + j].to_bytes(span >> 3, "little")
+        first += 8
+        x = _swap_lanes(int.from_bytes(lanes, "little"), layout.swaps[::-1])
+        raw[byte :: layout.width] = x.to_bytes(span, "little")[:count]
+    return array(layout.code, raw)
 
 
 @functools.lru_cache(maxsize=None)
@@ -551,17 +548,22 @@ def _lowest_bits(bits: int, count: int) -> list[int]:
 def revision_from_preorder(order: PlausibilityOrder) -> RevisionTable:
     """Revision by minimizing rank: each proposition maps to the theory
     of its most plausible points; the empty proposition maps to the
-    absurd theory."""
-    masks = [0] * (order.universe.full_mask + 1)
-    rest = order.universe.full_mask  # the points less plausible than the level
-    for level in order._levels:
-        rest &= ~level
-        tails = submasks(rest)
-        # E = kept | r has lowest points kept, for every r below the level
-        for kept in submasks(level)[1:]:
-            for r in tails:
-                masks[kept | r] = kept
-    return RevisionTable.from_masks(order.universe, masks[-1], masks)
+    absurd theory.
+
+    Computed per state: s is in B(E) iff s is in E and no point of E
+    ranks below s, so S_s = P_s & ~beaten[rank(s)], where bit E of
+    ``beaten[r]`` is set iff E holds a point ranked below r.
+    """
+    size = order.universe.size
+    containment = _containment(size)
+    ranked = [0] * len(order._levels)  # per rank r, E holds a point of rank r
+    for member, rank in zip(containment, order.ranks):
+        ranked[rank] |= member
+    beaten = [0, *itertools.accumulate(ranked, operator.or_)]
+    slices = [member & ~beaten[rank] for member, rank in zip(containment, order.ranks)]
+    table = RevisionTable.from_masks(order.universe, order._levels[0], _untranspose(slices, size))
+    table.__dict__["_slices"] = slices
+    return table
 
 
 def revision_from_selection(selection: SelectionFunction) -> RevisionTable:
@@ -812,11 +814,11 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
     propositions keep the initial beliefs, credible ones take the basic
     revision, allowable ones take the intersection of the two.
 
-    The routing is word-parallel (docs/semantics.md, "Word-parallel
-    routing"): with the packed table read as one int ``x``, the result
-    is ``x & keep | add & ones * I``, where word E of ``keep`` is all
-    ones unless E is labeled R and word E of ``add`` is all ones where
-    E is labeled A or R.
+    The routing is per state (docs/semantics.md, "Bit-sliced
+    evaluation"): a state of I is in every entry not labeled C, any
+    other state only in entries not labeled R, so the built table's
+    slices are ``S_s | A | R`` and ``S_s & ~R``.  They are packed once
+    and kept, so the built table is never transposed.
 
     Requires ``star`` to satisfy AGM1-AGM6 (PostulateViolation otherwise).
     """
@@ -828,18 +830,15 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
     initial = star.initial.points.mask
     view = labeling._view
     universe = star.universe
-    entries = int.from_bytes(star._masks, sys.byteorder)
-    routed = entries & view.flags(_KEEP) | view.flags(_ADD) & _layout(universe.size).ones * initial
-    masks = array(star._masks.typecode, routed.to_bytes(len(view.words), sys.byteorder))
-    # the input's initial BeliefSet is reused, not made again
-    filtered = RevisionTable(universe, star.initial, _Entries(universe, star.initial, masks))
-    # the same routing per state: a state of I is in every entry not
-    # labeled C, any other state only in entries not labeled R
     kept = view.allowable | view.rejected
-    filtered.__dict__["_slices"] = [
+    slices = [
         entry | kept if initial >> s & 1 else entry & ~view.rejected
         for s, entry in enumerate(star._slices)
     ]
+    masks = _untranspose(slices, universe.size)
+    # the input's initial BeliefSet is reused, not made again
+    filtered = RevisionTable(universe, star.initial, _Entries(universe, star.initial, masks))
+    filtered.__dict__["_slices"] = slices
     return filtered
 
 
@@ -870,14 +869,12 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     first in ascending bitmask order, with the reason of the branch it
     falls in.
 
-    The basic table is built straight from those selection values, all
-    at once by word-parallel routing (docs/semantics.md, "Word-parallel
-    routing"): word E is E & I where that is nonempty, else the
-    filtered entry (C), the entry minus I (A) or E itself (R).  Its
-    selection invariants are checked as AGM2-5 on its own transposed
-    masks (``_agm_failures``; docs/semantics.md, "Recovery arithmetic");
-    a failure there means the routing is wrong and raises
-    SelectionError.
+    The basic table is built straight from those selection values, one
+    slice per state (docs/semantics.md, "Bit-sliced evaluation"), and
+    packed once.  Its selection invariants are checked as AGM2-5 on
+    the masks it stores, transposed afresh (``_agm_failures``;
+    docs/semantics.md, "Recovery arithmetic"); a failure there means
+    the routing is wrong and raises SelectionError.
     """
     if labeling.universe != filtered.universe:
         raise UniverseMismatchError("labeling over a different universe")
@@ -889,17 +886,18 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
         event = (infeasible & -infeasible).bit_length() - 1
         reason = _recovery_reason(event, initial, labeling.labels[event])
         return RecoveryOutcome(None, PointSet(universe, event), reason)
-    layout = _layout(universe.size)
-    kept = layout.ones * initial
-    meet = layout.identity & kept  # word E is E & I
-    got = int.from_bytes(filtered._masks, sys.byteorder)
-    # meet's word is 0 wherever the overlap flag's is, so it needs no mask
-    routed = meet | ~_nonzero(meet, layout) & (
-        view.flags(_IS_C) & got
-        | view.flags(_IS_A) & got & ~kept
-        | view.flags(_IS_R) & layout.identity
-    )
-    basic = array(filtered._masks.typecode, routed.to_bytes(len(view.words), sys.byteorder))
+    # S(E) is E & I on overlap; off it, the entry (C), the entry minus I
+    # (A) or E itself (R)
+    t = filtered._terms
+    disjoint = t.everything ^ t.overlap
+    credible, free = disjoint & view.credible, disjoint & view.rejected
+    slices = [
+        t.overlap & member | credible & entry
+        if initial >> s & 1
+        else (disjoint ^ free) & entry | free & member
+        for s, (entry, member) in enumerate(zip(filtered._slices, _containment(universe.size)))
+    ]
+    basic = _untranspose(slices, universe.size)
     initial_theory = filtered.initial
     recovered = RevisionTable(universe, initial_theory, _Entries(universe, initial_theory, basic))
     # the selection invariants S(E) != 0, S(E) <= E and S(E) = E & I on

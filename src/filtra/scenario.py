@@ -220,8 +220,9 @@ def _parse_gcs(payload: Mapping, universe: Universe) -> ChoiceStructure:
 def _parse_preorder(payload, universe: Universe) -> PlausibilityOrder:
     section = _expect_object(payload, "preorder")
     ranking: dict[str, int] = {}
+    index = universe._index
     for state_id, rank in section.items():
-        if not any(point.id == state_id for point in universe.points):
+        if state_id not in index:
             raise ScenarioError(f"preorder[{state_id!r}]", f"unknown state id {state_id!r}")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
             raise ScenarioError(f"preorder[{state_id!r}]", "rank must be a nonnegative integer")

@@ -394,6 +394,51 @@ class TestBruteforce:
         assert seen[True] and seen[False]
 
 
+def single_menu_structures(size):
+    """Every valid structure over ``size`` states whose menus are the
+    full one, the empty one and one proper nonempty E."""
+    universe = Universe.from_assignments(
+        ("p", "q"), [(f"s{i}", {"p": bool(i >> 1 & 1), "q": bool(i & 1)}) for i in range(size)]
+    )
+    full = universe.full_mask
+    for initial, event in itertools.product(range(1, full + 1), range(1, full)):
+        picks = {
+            C: [c for c in range(1, full + 1) if not c & ~event],  # law 3c
+            A: [c for c in range(full + 1) if c & event],  # law 3d
+            R: [initial],  # law 3b
+        }
+        for family, values in picks.items():
+            menus = {C: {full}, A: set(), R: {0}}
+            menus[family].add(event)
+            credible, allowable, rejected = map(frozenset, menus.values())
+            for chosen in values:
+                f = {full: initial, 0: initial, event: chosen}
+                yield ChoiceStructure(universe, credible, allowable, rejected, f)
+
+
+class TestOneMenuAtATime:
+    """Criteria and oracle read one menu at a time, so they agree on
+    every structure over ``size`` states iff they agree on every valid
+    single-menu one (docs/semantics.md, "One menu at a time")."""
+
+    @pytest.mark.parametrize(("size", "count"), [(2, 24), (3, 336), (4, 3360)])
+    def test_criteria_equal_bruteforce_on_every_single_menu_structure(self, size, count):
+        verdicts = {C: set(), A: set(), R: set()}
+        structures = 0
+        for g in single_menu_structures(size):
+            assert validate_structure(g).all_hold
+            direct = check_agm_consistency(g).all_hold
+            assert direct == agm_consistency_bruteforce(g).consistent
+            (event,) = g.events - {0, g.universe.full_mask}
+            verdicts[g.family_of(event)].add(direct)
+            structures += 1
+        assert structures == count
+        # law 3b pins a rejected menu; at 2 states a credible menu is a
+        # singleton that law 3c pins to itself
+        assert verdicts[R] == {True} and verdicts[A] == {True, False}
+        assert verdicts[C] == ({True} if size == 2 else {True, False})
+
+
 def stirling2(n, k):
     """Partitions of n labelled states into exactly k nonempty blocks."""
     if n == k:

@@ -409,8 +409,8 @@ class TestBitSlicedLaws:
 
 
 class TestWordWidths:
-    """The word-parallel routing where the packed word (B at 5 states,
-    H at 9) is wider than the universe."""
+    """The per-state routing, packed into words (B at 5 states, H at 9)
+    wider than the universe."""
 
     @pytest.mark.parametrize("size,draws", [(5, 12), (9, 3)])
     def test_routing_equals_the_per_entry_scan(self, size, draws):

@@ -2,9 +2,11 @@ import math
 import re
 from array import array
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
+from filtra import revision
 from filtra.beliefs import BeliefSet
 from filtra.choice import build_model, extension_oracle
 from filtra.formulas import parse_formula
@@ -28,7 +30,9 @@ from filtra.revision import (
     _agm_mask_holds,
     _containment,
     _layout,
+    _pack,
     _transpose,
+    _untranspose,
 )
 from filtra.sampling import (
     all_revision_tables,
@@ -620,6 +624,58 @@ class TestBitSlicedKernel:
                 noted.update(r.check for r in report.results if r.note.endswith("propositions"))
         if n_atoms > 1:  # more than five failures, so the note shows
             assert noted == {"AGM2", "AGM3", "AGM4", "AGM5"}
+
+
+class TestPacking:
+    """``_untranspose`` packs per-state slices into a table's array: the
+    inverse of ``_transpose`` at every word width and byte order."""
+
+    @pytest.mark.parametrize("size", range(1, 17))
+    def test_untranspose_inverts_transpose(self, size):
+        rng = Random(140 + size)
+        code, count = _layout(size).code, 1 << size
+        for _ in range(1 if size >= 14 else 4):
+            masks = array(code, [rng.getrandbits(size) for _ in range(count)])
+            slices = _transpose(masks, size)
+            assert len(slices) == size and all(0 <= entry < 1 << count for entry in slices)
+            assert _untranspose(slices, size) == masks
+
+    @pytest.mark.parametrize("size,draws", [(1, 1), (5, 8), (9, 2)])
+    def test_preorder_tables_at_every_word_width(self, size, draws):
+        universe = word_universe(size)
+        rng = Random(150 + size)
+        orders = [random_plausibility_order(rng, universe) for _ in range(draws)]
+        orders.append(PlausibilityOrder(universe, tuple(range(size))))  # a strict order
+        for order in orders:
+            table = revision_from_preorder(order)
+            assert table == naive_preorder_table(order)
+            # the slices the table was computed on are its transpose
+            assert table.__dict__["_slices"] == _transpose(table._masks, size)
+
+    @pytest.mark.parametrize("size", [9, 16])
+    def test_big_endian_words(self, size, monkeypatch):
+        # a big-endian host stores each two-byte word high byte first:
+        # the byteswapped array, read with a big-endian layout
+        rng = Random(160 + size)
+        universe = word_universe(size)
+        masks = array(_layout(size).code, [rng.getrandbits(size) for _ in range(1 << size)])
+        native = _transpose(masks, size)
+        swapped = array(masks.typecode, masks)
+        swapped.byteswap()
+        assert _transpose(swapped, size) != native  # read little-endian
+        _layout.cache_clear()
+        monkeypatch.setattr(revision, "sys", SimpleNamespace(byteorder="big"))
+        try:
+            assert _transpose(swapped, size) == native
+            packed = _untranspose(native, size)
+            packed.byteswap()
+            assert packed == masks
+            too_high = universe.full_mask + 1
+            with pytest.raises(ValueError, match=f"^mask {too_high:#x} out of range"):
+                _pack(universe, [*masks[:-1], too_high])
+        finally:
+            monkeypatch.undo()
+            _layout.cache_clear()
 
 
 def fubini(n):

@@ -120,6 +120,15 @@ class TestLoading:
             loads(payload_text(preorder={"a": 0}))
         assert err.value.field == "preorder"
 
+    def test_preorder_entries_name_states_and_ranks(self):
+        with pytest.raises(ScenarioError) as err:
+            loads(payload_text(preorder={"a": 0, "z": 1}))
+        assert str(err.value) == "preorder['z']: unknown state id 'z'"
+        for rank in (-1, 1.5, True, "0", None):
+            with pytest.raises(ScenarioError) as err:
+                loads(payload_text(preorder={"a": 0, "b": rank}))
+            assert str(err.value) == "preorder['b']: rank must be a nonnegative integer"
+
     def test_labeling_cannot_unseat_the_forced_labels(self):
         with pytest.raises(ScenarioError):
             loads(payload_text(labeling={"": "C"}))
