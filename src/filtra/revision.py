@@ -16,11 +16,12 @@ docs/semantics.md.  ``agm_holds_at`` and ``filter_holds_at`` evaluate
 them at one proposition; the whole-table checks, the ``build_filtered``
 gate and the ``recover_basic`` scan evaluate the same forms bit-sliced,
 as a few operations on one int per state whose bit E stands for
-proposition E (``_agm_failures``, ``_filter_failures``).  A table is
-stored as one packed array with a native word per proposition.  The
-pre-order constructor, ``build_filtered`` and ``recover_basic`` compute
-their tables as those per-state ints and pack them into the array once
-(``_untranspose``).
+proposition E (``_agm_failures``, ``_filter_failures``; recovery reads
+the latter).  A table is stored as one packed array with a native word
+per proposition.  The pre-order constructor, ``build_filtered`` and
+``recover_basic`` compute their tables as those per-state ints and pack
+them into the array once (``_untranspose``); ``_pack`` checks only
+masks from outside.
 """
 
 from __future__ import annotations
@@ -153,9 +154,9 @@ class SelectionFunction:
 class _Entries(Mapping):
     """A table's entries as a read-only mapping from proposition mask to
     BeliefSet, over one packed array of entry masks indexed by
-    proposition: one native word of ``_layout(size)``'s type each.
+    proposition: one native word of ``_layout(size)``'s type each, each
+    within the universe (``_pack`` checks masks from outside).
 
-    The masks are checked to lie in the universe as they are packed.
     Each distinct theory is made once, on first lookup (the initial one
     is given), so equal entries share one BeliefSet.  Two views compare
     by their masks.
@@ -163,9 +164,9 @@ class _Entries(Mapping):
 
     __slots__ = ("universe", "masks", "_theories")
 
-    def __init__(self, universe: Universe, initial: BeliefSet, masks: Sequence[int]):
+    def __init__(self, universe: Universe, initial: BeliefSet, masks: array):
         self.universe = universe
-        self.masks = _pack(universe, masks)
+        self.masks = masks
         self._theories = {initial.points.mask: initial}
 
     def __getitem__(self, proposition: int) -> BeliefSet:
@@ -232,7 +233,7 @@ class RevisionTable:
         for belief in dict(zip(map(id, beliefs), beliefs)).values():
             if belief.universe is not universe and belief.universe != universe:
                 raise UniverseMismatchError("entry belief set over a different universe")
-        masks = [belief.points.mask for belief in beliefs]
+        masks = _pack(universe, [belief.points.mask for belief in beliefs])
         object.__setattr__(self, "entries", _Entries(universe, self.initial, masks))
 
     @classmethod
@@ -248,7 +249,18 @@ class RevisionTable:
         is made but the initial one.
         """
         initial = BeliefSet(PointSet(universe, initial_mask))
-        return cls(universe, initial, _Entries(universe, initial, masks))
+        return cls(universe, initial, _Entries(universe, initial, _pack(universe, masks)))
+
+    @classmethod
+    def _of_slices(
+        cls, universe: Universe, initial: BeliefSet, slices: list[int]
+    ) -> "RevisionTable":
+        """The table whose per-state slices are ``slices``, packed once
+        and kept, so it is never transposed."""
+        masks = _untranspose(slices, universe.size)
+        table = cls(universe, initial, _Entries(universe, initial, masks))
+        table.__dict__["_slices"] = slices
+        return table
 
     @property
     def _masks(self) -> array:
@@ -295,6 +307,12 @@ class CredibilityLabeling:
         full = self.universe.full_mask
         if set(self.labels) != set(range(full + 1)):
             raise ValueError("labels must cover every proposition exactly once")
+        if set(map(type, self.labels.values())) != {Credibility}:
+            mask, label = next(
+                (mask, label) for mask, label in self.labels.items() if type(label) is not Credibility
+            )
+            event = PointSet(self.universe, mask).render()
+            raise ValueError(f"label {label!r} at E = {event} is not a Credibility member")
         if self.labels[full] is not Credibility.CREDIBLE:
             raise ValueError("the full proposition must be labeled credible")
         if self.labels[0] is not Credibility.REJECTED:
@@ -561,9 +579,8 @@ def revision_from_preorder(order: PlausibilityOrder) -> RevisionTable:
         ranked[rank] |= member
     beaten = [0, *itertools.accumulate(ranked, operator.or_)]
     slices = [member & ~beaten[rank] for member, rank in zip(containment, order.ranks)]
-    table = RevisionTable.from_masks(order.universe, order._levels[0], _untranspose(slices, size))
-    table.__dict__["_slices"] = slices
-    return table
+    initial = BeliefSet(PointSet(order.universe, order._levels[0]))
+    return RevisionTable._of_slices(order.universe, initial, slices)
 
 
 def revision_from_selection(selection: SelectionFunction) -> RevisionTable:
@@ -829,17 +846,13 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
         raise PostulateViolation(check_agm(star, (1, 2, 3, 4, 5, 6)))
     initial = star.initial.points.mask
     view = labeling._view
-    universe = star.universe
     kept = view.allowable | view.rejected
     slices = [
         entry | kept if initial >> s & 1 else entry & ~view.rejected
         for s, entry in enumerate(star._slices)
     ]
-    masks = _untranspose(slices, universe.size)
     # the input's initial BeliefSet is reused, not made again
-    filtered = RevisionTable(universe, star.initial, _Entries(universe, star.initial, masks))
-    filtered.__dict__["_slices"] = slices
-    return filtered
+    return RevisionTable._of_slices(star.universe, star.initial, slices)
 
 
 @dataclass(frozen=True)
@@ -864,26 +877,27 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     overlap; elsewhere the filtered entry pins it (credible: the entry
     itself; allowable: the entry minus the initial points).  Where the
     label leaves the choice free, the largest admissible set is chosen,
-    deterministically.  The infeasible propositions form one bit-sliced
-    set (``_infeasible``); the reported one is its lowest bit, i.e. the
-    first in ascending bitmask order, with the reason of the branch it
-    falls in.
+    deterministically.  A proposition is infeasible exactly where a
+    filter law fails (docs/semantics.md, "Recovery arithmetic"), so the
+    infeasible set is the union of ``_filter_failures``; the reported
+    proposition is its lowest bit, i.e. the first in ascending bitmask
+    order, with the reason of the branch it falls in.
 
     The basic table is built straight from those selection values, one
     slice per state (docs/semantics.md, "Bit-sliced evaluation"), and
-    packed once.  Its selection invariants are checked as AGM2-5 on
-    the masks it stores, transposed afresh (``_agm_failures``;
-    docs/semantics.md, "Recovery arithmetic"); a failure there means
-    the routing is wrong and raises SelectionError.
+    packed once.  It is not given those slices: its selection
+    invariants are checked as AGM2-5 on the masks it stores, transposed
+    afresh (``_agm_failures``); a failure there means the routing is
+    wrong and raises SelectionError.
     """
     if labeling.universe != filtered.universe:
         raise UniverseMismatchError("labeling over a different universe")
     universe = filtered.universe
     initial = filtered.initial.points.mask
     view = labeling._view
-    infeasible = _infeasible(filtered, view)
+    infeasible = functools.reduce(operator.or_, _filter_failures(filtered, view).values())
     if infeasible:
-        event = (infeasible & -infeasible).bit_length() - 1
+        [event] = _lowest_bits(infeasible, 1)
         reason = _recovery_reason(event, initial, labeling.labels[event])
         return RecoveryOutcome(None, PointSet(universe, event), reason)
     # S(E) is E & I on overlap; off it, the entry (C), the entry minus I
@@ -897,35 +911,17 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
         else (disjoint ^ free) & entry | free & member
         for s, (entry, member) in enumerate(zip(filtered._slices, _containment(universe.size)))
     ]
-    basic = _untranspose(slices, universe.size)
-    initial_theory = filtered.initial
-    recovered = RevisionTable(universe, initial_theory, _Entries(universe, initial_theory, basic))
+    basic = _Entries(universe, filtered.initial, _untranspose(slices, universe.size))
+    recovered = RevisionTable(universe, filtered.initial, basic)
     # the selection invariants S(E) != 0, S(E) <= E and S(E) = E & I on
     # overlap are AGM5, AGM2 and AGM3+4 on a table whose entry at 0 is 0
     failed = {law: bits for law, bits in _agm_failures(recovered).items() if bits}
     if failed:
-        event = min((bits & -bits).bit_length() - 1 for bits in failed.values())
+        [event] = _lowest_bits(functools.reduce(operator.or_, failed.values()), 1)
         raise SelectionError(
             f"recovered selection violates {', '.join(failed)}", PointSet(universe, event)
         )
     return RecoveryOutcome(recovered)
-
-
-def _infeasible(table: RevisionTable, labels: _Labels) -> int:
-    """The propositions no selection value builds to, as one int: per
-    branch of the recovery (overlapping; disjoint and credible,
-    allowable or rejected), where its equation fails, and proposition 0
-    unless its entry is I (docs/semantics.md)."""
-    t = table._terms
-    credible, allowable, rejected = labels.credible, labels.allowable, labels.rejected
-    disjoint = t.everything ^ t.overlap ^ 1  # from proposition 1 on
-    return (
-        t.overlap & (credible & t.off_overlap | (allowable | rejected) & t.changed)
-        | disjoint & credible & (t.outside | ~t.nonempty)
-        | disjoint & allowable & (t.off_rest | ~t.meets)
-        | disjoint & rejected & t.changed
-        | t.changed & 1
-    )
 
 
 def _recovery_reason(event: int, initial: int, label: Credibility) -> str:

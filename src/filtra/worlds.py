@@ -100,9 +100,6 @@ class Universe:
     def index_of(self, point_id: str) -> int:
         return self._index[point_id]
 
-    def assignment(self, index: int) -> dict[str, bool]:
-        return dict(zip(self.atoms, self.points[index].values))
-
     def valuation_index(self, index: int) -> int:
         """Row number of the point's assignment in binary-counting order
         (first atom most significant)."""

@@ -353,6 +353,16 @@ class TestDeterminism:
         notes = [line for line in result.output.splitlines() if "failing propositions" in line]
         assert len(notes) == 6
 
+    def test_build_matches_golden(self, runner, tmp_path):
+        # a 3-atom pre-order whose labeling uses C, A and R, both on
+        # information overlapping the initial beliefs and off it
+        out = tmp_path / "filtered.json"
+        args = ["build", "filtered", str(GOLDEN / "preorder_3atoms.json"), "-o", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        golden = GOLDEN / "build_filtered_preorder_3atoms.json"
+        assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+
     def test_repeated_runs_are_byte_identical(self, runner):
         args = ["fuzz", "--atoms", "1", "--cases", "150", "--seed", "7"]
         first = runner.invoke(main, args)

@@ -1,3 +1,5 @@
+import functools
+import operator
 from random import Random
 
 import pytest
@@ -26,7 +28,6 @@ from filtra.revision import (
     _Labels,
     _filter_failures,
     _filter_mask_holds,
-    _infeasible,
     _recovery_reason,
     _transpose,
 )
@@ -37,7 +38,7 @@ from filtra.sampling import (
     random_labeling,
     random_selection_function,
 )
-from filtra.worlds import PointSet, Universe, canonical_universe
+from filtra.worlds import PointSet, Universe, canonical_universe, submasks
 
 from test_revision import assert_entries_shared, bits, kernel_tables, word_universe
 
@@ -168,6 +169,10 @@ class TestBuildFiltered:
 
 
 class TestCheckFiltered:
+    def test_labels_must_be_credibility_members(self, u1):
+        with pytest.raises(ValueError, match="label 'A' at E = {w0} is not a Credibility member"):
+            CredibilityLabeling(u1, {0: R, 1: "A", 2: C, 3: C})
+
     def test_built_tables_always_pass(self, u2):
         rng = Random(5)
         for _ in range(200):
@@ -275,7 +280,9 @@ class TestRecovery:
         entries[0b0011] = BeliefSet(PointSet(u2, 0b0111))  # credible, outside E
         target = RevisionTable(u2, star.initial, entries)
         assert not recover_basic(target, labeling)
-        monkeypatch.setattr(revision, "_infeasible", lambda table, labels: 0)
+        monkeypatch.setattr(
+            revision, "_filter_failures", lambda table, labels: dict.fromkeys(_FILTER_CHECKS, 0)
+        )
         with pytest.raises(SelectionError, match="violates AGM2 at E = {w0, w1}"):
             recover_basic(target, labeling)
 
@@ -346,13 +353,16 @@ def naive_recover_basic(filtered, labeling):
 
 
 class TestBitSlicedLaws:
-    """F1-F3b and the recovery branches read off whole-table sets must
-    equal the per-proposition predicates and the ascending scan."""
+    """F1-F3b read off whole-table sets, and recovery's infeasible set
+    (their union), must equal the per-proposition predicates and the
+    ascending scan."""
 
     def test_failure_bits_equal_the_predicates_on_every_tuple(self, u2):
         # every (I, E, label, B(E)) at two atoms, labels on the empty and
         # full propositions included: table (label, d) maps every E to
-        # E ^ d under that one label
+        # E ^ d under that one label.  The recovery set is compared with
+        # the scan at E = 0 under R only, the one label a labeling admits
+        # there.
         full = u2.full_mask
         seen = set()
         for initial in range(1, full + 1):
@@ -369,13 +379,15 @@ class TestBitSlicedLaws:
                             for e in range(full + 1)
                         ]
                         assert bits(fails[check], u2.size) == expected, (initial, label, d, check)
-                    infeasible = _infeasible(table, labels)
+                    infeasible = functools.reduce(operator.or_, fails.values())
                     for e in range(full + 1):
+                        seen.add((initial, e, label, masks[e]))
+                        if e == 0 and label is not R:
+                            continue
                         value, reason = scan_step(e, masks[e], initial, label)
                         assert infeasible >> e & 1 == (value is None), (initial, label, d, e)
                         if value is None:
                             assert _recovery_reason(e, initial, label) == reason
-                        seen.add((initial, e, label, masks[e]))
         assert len(seen) == 11_520
 
     @pytest.mark.parametrize("n_atoms,draws", [(1, 30), (2, 10), (3, 3), (4, 1)])
@@ -406,6 +418,50 @@ class TestBitSlicedLaws:
         assert "feasible" in verdicts and len(verdicts) > 1
         if n_atoms == 4:  # more than five failures of each law, so every note shows
             assert noted == set(_FILTER_CHECKS)
+
+
+class TestOnePropositionAtATime:
+    """F1-F3b, the recovery step, the build routing and the selection
+    invariants read one proposition's (I, E, label, entry) only
+    (docs/semantics.md, "One proposition at a time"), so "built from some
+    basic table" and "the filter laws hold" agree on whole tables iff
+    they agree on every such tuple."""
+
+    def test_laws_scan_and_routing_agree_on_every_tuple(self, u2):
+        full = u2.full_mask
+        checked = 0
+        for initial in range(1, full + 1):
+            theory = BeliefSet(PointSet(u2, initial))
+            keeping = {m: m & initial or m for m in range(1, full + 1)}
+            for e in range(full + 1):
+                # the selection values a basic table may hold at E
+                values = [0] if e == 0 else [e & initial] if e & initial else submasks(e)[1:]
+                for chosen in range(1, full + 1) if e else ():
+                    try:
+                        SelectionFunction(u2, theory, {**keeping, e: chosen})
+                    except SelectionError:
+                        assert chosen not in values, (initial, e, chosen)
+                    else:
+                        assert chosen in values, (initial, e, chosen)
+                for label in (R,) if e == 0 else (C,) if e == full else (C, A, R):
+                    # build_filtered's routing: R -> I, A -> I | S, C -> S
+                    route = {R: lambda v: initial, A: lambda v: initial | v, C: lambda v: v}[label]
+                    routed = set(map(route, values))
+                    for entry in range(full + 1):
+                        masks, labels = [entry] * (full + 1), {e: label}
+                        lawful = all(
+                            _filter_mask_holds(masks, initial, labels, check, e)
+                            for check in _FILTER_CHECKS
+                        )
+                        value, _ = scan_step(e, entry, initial, label)
+                        case = (initial, e, label, entry)
+                        assert lawful == (value is not None) == (entry in routed), case
+                        if value is not None:
+                            assert value in values and route(value) == entry, case
+                        checked += 1
+        # labels C, A and R off the empty and full propositions, R on the
+        # empty one and C on the full one
+        assert checked == 15 * 16 * (14 * 3 + 2)
 
 
 class TestWordWidths:
