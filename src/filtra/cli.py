@@ -62,15 +62,12 @@ def _emit_report(command: str, report: CheckReport, as_json: bool, extra: dict |
 def _parse_postulates(text: str) -> tuple[int, ...]:
     chosen: set[int] = set()
     try:
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "-" in part:
-                low, _, high = part.partition("-")
-                chosen.update(range(int(low), int(high) + 1))
-            else:
-                chosen.add(int(part))
+        for part in filter(None, map(str.strip, text.split(","))):
+            low, dash, high = part.partition("-")
+            low = int(low)
+            high = int(high) if dash else low
+            if low <= high:  # its ends alone decide whether the range leaves 1..8
+                chosen.update(range(low, high + 1) if 1 <= low and high <= 8 else (low, high))
     except ValueError:
         raise click.UsageError(f"cannot parse postulate selection {text!r}")
     if not chosen or not chosen <= set(range(1, 9)):
@@ -178,7 +175,10 @@ def build_filtered_cmd(file: str, output: str, as_json: bool):
         labeling=labeling,
         labeling_overrides=overrides,
     )
-    save_scenario(result, output)
+    try:
+        save_scenario(result, output)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {output}: {exc}")
     if as_json:
         click.echo(jsonlib.dumps({"command": "build filtered", "output": output, "verdict": "pass"}, indent=2))
     else:

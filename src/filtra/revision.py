@@ -122,7 +122,8 @@ class SelectionFunction:
     """A choice of nonempty S(E) <= E for every nonempty proposition E,
     pinned to E & initial whenever that overlap is nonempty.
 
-    ``choice`` is keyed by proposition bitmask.
+    ``choice`` is keyed by proposition bitmask.  It is packed once, with
+    0 at 0, into the table that is checked and kept as its revision.
     """
 
     universe: Universe
@@ -134,21 +135,21 @@ class SelectionFunction:
             raise UniverseMismatchError("initial beliefs over a different universe")
         if not self.initial.is_consistent:
             raise SelectionError("initial beliefs must be consistent")
-        full = self.universe.full_mask
-        if self.choice.keys() != set(range(1, full + 1)):
+        full, choice = self.universe.full_mask, self.choice
+        if len(choice) != full or not all(map(choice.__contains__, range(1, full + 1))):
             raise SelectionError("choice must cover every nonempty proposition exactly")
-        initial_mask = self.initial.points.mask
-        for event in range(1, full + 1):
-            selected = self.choice[event]
-            if selected == 0:
-                raise SelectionError("S(E) must be nonempty", PointSet(self.universe, event))
-            if selected & ~event:
-                raise SelectionError("S(E) must be a subset of E", PointSet(self.universe, event))
-            overlap = event & initial_mask
-            if overlap and selected != overlap:
-                raise SelectionError(
-                    "S(E) must equal E & initial when they overlap", PointSet(self.universe, event)
-                )
+        values = [0, *map(choice.__getitem__, range(1, full + 1))]
+        outside = 0  # bit E set iff S(E) is no mask of the universe, so not within E
+        try:
+            table = RevisionTable.from_masks(self.universe, self.initial.points.mask, values)
+        except ValueError:
+            for event, value in enumerate(values):
+                if value & ~full:  # a non-int S(E) raises TypeError here
+                    outside |= 1 << event
+                    values[event] = 0
+            table = RevisionTable.from_masks(self.universe, self.initial.points.mask, values)
+        _check_selection(table, outside)
+        self.__dict__["_table"] = table
 
 
 class _Entries(Mapping):
@@ -304,34 +305,30 @@ class CredibilityLabeling:
     labels: Mapping[int, Credibility]
 
     def __post_init__(self):
-        full = self.universe.full_mask
-        if set(self.labels) != set(range(full + 1)):
+        labels, full = self.labels, self.universe.full_mask
+        if len(labels) != full + 1 or not all(map(labels.__contains__, range(full + 1))):
             raise ValueError("labels must cover every proposition exactly once")
-        if set(map(type, self.labels.values())) != {Credibility}:
-            mask, label = next(
-                (mask, label) for mask, label in self.labels.items() if type(label) is not Credibility
-            )
+        if list(map(type, labels.values())).count(Credibility) != len(labels):
+            mask = next(mask for mask in range(full + 1) if type(labels[mask]) is not Credibility)
             event = PointSet(self.universe, mask).render()
-            raise ValueError(f"label {label!r} at E = {event} is not a Credibility member")
-        if self.labels[full] is not Credibility.CREDIBLE:
+            raise ValueError(f"label {labels[mask]!r} at E = {event} is not a Credibility member")
+        if labels[full] is not Credibility.CREDIBLE:
             raise ValueError("the full proposition must be labeled credible")
-        if self.labels[0] is not Credibility.REJECTED:
+        if labels[0] is not Credibility.REJECTED:
             raise ValueError("the empty proposition must be labeled rejected")
 
     @classmethod
     def all_credible(cls, universe: Universe) -> "CredibilityLabeling":
-        labels = {mask: Credibility.CREDIBLE for mask in range(1, universe.full_mask + 1)}
-        labels[0] = Credibility.REJECTED
-        return cls(universe, labels)
+        return cls.from_overrides(universe, {})
 
     @classmethod
     def from_overrides(
         cls, universe: Universe, overrides: Mapping[int, Credibility]
     ) -> "CredibilityLabeling":
-        base = dict(cls.all_credible(universe).labels)
-        for mask, label in overrides.items():
-            base[mask] = label
-        return cls(universe, base)
+        labels = dict.fromkeys(range(universe.full_mask + 1), Credibility.CREDIBLE)
+        labels[0] = Credibility.REJECTED
+        labels.update(overrides)
+        return cls(universe, labels)
 
     def label(self, proposition: PointSet) -> Credibility:
         if proposition.universe != self.universe:
@@ -342,13 +339,13 @@ class CredibilityLabeling:
     def _view(self) -> "_Labels":
         # the labels as one bitset per label, bit E for proposition E
         labels = map(self.labels.__getitem__, range(self.universe.full_mask + 1))
-        return _Labels.of(bytes(map(_CODES.__getitem__, labels)))
+        return _Labels.of("".join(map(_VALUE, labels)).encode())
 
 
 # Bit-sliced evaluation (docs/semantics.md): a law at every proposition
 # at once, as a few operations on ints whose bit E stands for proposition E.
 
-_CODES = {label: ord(label.value) for label in Credibility}
+_VALUE = operator.attrgetter("_value_")  # not .value or a member hash: both run Python code
 
 
 class _Labels(NamedTuple):
@@ -537,6 +534,23 @@ def _agm_failures(table: RevisionTable) -> dict[str, int]:
     }
 
 
+def _check_selection(table: RevisionTable, outside: int = 0) -> None:
+    """Raise SelectionError at the lowest E where S(E) = B(E) of a table
+    with 0 at 0 is empty (AGM5), not within E (AGM2, or bit E of
+    ``outside``) or not E & I on overlap (AGM3+4), in that order."""
+    fails = _agm_failures(table)
+    laws = {
+        "S(E) must be nonempty": fails["AGM5"] & ~outside,
+        "S(E) must be a subset of E": fails["AGM2"] | outside,
+        "S(E) must equal E & initial when they overlap": fails["AGM3"] | fails["AGM4"],
+    }
+    failing = functools.reduce(operator.or_, laws.values())
+    if failing:
+        low = failing & -failing
+        message = next(message for message, bits in laws.items() if bits & low)
+        raise SelectionError(message, PointSet(table.universe, low.bit_length() - 1))
+
+
 def _filter_failures(table: RevisionTable, labels: _Labels) -> dict[str, int]:
     """F1-F3b's failing propositions, each as one int: bit E is set iff
     the law fails at E."""
@@ -586,11 +600,9 @@ def revision_from_preorder(order: PlausibilityOrder) -> RevisionTable:
 def revision_from_selection(selection: SelectionFunction) -> RevisionTable:
     """Table with entries Th(S(E)) and the absurd theory at the empty
     proposition.  Satisfies AGM1-AGM6 by construction (not necessarily
-    AGM7/AGM8)."""
-    universe = selection.universe
-    masks = array(_layout(universe.size).code, [0])
-    masks.extend(map(selection.choice.__getitem__, range(1, universe.full_mask + 1)))
-    return RevisionTable.from_masks(universe, selection.initial.points.mask, masks)
+    AGM7/AGM8).  It is the table the selection packed and checked when
+    it was made."""
+    return selection._table
 
 
 ALL_POSTULATES = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -885,10 +897,9 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
 
     The basic table is built straight from those selection values, one
     slice per state (docs/semantics.md, "Bit-sliced evaluation"), and
-    packed once.  It is not given those slices: its selection
-    invariants are checked as AGM2-5 on the masks it stores, transposed
-    afresh (``_agm_failures``); a failure there means the routing is
-    wrong and raises SelectionError.
+    packed once.  It is not given those slices: ``_check_selection``
+    checks it on the masks it stores, transposed afresh; a failure there
+    means the routing is wrong and raises SelectionError.
     """
     if labeling.universe != filtered.universe:
         raise UniverseMismatchError("labeling over a different universe")
@@ -913,14 +924,7 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     ]
     basic = _Entries(universe, filtered.initial, _untranspose(slices, universe.size))
     recovered = RevisionTable(universe, filtered.initial, basic)
-    # the selection invariants S(E) != 0, S(E) <= E and S(E) = E & I on
-    # overlap are AGM5, AGM2 and AGM3+4 on a table whose entry at 0 is 0
-    failed = {law: bits for law, bits in _agm_failures(recovered).items() if bits}
-    if failed:
-        [event] = _lowest_bits(functools.reduce(operator.or_, failed.values()), 1)
-        raise SelectionError(
-            f"recovered selection violates {', '.join(failed)}", PointSet(universe, event)
-        )
+    _check_selection(recovered)
     return RecoveryOutcome(recovered)
 
 

@@ -73,11 +73,9 @@ def random_selection_function(
 
 
 def random_labeling(rng: Random, universe: Universe) -> CredibilityLabeling:
-    full = universe.full_mask
-    labels = {0: Credibility.REJECTED, full: Credibility.CREDIBLE}
-    for mask in range(1, full):
-        labels[mask] = rng.choice((Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED))
-    return CredibilityLabeling(universe, labels)
+    labels = (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED)
+    draws = {mask: rng.choice(labels) for mask in range(1, universe.full_mask)}
+    return CredibilityLabeling.from_overrides(universe, draws)
 
 
 def random_revision_table(rng: Random, universe: Universe) -> RevisionTable:
@@ -165,30 +163,23 @@ def all_selection_functions(universe: Universe) -> Iterator[SelectionFunction]:
     """Every selection function over ``universe``, each exactly once."""
     full = universe.full_mask
     for initial_mask in range(1, full + 1):
+        initial = BeliefSet(PointSet(universe, initial_mask))
+        pinned = {e: e & initial_mask for e in range(1, full + 1) if e & initial_mask}
         free_events = [e for e in range(1, full + 1) if e & initial_mask == 0]
         options = [submasks(event)[1:] for event in free_events]
         for picks in itertools.product(*options):
-            choice = {
-                e: e & initial_mask for e in range(1, full + 1) if e & initial_mask
-            }
-            choice.update(dict(zip(free_events, picks)))
-            yield SelectionFunction(
-                universe, BeliefSet(PointSet(universe, initial_mask)), choice
-            )
+            yield SelectionFunction(universe, initial, {**pinned, **dict(zip(free_events, picks))})
 
 
 def all_labelings(universe: Universe) -> Iterator[CredibilityLabeling]:
     if universe.size > 2:
         raise SizeLimitError("exhaustive labeling enumeration supports up to 2 points")
-    full = universe.full_mask
-    middles = list(range(1, full))
+    middles = range(1, universe.full_mask)
     for combo in itertools.product(
         (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED),
         repeat=len(middles),
     ):
-        labels = {0: Credibility.REJECTED, full: Credibility.CREDIBLE}
-        labels.update(dict(zip(middles, combo)))
-        yield CredibilityLabeling(universe, labels)
+        yield CredibilityLabeling.from_overrides(universe, dict(zip(middles, combo)))
 
 
 def all_revision_tables(universe: Universe) -> Iterator[RevisionTable]:

@@ -321,7 +321,11 @@ def loads(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("<file>", f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return loads(text)
 
 
 def scenario_to_payload(scenario: Scenario) -> dict:

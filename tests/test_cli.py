@@ -107,12 +107,13 @@ class TestExitCodes:
             (json.dumps({**DETECTIVE, "labeling": {"a": ["C"]}}), "labeling['a']"),
             (json.dumps({**DETECTIVE, "labeling": {"a": {"C": 1}}}), "labeling['a']"),
             ("[" * 5000 + "]" * 5000, "<file>"),
+            (b"\xff\xfe{}", "<file>"),
         ],
-        ids=["labeling-list", "labeling-object", "deep-nesting"],
+        ids=["labeling-list", "labeling-object", "deep-nesting", "not-utf-8"],
     )
     def test_malformed_input_is_a_usage_error_naming_the_field(self, runner, tmp_path, text, field):
         path = tmp_path / "malformed.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
@@ -167,6 +168,13 @@ class TestCheckCommands:
     def test_agm_postulate_parse_error(self, runner, preorder_file):
         result = runner.invoke(main, ["check", "agm", preorder_file, "--postulates", "9"])
         assert result.exit_code == 2
+
+    # a range is refused from its ends, without building it
+    @pytest.mark.parametrize("selection", ["0-3", "2,7-99", "1-10000000", "1-1000000000000"])
+    def test_agm_postulate_range_outside_the_postulates(self, runner, preorder_file, selection):
+        result = runner.invoke(main, ["check", "agm", preorder_file, "--postulates", selection])
+        assert result.exit_code == 2
+        assert "postulates must be within 1..8, e.g. '1-6' or '1,2,5'" in result.output
 
     def test_agm_on_mutated_table(self, runner, tmp_path):
         payload = {
@@ -224,6 +232,13 @@ class TestBuildFiltered:
         # rejected and allowable entries
         agm = runner.invoke(main, ["check", "agm", str(out), "--postulates", "2"])
         assert agm.exit_code == 1
+
+    def test_unwritable_output_is_a_usage_error(self, runner, preorder_file, tmp_path):
+        out = tmp_path / "missing_dir" / "out.json"
+        result = runner.invoke(main, ["build", "filtered", preorder_file, "-o", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot write {out}: " in result.output
 
     def test_non_basic_input_reports_the_postulate(self, runner, tmp_path):
         payload = {

@@ -1,5 +1,6 @@
 import functools
 import operator
+import re
 from random import Random
 
 import pytest
@@ -173,6 +174,36 @@ class TestCheckFiltered:
         with pytest.raises(ValueError, match="label 'A' at E = {w0} is not a Credibility member"):
             CredibilityLabeling(u1, {0: R, 1: "A", 2: C, 3: C})
 
+    @pytest.mark.parametrize(
+        ("labels", "message"),
+        [
+            ({0: R, 1: C, 2: C}, "labels must cover every proposition exactly once"),
+            ({0: R, 1: C, 2: C, 3: C, 4: C}, "labels must cover every proposition exactly once"),
+            ({0: R, 1: C, 2: "A", 4: C}, "labels must cover every proposition exactly once"),
+            ({3: C, 2: None, 1: "A", 0: R}, "label 'A' at E = {w0} is not a Credibility member"),
+            ({0: R, 1: C, 2: C, 3: A}, "the full proposition must be labeled credible"),
+            ({0: C, 1: C, 2: C, 3: C}, "the empty proposition must be labeled rejected"),
+        ],
+        ids=["missing", "extra", "missing-and-extra", "lowest-non-member", "full", "empty"],
+    )
+    def test_each_labeling_error_names_its_cause(self, u1, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CredibilityLabeling(u1, labels)
+
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({4: C}, "labels must cover every proposition exactly once"),
+            ({2: None, 1: "A"}, "label 'A' at E = {w0} is not a Credibility member"),
+            ({3: A}, "the full proposition must be labeled credible"),
+            ({0: C}, "the empty proposition must be labeled rejected"),
+        ],
+        ids=["extra", "lowest-non-member", "full", "empty"],
+    )
+    def test_overrides_are_checked_once_merged(self, u1, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CredibilityLabeling.from_overrides(u1, overrides)
+
     def test_built_tables_always_pass(self, u2):
         rng = Random(5)
         for _ in range(200):
@@ -283,7 +314,7 @@ class TestRecovery:
         monkeypatch.setattr(
             revision, "_filter_failures", lambda table, labels: dict.fromkeys(_FILTER_CHECKS, 0)
         )
-        with pytest.raises(SelectionError, match="violates AGM2 at E = {w0, w1}"):
+        with pytest.raises(SelectionError, match="must be a subset of E at E = {w0, w1}"):
             recover_basic(target, labeling)
 
 

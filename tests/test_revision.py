@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from array import array
@@ -154,6 +155,90 @@ class TestSelectionRevision:
         choice = {mask: mask for mask in range(1, u2.full_mask + 1)}
         with pytest.raises(SelectionError):
             SelectionFunction(u2, initial, choice)
+
+    def test_the_table_is_packed_once(self, u2):
+        selection = random_selection_function(Random(3), u2)
+        assert revision_from_selection(selection) is revision_from_selection(selection)
+
+
+def naive_selection_error(universe, initial, choice):
+    """SelectionFunction's invariant check as it was, one event at a
+    time in ascending order: the error it raised, or None."""
+    initial_mask = initial.points.mask
+    try:
+        for event in range(1, universe.full_mask + 1):
+            selected = choice[event]
+            if selected == 0:
+                raise SelectionError("S(E) must be nonempty", PointSet(universe, event))
+            if selected & ~event:
+                raise SelectionError("S(E) must be a subset of E", PointSet(universe, event))
+            overlap = event & initial_mask
+            if overlap and selected != overlap:
+                raise SelectionError(
+                    "S(E) must equal E & initial when they overlap", PointSet(universe, event)
+                )
+    except (SelectionError, TypeError) as exc:
+        return exc
+    return None
+
+
+def selection_error(universe, initial, choice):
+    try:
+        SelectionFunction(universe, initial, choice)
+    except (SelectionError, TypeError) as exc:
+        return exc
+    return None
+
+
+def assert_same_error(got, want):
+    """Same exception type, message and event (or both None)."""
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert getattr(got, "event", None) == getattr(want, "event", None)
+
+
+class TestSelectionInvariants:
+    """The invariants are checked once, on the packed table; the
+    per-event loop they replaced is the reference."""
+
+    def test_every_choice_at_one_atom_fails_as_the_loop_did(self, u1):
+        full = u1.full_mask
+        values = range(-1, full + 2)
+        for initial_mask in range(1, full + 1):
+            initial = BeliefSet(PointSet(u1, initial_mask))
+            for picks in itertools.product(values, repeat=full):
+                choice = dict(zip(range(1, full + 1), picks))
+                want = naive_selection_error(u1, initial, choice)
+                assert_same_error(selection_error(u1, initial, choice), want)
+
+    def test_seeded_choices_at_two_atoms_fail_as_the_loop_did(self, u2):
+        rng = Random(11)
+        full = u2.full_mask
+        values = [*range(-1, full + 2), 1 << 64, -(1 << 70)]
+        seen = set()
+        for _ in range(4000):
+            selection = random_selection_function(rng, u2)
+            choice = dict(selection.choice)
+            for event in rng.sample(range(1, full + 1), rng.randrange(3)):
+                choice[event] = rng.choice(values)
+            want = naive_selection_error(u2, selection.initial, choice)
+            assert_same_error(selection_error(u2, selection.initial, choice), want)
+            seen.add(str(want).partition(" at ")[0])
+        assert len(seen) == 4  # every invariant failed, and some choices passed
+
+    @pytest.mark.parametrize("value", ["w0", 1.0, None])
+    def test_a_non_int_value_raises_type_error(self, u2, value):
+        selection = random_selection_function(Random(5), u2)
+        choice = {**selection.choice, 6: value}
+        want = naive_selection_error(u2, selection.initial, choice)
+        assert isinstance(want, TypeError)
+        assert_same_error(selection_error(u2, selection.initial, choice), want)
+
+    def test_cover_is_checked_first(self, u1):
+        initial = BeliefSet(PointSet(u1, 1))
+        for choice in ({1: 1, 2: 2}, {1: 1, 2: 2, 3: 1, 4: 0}, {1: 1, 2: 2, "3": 1}):
+            with pytest.raises(SelectionError, match="^choice must cover every nonempty"):
+                SelectionFunction(u1, initial, choice)
 
 
 def independent_agm_simulation(table, postulate, e_ids, f_ids=None):

@@ -1,8 +1,12 @@
+import itertools
 from random import Random
 
+import pytest
+
 from filtra.choice import check_agm_consistency, validate_structure
-from filtra.revision import check_agm, revision_from_selection
+from filtra.revision import Credibility, check_agm, revision_from_selection
 from filtra.sampling import (
+    all_labelings,
     random_choice_structure,
     random_formula,
     random_labeling,
@@ -10,6 +14,7 @@ from filtra.sampling import (
     random_revision_table,
     random_selection_function,
 )
+from filtra.worlds import canonical_universe
 ATOMS = ("p", "q")
 
 
@@ -48,3 +53,32 @@ def test_conforming_structures_pass_the_criteria():
     for _ in range(100):
         structure = random_choice_structure(rng, 3, conforming=True)
         assert check_agm_consistency(structure).all_hold
+
+
+def old_random_labels(rng, universe):
+    """random_labeling's labels as they were drawn before it went
+    through from_overrides."""
+    full = universe.full_mask
+    labels = {0: Credibility.REJECTED, full: Credibility.CREDIBLE}
+    for mask in range(1, full):
+        labels[mask] = rng.choice((Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED))
+    return labels
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_labeling_draws_are_unchanged(n_atoms):
+    universe = canonical_universe(("p", "q", "r")[:n_atoms])
+    for seed in range(5):
+        rng, old = Random(seed), Random(seed)
+        for _ in range(3):
+            assert random_labeling(rng, universe).labels == old_random_labels(old, universe)
+        assert rng.random() == old.random()
+
+
+def test_all_labelings_are_unchanged(u1):
+    full = u1.full_mask
+    old_all = [
+        {0: Credibility.REJECTED, full: Credibility.CREDIBLE, **dict(zip(range(1, full), combo))}
+        for combo in itertools.product(Credibility, repeat=full - 1)
+    ]
+    assert [labeling.labels for labeling in all_labelings(u1)] == old_all
