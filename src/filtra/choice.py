@@ -155,16 +155,24 @@ def _structure_faults(structure: ChoiceStructure) -> list[_Fault]:
     return faults
 
 
-def _structure_report(structure: ChoiceStructure, faults: list[_Fault]) -> CheckReport:
+def _fault_report(
+    structure: ChoiceStructure,
+    title: str,
+    clauses: Sequence[str],
+    faults: list[_Fault],
+    leading: Sequence[CheckResult] = (),
+    notes: Sequence[str] = (),
+) -> CheckReport:
+    """The ``leading`` results, then one per clause, failing with the
+    clause's witnesses in ``faults``."""
     universe = structure.universe
-    witnesses: dict[str, list[Witness]] = {clause: [] for clause in _CLAUSES}
+    witnesses: dict[str, list[Witness]] = {clause: [] for clause in clauses}
     for clause, parts, detail in faults:
         witnesses[clause].append(
             Witness.of([(name, PointSet(universe, mask)) for name, mask in parts], detail=detail)
         )
-    results = [CheckResult("1", True, note="state space is nonempty by construction")]
-    results += [CheckResult(clause, not found, tuple(found)) for clause, found in witnesses.items()]
-    return CheckReport("choice structure laws", tuple(results))
+    results = [CheckResult(clause, not found, tuple(found)) for clause, found in witnesses.items()]
+    return CheckReport(title, (*leading, *results), tuple(notes))
 
 
 def validate_structure(structure: ChoiceStructure) -> CheckReport:
@@ -176,16 +184,18 @@ def validate_structure(structure: ChoiceStructure) -> CheckReport:
     choose nonempty within the menu; 3d: allowable menus keep the menu
     possible.
     """
-    return _structure_report(structure, _structure_faults(structure))
+    law_1 = CheckResult("1", True, note="state space is nonempty by construction")
+    return _fault_report(
+        structure, "choice structure laws", _CLAUSES, _structure_faults(structure), [law_1]
+    )
 
 
 def _require_valid(structure: ChoiceStructure) -> None:
     """Raise InvalidStructureError, with the full report, unless the
     structure passes the structural laws; the report is only built on a
     fault."""
-    faults = _structure_faults(structure)
-    if faults:
-        raise InvalidStructureError(_structure_report(structure, faults))
+    if _structure_faults(structure):
+        raise InvalidStructureError(validate_structure(structure))
 
 
 def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
@@ -201,45 +211,27 @@ def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
     _require_valid(structure)
     universe = structure.universe
     initial = structure.f[universe.full_mask]
-
-    def ps(mask: int) -> PointSet:
-        return PointSet(universe, mask)
-
-    fails: dict[str, list[Witness]] = {"1a": [], "1b": [], "2": []}
+    faults: list[_Fault] = []
     notes: list[str] = []
     for event in sorted(structure.events):
         chosen = structure.f[event]
         family = structure.family_of(event)
+        parts = (("E", event), ("f(E)", chosen))
         if event & initial:
             if family is Credibility.CREDIBLE and chosen != event & initial:
-                fails["1a"].append(
-                    Witness.of(
-                        [("E", ps(event)), ("f(E)", ps(chosen))],
-                        detail=f"required {ps(event & initial).render()}",
-                    )
-                )
+                overlap = PointSet(universe, event & initial).render()
+                faults.append(("1a", parts, f"required {overlap}"))
             if family is Credibility.ALLOWABLE and chosen != initial:
-                fails["1b"].append(
-                    Witness.of(
-                        [("E", ps(event)), ("f(E)", ps(chosen))],
-                        detail=f"required f(omega) = {ps(initial).render()}",
-                    )
-                )
+                required = structure.initial_points().render()
+                faults.append(("1b", parts, f"required f(omega) = {required}"))
         elif family is Credibility.ALLOWABLE:
             extra = chosen & ~initial
             if initial & ~chosen or extra == 0 or extra & ~event:
-                fails["2"].append(
-                    Witness.of(
-                        [("E", ps(event)), ("f(E)", ps(chosen))],
-                        detail="must equal f(omega) plus a nonempty part of E",
-                    )
-                )
+                faults.append(("2", parts, "must equal f(omega) plus a nonempty part of E"))
             else:
-                notes.append(f"clause 2 holds at E = {ps(event).render()} with E' = {ps(extra).render()}")
-    results = tuple(
-        CheckResult(check, not fails[check], tuple(fails[check])) for check in ("1a", "1b", "2")
-    )
-    return CheckReport("consistency criteria", results, tuple(notes))
+                menu, part = (PointSet(universe, mask).render() for mask in (event, extra))
+                notes.append(f"clause 2 holds at E = {menu} with E' = {part}")
+    return _fault_report(structure, "consistency criteria", ("1a", "1b", "2"), faults, notes=notes)
 
 
 def _union_through(table: Sequence[int], mask: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json as jsonlib
 import os
+from typing import NoReturn
 
 import click
 
@@ -48,12 +49,9 @@ def _load(path: str) -> Scenario:
         raise click.UsageError(f"{path}: {exc}")
 
 
-def _emit_report(command: str, report: CheckReport, as_json: bool, extra: dict | None = None) -> None:
+def _emit_report(command: str, report: CheckReport, as_json: bool) -> NoReturn:
     if as_json:
-        payload = {"command": command, **report.to_json()}
-        if extra:
-            payload.update(extra)
-        click.echo(jsonlib.dumps(payload, indent=2))
+        click.echo(jsonlib.dumps({"command": command, **report.to_json()}, indent=2))
     else:
         click.echo(report.render_text())
     raise SystemExit(0 if report.all_hold else 1)
@@ -66,8 +64,10 @@ def _parse_postulates(text: str) -> tuple[int, ...]:
             low, dash, high = part.partition("-")
             low = int(low)
             high = int(high) if dash else low
-            if low <= high:  # its ends alone decide whether the range leaves 1..8
-                chosen.update(range(low, high + 1) if 1 <= low and high <= 8 else (low, high))
+            if low > high:
+                raise click.UsageError(f"postulate range {part!r} is reversed, write '{high}-{low}'")
+            # its ends alone decide whether the range leaves 1..8
+            chosen.update(range(low, high + 1) if 1 <= low and high <= 8 else (low, high))
     except ValueError:
         raise click.UsageError(f"cannot parse postulate selection {text!r}")
     if not chosen or not chosen <= set(range(1, 9)):
@@ -117,8 +117,7 @@ def check_prop2(file: str, as_json: bool):
     try:
         report = check_agm_consistency(structure)
     except InvalidStructureError as exc:
-        _emit_report("check prop2", exc.report, as_json)
-        return
+        report = exc.report
     _emit_report("check prop2", report, as_json)
 
 
@@ -163,7 +162,6 @@ def build_filtered_cmd(file: str, output: str, as_json: bool):
         filtered = build_filtered(table, labeling)
     except PostulateViolation as exc:
         _emit_report("build filtered", exc.report, as_json)
-        return
     overrides = {
         event_key(ids_of_mask(scenario.universe, mask)): label.value
         for mask, label in labeling.labels.items()
@@ -206,7 +204,6 @@ def oracle_def6(file: str, atoms: int | None, as_json: bool):
         outcome = agm_consistency_bruteforce(structure, atoms=atoms)
     except InvalidStructureError as exc:
         _emit_report("oracle def6", exc.report, as_json)
-        return
     except SizeLimitError as exc:
         raise click.UsageError(str(exc))
     if as_json:

@@ -275,49 +275,44 @@ def are_equivalent(left: Formula, right: Formula, universe: Universe) -> bool:
 def dnf_of(points: PointSet) -> str | None:
     """A representative formula for ``points``, by greedy cube cover.
 
-    Returns None when no formula has exactly this truth set (possible
-    when the universe carries duplicate assignments and the set splits
-    a duplicate class).  The result parses back to the same point set.
+    A cube fixes each atom to unconstrained, ``~a`` or ``a``; its
+    points are the intersection of those literals' truth sets.  Each
+    step takes, among the cubes inside ``points``, the one covering the
+    most points not yet covered; ties go to the fewest literals, then
+    to the first in code order, atom by atom with unconstrained < ``~a``
+    < ``a``.  Returns None when no formula has exactly this truth set
+    (possible when the universe carries duplicate assignments and the
+    set splits a duplicate class).  The result parses back to the same
+    point set.
     """
     universe = points.universe
     atoms = universe.atoms
     first = atoms[0]
-    if points.mask == 0:
+    target = points.mask
+    full = universe.full_mask
+    if target == 0:
         return f"{first} & ~{first}"
-    if points.mask == universe.full_mask:
+    if target == full:
         return f"{first} | ~{first}"
 
-    cubes = []  # (trits, mask): trit per atom in {None, False, True}
-    for trits in itertools.product((None, False, True), repeat=len(atoms)):
-        mask = 0
-        for i, point in enumerate(universe.points):
-            if all(t is None or point.values[j] == t for j, t in enumerate(trits)):
-                mask |= 1 << i
-        if mask and mask & ~points.mask == 0:
-            cubes.append((trits, mask))
+    literals = []  # per atom, (code, truth set, text) of: unconstrained, ~a, a
+    for name in atoms:
+        mask = _atom_mask(universe, name)
+        literals.append(((0, full, ""), (1, full & ~mask, f"~{name}"), (2, mask, name)))
+    cubes = []  # ((literal count, codes), points, text) of each nonempty cube inside the set
+    for cube in itertools.product(*literals):
+        codes, masks, texts = zip(*cube)
+        mask = functools.reduce(int.__and__, masks)
+        if mask and mask & ~target == 0:
+            key = (len(codes) - codes.count(0), codes)
+            cubes.append((key, mask, " & ".join(filter(None, texts))))
+    if functools.reduce(int.__or__, (mask for _, mask, _ in cubes), 0) != target:
+        return None
 
     covered = 0
-    chosen: list[tuple[bool | None, ...]] = []
-    while covered != points.mask:
-        best = None
-        for trits, mask in cubes:
-            gain = (mask & ~covered).bit_count()
-            fixed = sum(t is not None for t in trits)
-            encoded = tuple(0 if t is None else 1 + int(t) for t in trits)
-            key = (-gain, fixed, encoded)
-            if gain > 0 and (best is None or key < best[0]):
-                best = (key, trits, mask)
-        if best is None:
-            return None
-        _, trits, mask = best
-        chosen.append(trits)
+    parts = []
+    while covered != target:
+        _, mask, text = min(cubes, key=lambda cube: (-(cube[1] & ~covered).bit_count(), cube[0]))
+        parts.append(text)
         covered |= mask
-
-    def literal(j: int, value: bool) -> str:
-        return atoms[j] if value else f"~{atoms[j]}"
-
-    parts = [
-        " & ".join(literal(j, t) for j, t in enumerate(trits) if t is not None)
-        for trits in chosen
-    ]
     return " | ".join(parts)

@@ -556,13 +556,13 @@ def test_reported_witnesses_replay_their_failures():
 def test_guards_build_the_validation_report_only_on_a_fault(monkeypatch):
     rng = Random(11)
     built = []
-    render = choice._structure_report
+    validate = choice.validate_structure
 
-    def counting_report(structure, faults):
+    def counting_validate(structure):
         built.append(structure)
-        return render(structure, faults)
+        return validate(structure)
 
-    monkeypatch.setattr(choice, "_structure_report", counting_report)
+    monkeypatch.setattr(choice, "validate_structure", counting_validate)
     guards = (check_agm_consistency, agm_consistency_bruteforce, build_model)
     invalid = 0
     for _ in range(200):

@@ -166,8 +166,15 @@ class TestCheckCommands:
         assert "AGM2" in result.output and "AGM7" not in result.output
 
     def test_agm_postulate_parse_error(self, runner, preorder_file):
-        result = runner.invoke(main, ["check", "agm", preorder_file, "--postulates", "9"])
-        assert result.exit_code == 2
+        # a reversed range is refused by name, not read as empty
+        for selection, message in [
+            ("9", "postulates must be within 1..8"),
+            ("8-1,2", "postulate range '8-1' is reversed, write '1-8'"),
+            ("8-1", "postulate range '8-1' is reversed, write '1-8'"),
+        ]:
+            result = runner.invoke(main, ["check", "agm", preorder_file, "--postulates", selection])
+            assert result.exit_code == 2
+            assert message in result.output
 
     # a range is refused from its ends, without building it
     @pytest.mark.parametrize("selection", ["0-3", "2,7-99", "1-10000000", "1-1000000000000"])
@@ -367,6 +374,27 @@ class TestDeterminism:
         assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
         notes = [line for line in result.output.splitlines() if "failing propositions" in line]
         assert len(notes) == 6
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        ("command", "scenario", "exit_code"),
+        [
+            (["validate"], "structure", 1),
+            (["check", "prop2"], "structure", 1),
+            (["validate"], "criteria", 0),
+            (["check", "prop2"], "criteria", 1),
+        ],
+        ids=["validate-structure", "prop2-structure", "validate-criteria", "prop2-criteria"],
+    )
+    def test_choice_reports_match_golden(self, runner, command, scenario, exit_code, as_json):
+        # gcs_failing_structure fails laws 2, 3b, 3c and 3d (two of its
+        # witness sets have no formula); gcs_failing_criteria is valid
+        # but fails criteria 1a, 1b and 2 and holds clause 2 at one menu
+        args = [*command, *(["--json"] if as_json else [])]
+        result = runner.invoke(main, [*args, str(GOLDEN / f"gcs_failing_{scenario}.json")])
+        assert result.exit_code == exit_code
+        golden = f"{'_'.join(command)}_failing_{scenario}.{'json' if as_json else 'txt'}"
+        assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_build_matches_golden(self, runner, tmp_path):
         # a 3-atom pre-order whose labeling uses C, A and R, both on

@@ -1,3 +1,4 @@
+import itertools
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ from filtra.formulas import Atom, Not, Or, parse_formula
 from filtra.sampling import random_formula
 from filtra.worlds import (
     Classification,
+    Point,
     PointSet,
     SizeLimitError,
     Universe,
@@ -160,6 +162,54 @@ def test_completeness_bridge():
         assert derivable == brute_entails(premises, conclusion, ATOMS)
 
 
+def naive_dnf_of(points):
+    """The point-by-point greedy cube cover ``dnf_of`` replaced: each
+    cube's points found by testing every point against every literal,
+    each step's key recomputed for every cube."""
+    universe = points.universe
+    atoms = universe.atoms
+    first = atoms[0]
+    if points.mask == 0:
+        return f"{first} & ~{first}"
+    if points.mask == universe.full_mask:
+        return f"{first} | ~{first}"
+
+    cubes = []  # (trits, mask): trit per atom in {None, False, True}
+    for trits in itertools.product((None, False, True), repeat=len(atoms)):
+        mask = 0
+        for i, point in enumerate(universe.points):
+            if all(t is None or point.values[j] == t for j, t in enumerate(trits)):
+                mask |= 1 << i
+        if mask and mask & ~points.mask == 0:
+            cubes.append((trits, mask))
+
+    covered = 0
+    chosen = []
+    while covered != points.mask:
+        best = None
+        for trits, mask in cubes:
+            gain = (mask & ~covered).bit_count()
+            fixed = sum(t is not None for t in trits)
+            encoded = tuple(0 if t is None else 1 + int(t) for t in trits)
+            key = (-gain, fixed, encoded)
+            if gain > 0 and (best is None or key < best[0]):
+                best = (key, trits, mask)
+        if best is None:
+            return None
+        _, trits, mask = best
+        chosen.append(trits)
+        covered |= mask
+
+    def literal(j, value):
+        return atoms[j] if value else f"~{atoms[j]}"
+
+    parts = [
+        " & ".join(literal(j, t) for j, t in enumerate(trits) if t is not None)
+        for trits in chosen
+    ]
+    return " | ".join(parts)
+
+
 class TestDnfWitnesses:
     def test_empty_and_full(self, u2):
         assert dnf_of(PointSet.empty(u2)) == "p & ~p"
@@ -176,6 +226,31 @@ class TestDnfWitnesses:
         u = Universe.from_assignments(("p",), [("x", {"p": True}), ("y", {"p": True})])
         assert dnf_of(PointSet.of_ids(u, ["x"])) is None
         assert dnf_of(PointSet.of_ids(u, ["x", "y"])) is not None
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3])
+    def test_matches_naive_on_every_canonical_set(self, n_atoms):
+        u = canonical_universe(("p", "q", "r")[:n_atoms])
+        for mask in range(u.full_mask + 1):
+            ps = PointSet(u, mask)
+            assert dnf_of(ps) == naive_dnf_of(ps)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5, 6])
+    def test_matches_naive_with_duplicate_and_missing_rows(self, n_atoms):
+        # rows drawn with replacement from a few assignments: duplicates
+        # and gaps in the truth table, so some sets have no formula
+        rng = Random(n_atoms)
+        atoms = tuple(f"a{j}" for j in range(n_atoms))
+        nones = 0
+        for _ in range(40):
+            pool = [tuple(rng.random() < 0.5 for _ in atoms) for _ in range(rng.randint(1, 5))]
+            rows = [rng.choice(pool) for _ in range(rng.randint(2, 8))]
+            u = Universe(atoms, tuple(Point(f"x{i}", row) for i, row in enumerate(rows)))
+            for _ in range(5):
+                ps = PointSet(u, rng.randrange(u.full_mask + 1))
+                expected = naive_dnf_of(ps)
+                nones += expected is None
+                assert dnf_of(ps) == expected
+        assert nones > 0
 
 
 def test_exhaustive_universe_masks_cover_all_formula_classes(u2):
