@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Mapping, Sequence
 
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
@@ -119,6 +119,16 @@ _CLAUSES = ("2", "3a", "3b", "3c", "3d")
 _Fault = tuple[str, tuple[tuple[str, int], ...], str]
 
 
+# A menu as the criteria and the oracle read it: E, f(E) and E's family.
+_Menu = tuple[int, int, Credibility]
+
+
+def _menus(structure: ChoiceStructure) -> list[_Menu]:
+    """Every menu with its choice and family, in ascending mask order."""
+    f = structure.f
+    return [(event, f[event], structure.family_of(event)) for event in sorted(structure.events)]
+
+
 def _structure_faults(structure: ChoiceStructure) -> list[_Fault]:
     """Every failing instance of structural laws 2-3d, in clause order
     (empty for a valid structure)."""
@@ -213,9 +223,7 @@ def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
     initial = structure.f[universe.full_mask]
     faults: list[_Fault] = []
     notes: list[str] = []
-    for event in sorted(structure.events):
-        chosen = structure.f[event]
-        family = structure.family_of(event)
+    for event, chosen, family in _menus(structure):
         parts = (("E", event), ("f(E)", chosen))
         if event & initial:
             if family is Credibility.CREDIBLE and chosen != event & initial:
@@ -234,22 +242,35 @@ def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
     return _fault_report(structure, "consistency criteria", ("1a", "1b", "2"), faults, notes=notes)
 
 
-def _union_through(table: Sequence[int], mask: int) -> int:
-    """Union of ``table[i]`` over the set bits i of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= table[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _union_through(table: Sequence[int]) -> Callable[[int], int]:
+    """The map sending a mask to the union of ``table[i]`` over its set
+    bits i, tabulated once.  Each run of 8 indices gets a lookup list
+    whose entry m is the union over the set bits of m, so a query is
+    one list index per 8 bits of the mask."""
+    chunks = []
+    for start in range(0, len(table), 8):
+        lookup = [0]
+        for value in table[start : start + 8]:
+            lookup += [out | value for out in lookup]
+        chunks.append(lookup)
+
+    def union(mask: int) -> int:
+        out = 0
+        for lookup in chunks:
+            out |= lookup[mask & 0xFF]
+            mask >>= 8
+        return out
+
+    return union
 
 
 class _Quotient:
     """The valuation quotient of a state space: which states share a row.
 
     State i lies on row ``point_classes[i]`` out of ``n_rows``; rows no
-    state lands on are empty.  Three maps, each one table lookup per
-    set bit of its argument:
+    state lands on are empty.  Three maps, each tabulated once by
+    ``_union_through`` so that a query is one list index per 8 bits of
+    its argument:
 
     * ``rows(mask)``: the rows the states in ``mask`` occupy, v(mask);
     * ``states(row_mask)``: the states on those rows, the state-space
@@ -264,15 +285,16 @@ class _Quotient:
         row_states = [0] * n_rows
         for i, row in enumerate(point_classes):
             row_states[row] |= 1 << i
-        self.rows = partial(_union_through, [1 << row for row in point_classes])
-        self.states = partial(_union_through, row_states)
-        self.saturate = partial(_union_through, [row_states[row] for row in point_classes])
+        self.rows = _union_through([1 << row for row in point_classes])
+        self.states = _union_through(row_states)
+        self.saturate = _union_through([row_states[row] for row in point_classes])
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _quotient(point_classes: tuple[int, ...], n_rows: int) -> _Quotient:
     # the brute force revisits the same few partitions for every
-    # structure, and a model's operations share one quotient
+    # structure (23 up to four states), and a model's operations share
+    # one quotient; the bound caps the memory the lookup tables hold
     return _Quotient(point_classes, n_rows)
 
 
@@ -345,34 +367,30 @@ def induced_beliefs(model: Model) -> PartialRevision:
 
 
 def _infeasible_event(
-    structure: ChoiceStructure, point_classes: tuple[int, ...]
+    menus: Sequence[_Menu], initial: int, saturate: Callable[[int], int]
 ) -> tuple[int, str] | None:
-    """First menu (ascending mask order) whose pinned entry admits no
-    selection value under the given valuation, or None.
+    """First of ``menus`` whose pinned entry admits no selection value
+    under the valuation with saturation map ``saturate``, or None;
+    ``initial`` is f(omega).
 
     Only menus that are unions of valuation classes are pinned; the
-    rest correspond to no formula and constrain nothing.
+    rest correspond to no formula and constrain nothing.  Rows are
+    compared through saturation alone: every realized row holds a
+    state, so v(a) = v(b) iff sat(a) = sat(b), and v(a) is within v(b)
+    iff sat(a) is within sat(b).
     """
-    quotient = _quotient(point_classes, max(point_classes) + 1)
-    vset = quotient.rows
-    saturate = quotient.saturate
-    initial = structure.f[structure.universe.full_mask]
-    v_initial = vset(initial)
     sat_initial = saturate(initial)
-
-    for event in sorted(structure.events):
+    for event, chosen, family in menus:
         if saturate(event) != event:
             continue
-        chosen = structure.f[event]
-        family = structure.family_of(event)
         if event & initial:
             if family is Credibility.CREDIBLE:
-                if vset(chosen) != vset(event & initial):
+                if saturate(chosen) != saturate(event & initial):
                     return event, "credible entry must be the theory of the overlap"
-            elif vset(chosen) != v_initial:
+            elif saturate(chosen) != sat_initial:
                 return event, "entry must leave the initial theory unchanged"
         elif family is Credibility.ALLOWABLE:
-            if v_initial & ~vset(chosen):
+            if sat_initial & ~saturate(chosen):
                 return event, "allowable entry may not add new beliefs"
             if (chosen & ~sat_initial) & ~event:
                 return event, "allowable entry adds worlds outside the information"
@@ -415,17 +433,18 @@ def extension_oracle(model: Model, build_certificate: bool = True) -> ExtensionO
     is built from.
     """
     structure = model.structure
-    found = _infeasible_event(structure, model.point_classes)
+    canonical = model.canonical
+    quotient = _quotient(model.point_classes, canonical.size)
+    f = structure.f
+    f_omega = f[structure.universe.full_mask]
+    found = _infeasible_event(_menus(structure), f_omega, quotient.saturate)
     if found is not None:
         event, reason = found
         return ExtensionOutcome(False, None, PointSet(structure.universe, event), reason)
     if not build_certificate:
         return ExtensionOutcome(True)
 
-    canonical = model.canonical
-    quotient = _quotient(model.point_classes, canonical.size)
-    f = structure.f
-    initial = quotient.rows(f[structure.universe.full_mask])
+    initial = quotient.rows(f_omega)
     images = [quotient.states(prop) for prop in range(canonical.full_mask + 1)]
     masks = [quotient.rows(f[image]) if image in f else initial for image in images]
     filtered = RevisionTable.from_masks(canonical, initial, masks)
@@ -461,20 +480,21 @@ class BruteforceOutcome:
         return self.consistent
 
 
-def _row_partitions(size: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=16)
+def _row_partitions(size: int, max_blocks: int) -> tuple[tuple[int, ...], ...]:
     """Set partitions of ``size`` states into at most ``max_blocks``
     blocks, as restricted growth strings in lexicographic order: state
     i lies in block ``rgs[i]``, and each block's first state opens it
-    with the next unused number."""
-
-    def extend(rgs: tuple[int, ...], blocks: int) -> Iterator[tuple[int, ...]]:
-        if len(rgs) == size:
-            yield rgs
-            return
-        for block in range(min(blocks + 1, max_blocks)):
-            yield from extend(rgs + (block,), max(blocks, block + 1))
-
-    return extend((), 0)
+    with the next unused number.  Cached, since the brute force walks
+    the same few lists for every structure."""
+    partitions: list[tuple[int, ...]] = [()]
+    for _ in range(size):
+        partitions = [
+            rgs + (block,)
+            for rgs in partitions
+            for block in range(min(max(rgs, default=-1) + 2, max_blocks))
+        ]
+    return tuple(partitions)
 
 
 def agm_consistency_bruteforce(
@@ -491,7 +511,10 @@ def agm_consistency_bruteforce(
     states share a row, so valuations with the same kernel get the same
     verdict; each set partition with at most 2**atoms blocks is checked
     once, through the valuation sending block i to row i.
-    ``valuations_checked`` counts these representatives.
+    ``valuations_checked`` counts these representatives.  The menus are
+    read once per call; a partition costs one pass over them through
+    its cached saturation table (``_quotient``), which is all the check
+    reads of the valuation.
 
     The default budget is the smallest one admitting an injective
     valuation (atom count = ceil(log2 of the state count)), which is
@@ -506,10 +529,12 @@ def agm_consistency_bruteforce(
         raise SizeLimitError(f"atom budget must be 1..{atom_limit}, got {n_atoms}")
 
     atom_names = tuple(f"a{i}" for i in range(n_atoms))
-    checked = 0
-    for valuation in _row_partitions(size, 1 << n_atoms):
-        checked += 1
-        found = _infeasible_event(structure, valuation)
+    menus = _menus(structure)
+    initial = structure.f[structure.universe.full_mask]
+    partitions = _row_partitions(size, 1 << n_atoms)
+    for checked, valuation in enumerate(partitions, 1):
+        saturate = _quotient(valuation, max(valuation) + 1).saturate
+        found = _infeasible_event(menus, initial, saturate)
         if found is not None:
             event, reason = found
             assignments = tuple(
@@ -523,7 +548,7 @@ def agm_consistency_bruteforce(
                 atom_names, assignments, PointSet(structure.universe, event), reason
             )
             return BruteforceOutcome(False, checked, counter)
-    return BruteforceOutcome(True, checked)
+    return BruteforceOutcome(True, len(partitions))
 
 
 def find_rationalizing_preorder(
@@ -531,7 +556,9 @@ def find_rationalizing_preorder(
 ) -> PlausibilityOrder | None:
     """A total pre-order whose most-plausible sets reproduce the choice
     map on every credible menu, or None.  Exhaustive over all weak
-    orders of the states, first match returned."""
+    orders of the states, first match returned; the structure must pass
+    the structural laws."""
+    _require_valid(structure)
     universe = structure.universe
     if universe.size > limit:
         raise SizeLimitError(

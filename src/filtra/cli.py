@@ -249,6 +249,8 @@ def rationalize(file: str, as_json: bool):
     structure = _require_structure(_load(file), file)
     try:
         order = find_rationalizing_preorder(structure)
+    except InvalidStructureError as exc:
+        _emit_report("rationalize", exc.report, as_json)
     except SizeLimitError as exc:
         raise click.UsageError(str(exc))
     if as_json:

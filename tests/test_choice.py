@@ -439,6 +439,63 @@ class TestOneMenuAtATime:
         assert verdicts[C] == ({True} if size == 2 else {True, False})
 
 
+def naive_union_through(table, mask):
+    """Union of ``table[i]`` over the set bits i of ``mask``, one bit at
+    a time (the test oracle for the quotient's lookup tables)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def naive_row_partitions(size, max_blocks):
+    """Restricted growth strings of length ``size`` with at most
+    ``max_blocks`` blocks, generated depth-first in lexicographic order."""
+
+    def extend(rgs, blocks):
+        if len(rgs) == size:
+            yield rgs
+            return
+        for block in range(min(blocks + 1, max_blocks)):
+            yield from extend(rgs + (block,), max(blocks, block + 1))
+
+    return extend((), 0)
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("size", range(1, 11))
+    def test_lookup_tables_equal_the_bit_loop_on_every_mask(self, size):
+        # up to 10 states and 12 rows, so arguments cross the 8-bit
+        # boundary between lookup tables; rows no state lands on stay
+        # empty
+        rng = Random(size)
+        for _ in range(4):
+            n_rows = rng.randint(1, 12)
+            point_classes = tuple(rng.randrange(n_rows) for _ in range(size))
+            quotient = choice._Quotient(point_classes, n_rows)
+            row_states = [0] * n_rows
+            for i, row in enumerate(point_classes):
+                row_states[row] |= 1 << i
+            row_bits = [1 << row for row in point_classes]
+            saturation = [row_states[row] for row in point_classes]
+            for mask in range(1 << size):
+                assert quotient.rows(mask) == naive_union_through(row_bits, mask)
+                assert quotient.saturate(mask) == naive_union_through(saturation, mask)
+            for row_mask in range(1 << n_rows):
+                assert quotient.states(row_mask) == naive_union_through(row_states, row_mask)
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_row_partitions_are_the_restricted_growth_strings(self, size):
+        for max_blocks in range(1, 9):
+            partitions = choice._row_partitions(size, max_blocks)
+            assert partitions == tuple(naive_row_partitions(size, max_blocks))
+            assert list(partitions) == sorted(partitions)
+            count = sum(stirling2(size, k) for k in range(1, max_blocks + 1))
+            assert len(partitions) == len(set(partitions)) == count
+
+
 def stirling2(n, k):
     """Partitions of n labelled states into exactly k nonempty blocks."""
     if n == k:
@@ -453,8 +510,10 @@ def assert_matches_full_product(structure, n_atoms):
     over the states (no reduction at all), assert that the oracle gives
     the same verdict and that its counter-model replays, and return the
     verdict."""
+    menus = choice._menus(structure)
+    initial = structure.f[structure.universe.full_mask]
     consistent = all(
-        _infeasible_event(structure, valuation) is None
+        _infeasible_event(menus, initial, choice._quotient(valuation, 1 << n_atoms).saturate) is None
         for valuation in itertools.product(range(1 << n_atoms), repeat=structure.universe.size)
     )
     outcome = agm_consistency_bruteforce(structure, atoms=n_atoms)
@@ -563,7 +622,7 @@ def test_guards_build_the_validation_report_only_on_a_fault(monkeypatch):
         return validate(structure)
 
     monkeypatch.setattr(choice, "validate_structure", counting_validate)
-    guards = (check_agm_consistency, agm_consistency_bruteforce, build_model)
+    guards = (check_agm_consistency, agm_consistency_bruteforce, build_model, find_rationalizing_preorder)
     invalid = 0
     for _ in range(200):
         g = random_choice_structure(rng, 3)

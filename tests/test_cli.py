@@ -310,6 +310,21 @@ class TestOracleAndRationalize:
         assert result.exit_code == 1
         assert "no rationalizing pre-order" in result.output
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", [["oracle", "def6"], ["rationalize"]], ids=["oracle", "rationalize"])
+    def test_invalid_structures_get_the_validation_report(self, runner, command, as_json):
+        # the searches never run on a structure failing laws 2-3d
+        path = str(GOLDEN / "gcs_failing_structure.json")
+        result = runner.invoke(main, [*command, *(["--json"] if as_json else []), path])
+        assert result.exit_code == 1
+        golden = (GOLDEN / f"validate_failing_structure.{'json' if as_json else 'txt'}").read_text(
+            encoding="utf-8"
+        )
+        if as_json:
+            assert json.loads(result.output) == {**json.loads(golden), "command": " ".join(command)}
+        else:
+            assert result.output == golden
+
 
 class TestJsonMode:
     def test_check_prop2_json(self, runner, detective_file):
@@ -383,13 +398,24 @@ class TestDeterminism:
             (["check", "prop2"], "structure", 1),
             (["validate"], "criteria", 0),
             (["check", "prop2"], "criteria", 1),
+            (["oracle", "def6"], "criteria", 1),
+            (["rationalize"], "criteria", 1),
         ],
-        ids=["validate-structure", "prop2-structure", "validate-criteria", "prop2-criteria"],
+        ids=[
+            "validate-structure",
+            "prop2-structure",
+            "validate-criteria",
+            "prop2-criteria",
+            "oracle-criteria",
+            "rationalize-criteria",
+        ],
     )
     def test_choice_reports_match_golden(self, runner, command, scenario, exit_code, as_json):
         # gcs_failing_structure fails laws 2, 3b, 3c and 3d (two of its
         # witness sets have no formula); gcs_failing_criteria is valid
-        # but fails criteria 1a, 1b and 2 and holds clause 2 at one menu
+        # but fails criteria 1a, 1b and 2 and holds clause 2 at one menu,
+        # the oracle's third valuation is a counter-model at E = {c}, and
+        # no pre-order rationalizes its credible menus
         args = [*command, *(["--json"] if as_json else [])]
         result = runner.invoke(main, [*args, str(GOLDEN / f"gcs_failing_{scenario}.json")])
         assert result.exit_code == exit_code
