@@ -360,23 +360,26 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         payload["preorder"] = {
             point.id: scenario.preorder.ranks[i] for i, point in enumerate(universe.points)
         }
-    if scenario.labeling_overrides is not None:
-        payload["labeling"] = {
-            key: scenario.labeling_overrides[key] for key in sorted(scenario.labeling_overrides)
-        }
-    if scenario.table is not None:
-        table = scenario.table
+    labeling = scenario.labeling if scenario.labeling_overrides is None else None
+    if labeling is not None or scenario.table is not None:
         # each proposition's id list, rendered once: it is a key, a sort
         # key and the value of every entry with those points
         ids = [ids_of_mask(universe, mask) for mask in range(universe.full_mask + 1)]
         keys = [event_key(item) for item in ids]
+        by_key = sorted(range(len(ids)), key=keys.__getitem__)
+    if scenario.labeling_overrides is not None:
+        payload["labeling"] = {
+            key: scenario.labeling_overrides[key] for key in sorted(scenario.labeling_overrides)
+        }
+    elif labeling is not None:
+        # with no overrides read from a file, every label is written
+        payload["labeling"] = {keys[mask]: labeling.labels[mask].value for mask in by_key}
+    if scenario.table is not None:
+        table = scenario.table
         masks = table._masks
         payload["table"] = {
             "initial": ids[table.initial.points.mask],
-            "entries": {
-                keys[mask]: ids[masks[mask]]
-                for mask in sorted(range(len(ids)), key=keys.__getitem__)
-            },
+            "entries": {keys[mask]: ids[masks[mask]] for mask in by_key},
         }
     if scenario.comments is not None:
         payload["comments"] = scenario.comments

@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtra.cli import main
 from filtra.revision import revision_from_selection
@@ -16,6 +18,21 @@ from test_revision import pair_scan_report
 
 GOLDEN = Path(__file__).parent / "golden"
 DETECTIVE = json.loads(dumps(detective_scenario()))
+HELP_COMMANDS = [
+    [],
+    ["validate"],
+    ["check"],
+    ["check", "prop2"],
+    ["check", "agm"],
+    ["check", "filtered"],
+    ["build"],
+    ["build", "filtered"],
+    ["oracle"],
+    ["oracle", "def6"],
+    ["rationalize"],
+    ["fuzz"],
+    ["demo"],
+]
 
 
 @pytest.fixture(autouse=True)
@@ -171,6 +188,9 @@ class TestCheckCommands:
             ("9", "postulates must be within 1..8"),
             ("8-1,2", "postulate range '8-1' is reversed, write '1-8'"),
             ("8-1", "postulate range '8-1' is reversed, write '1-8'"),
+            # no hint where the reversed range would itself be refused
+            ("1--3", "postulates must be within 1..8"),
+            ("9-2", "postulates must be within 1..8"),
         ]:
             result = runner.invoke(main, ["check", "agm", preorder_file, "--postulates", selection])
             assert result.exit_code == 2
@@ -341,6 +361,7 @@ class TestJsonMode:
         assert payload["believes_initially"]["~ann"] is True
         assert payload["believes_after"] == {"ann": False, "~ann": False}
         assert payload["suspended"] is True
+        assert result.output == (GOLDEN / "demo_detective.json").read_text(encoding="utf-8")
 
     def test_fuzz_json(self, runner):
         result = runner.invoke(main, ["fuzz", "--cases", "20", "--json"])
@@ -360,6 +381,14 @@ class TestDeterminism:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert result.output == (GOLDEN / "fuzz_atoms1_cases200_seed0.txt").read_text(
+            encoding="utf-8"
+        )
+
+    def test_fuzz_json_matches_golden(self, runner):
+        args = ["fuzz", "--atoms", "1", "--cases", "200", "--seed", "0", "--json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / "fuzz_atoms1_cases200_seed0.json").read_text(
             encoding="utf-8"
         )
 
@@ -422,6 +451,34 @@ class TestDeterminism:
         golden = f"{'_'.join(command)}_failing_{scenario}.{'json' if as_json else 'txt'}"
         assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", [["oracle", "def6"], ["rationalize"]], ids=["oracle", "rationalize"])
+    def test_passing_choice_reports_match_golden(self, runner, detective_file, command, as_json):
+        result = runner.invoke(main, [*command, *(["--json"] if as_json else []), detective_file])
+        assert result.exit_code == 0
+        golden = f"{'_'.join(command)}_detective.{'json' if as_json else 'txt'}"
+        assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_build_json_matches_golden(self, runner, tmp_path, monkeypatch):
+        # the report names the output path as given, here a relative one
+        monkeypatch.chdir(tmp_path)
+        args = ["build", "filtered", str(GOLDEN / "preorder_3atoms.json"), "-o", "built.json"]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / "build_filtered_stdout.json").read_text(encoding="utf-8")
+        golden = GOLDEN / "build_filtered_preorder_3atoms.json"
+        assert (tmp_path / "built.json").read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+
+    def test_help_matches_golden(self, runner):
+        # 78 columns, the most click uses on a console or a pipe
+        text = ""
+        for command in HELP_COMMANDS:
+            args = [*command, "--help"]
+            result = runner.invoke(main, args, prog_name="filtra", terminal_width=78)
+            assert result.exit_code == 0
+            text += f"$ filtra {' '.join(args)}\n{result.output}"
+        assert text == (GOLDEN / "help.txt").read_text(encoding="utf-8")
+
     def test_build_matches_golden(self, runner, tmp_path):
         # a 3-atom pre-order whose labeling uses C, A and R, both on
         # information overlapping the initial beliefs and off it
@@ -449,3 +506,81 @@ class TestDeterminism:
         monkeypatch.setenv("FILTRA_SEED", "soon")
         result = runner.invoke(main, ["fuzz", "--cases", "20"])
         assert result.exit_code == 2
+
+
+def _fields(value, path=()):
+    """Every field of a JSON value: its path of keys and indices, and its value."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield (*path, key), item
+            yield from _fields(item, (*path, key))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+MUTABLE = {
+    name: json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    for name in ("gcs_failing_structure.json", "gcs_failing_criteria.json", "failing_laws_3atoms.json")
+}
+FIELDS = {name: list(_fields(payload)) for name, payload in MUTABLE.items()}
+# the files' own keys and strings make near-valid replacements (ids,
+# atoms, labels), and so does the value of another field of the same file
+WORDS = sorted(
+    {
+        word
+        for fields in FIELDS.values()
+        for path, value in fields
+        for word in (path[-1], value)
+        if isinstance(word, str)
+    }
+)
+# lists stay short, so no replacement adds states past a search's size limit
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+    | st.sampled_from(WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text() | st.sampled_from(WORDS), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+class TestMutatedScenarios:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_exit_is_documented(self, tmp_path_factory, data):
+        # a golden scenario with one field replaced by an arbitrary JSON
+        # value: every command reading it exits 0, 1 or 2, never by an
+        # uncaught exception, and a refusal names the offending field
+        name = data.draw(st.sampled_from(sorted(MUTABLE)))
+        field, _ = data.draw(st.sampled_from(FIELDS[name]))
+        value = data.draw(JSON_VALUES | st.sampled_from([value for _, value in FIELDS[name]]))
+        payload = _replaced(MUTABLE[name], field, value)
+        as_json = data.draw(st.booleans())
+        directory = tmp_path_factory.getbasetemp() / "mutated"
+        directory.mkdir(exist_ok=True)
+        file = directory / name
+        file.write_text(json.dumps(payload), encoding="utf-8")
+        if "gcs" in payload:
+            commands = [["validate"], ["check", "prop2"], ["oracle", "def6"], ["rationalize"]]
+        else:
+            out = str(directory / "built.json")
+            commands = [["check", "agm"], ["check", "filtered"], ["build", "filtered", "-o", out]]
+        runner = CliRunner()
+        for command in commands:
+            result = runner.invoke(main, [*command, *(["--json"] if as_json else []), str(file)])
+            assert result.exception is None or isinstance(result.exception, SystemExit), command
+            assert result.exit_code in (0, 1, 2)
+            if result.exit_code == 2:
+                prefix = f"Error: {file}: "
+                line = result.output.splitlines()[-1]
+                assert line.startswith(prefix) and ": " in line[len(prefix) :], result.output

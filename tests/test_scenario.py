@@ -232,6 +232,29 @@ class TestSaving:
             assert list(payload["table"]["entries"]) == list(old["entries"])
             assert dumps(scenario) == json.dumps({**payload, "table": old}, indent=2) + "\n"
 
+    def test_a_labeling_without_overrides_is_saved_in_full(self):
+        # a labeling built in code has no overrides read from a file; it
+        # is written label by label, as if every label were an override
+        from random import Random
+
+        from filtra.revision import revision_from_selection
+        from filtra.sampling import random_labeling, random_selection_function
+
+        rng = Random(3)
+        universe = canonical_universe(("p", "q"))
+        labeling = random_labeling(rng, universe)
+        table = revision_from_selection(random_selection_function(rng, universe))
+        scenario = Scenario(universe.atoms, universe, table=table, labeling=labeling)
+        assert loads(dumps(scenario)).labeling.labels == labeling.labels
+        overrides = {
+            event_key(ids_of_mask(universe, mask)): label.value
+            for mask, label in labeling.labels.items()
+        }
+        given = Scenario(
+            universe.atoms, universe, table=table, labeling=labeling, labeling_overrides=overrides
+        )
+        assert dumps(scenario) == dumps(given)
+
     def test_event_key_helper(self):
         assert event_key([]) == ""
         assert event_key(["b", "a"]) == "a,b"
