@@ -12,7 +12,8 @@ and exits.  The library's refusals end there too: an
 ``PostulateViolation`` (a table ``build filtered`` cannot filter)
 prints the report it carries and exits 1; a ``SizeLimitError`` (an
 input too large to search) is a usage error and exits 2, as is a
-``ScenarioError`` (a malformed scenario file).
+``ScenarioError`` (a malformed scenario file, or one without the
+section the command reads).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class _Command(click.Command):
             report = exc.report
         except SizeLimitError as exc:
             raise click.UsageError(str(exc), ctx)
-        except ScenarioError as exc:  # only reading the FILE argument raises it
+        except ScenarioError as exc:  # FILE is malformed or lacks the section a command reads
             raise click.UsageError(f"{ctx.params['file']}: {exc}", ctx)
         if as_json:
             label = self.label or ctx.command_path[len(ctx.find_root().command_path) + 1 :]
@@ -116,10 +117,10 @@ def _parse_postulates(text: str) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _require_table(scenario: Scenario, path: str):
+def _require_table(scenario: Scenario):
     table = scenario.revision_table()
     if table is None:
-        raise click.UsageError(f"{path}: this command needs a 'table' or 'preorder' section")
+        raise ScenarioError("table", "this command needs a 'table' or 'preorder' section")
     return table
 
 
@@ -152,7 +153,7 @@ def check_prop2(file: str):
 @click.option("--postulates", default="1-8", show_default=True, help="e.g. '1-6' or '1,2,5'")
 def check_agm_cmd(file: str, postulates: str):
     """Check revision postulates on the file's table (or pre-order)."""
-    table = _require_table(_load(file), file)
+    table = _require_table(_load(file))
     return check_agm(table, _parse_postulates(postulates))
 
 
@@ -161,7 +162,7 @@ def check_agm_cmd(file: str, postulates: str):
 def check_filtered_cmd(file: str):
     """Check the filter laws on the file's table under its labeling."""
     scenario = _load(file)
-    return check_filtered(_require_table(scenario, file), scenario.credibility())
+    return check_filtered(_require_table(scenario), scenario.credibility())
 
 
 @main.group()
@@ -176,7 +177,7 @@ def build_filtered_cmd(file: str, output: str):
     """Build the filtered table from the file's basic table and labeling."""
     scenario = _load(file)
     labeling = scenario.credibility()
-    filtered = build_filtered(_require_table(scenario, file), labeling)
+    filtered = build_filtered(_require_table(scenario), labeling)
     result = Scenario(scenario.atoms, scenario.universe, table=filtered, labeling=labeling)
     try:
         save_scenario(result, output)

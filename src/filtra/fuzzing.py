@@ -1,6 +1,12 @@
 """Round-trip fuzz suites behind the ``fuzz`` command.
 
-Three suites, all seeded and deterministic:
+A suite is a case source plus a check.  ``run_suites`` is the one
+runner: for each suite it takes the cases from the suite's exhaustive
+enumeration (``cases=None``, only tractable at one atom: two states for
+the structure suite) or draws ``cases`` of them from a generator seeded
+with ``f"{seed}:{name}"``, hands each to the check and tallies the
+verdicts.  A check returns True (the case passes), False (a failure) or
+None (a structure failing the structural laws, not counted).
 
 * build-vs-laws: building a filtered table from a random basic table
   and labeling must always satisfy the filter laws.
@@ -10,14 +16,13 @@ Three suites, all seeded and deterministic:
   exactly.
 * criteria-vs-oracle: the pointwise consistency criteria on a random
   choice structure agree with the brute-force valuation enumeration.
-
-``cases=None`` means exhaustive, which is only tractable at one atom
-(two states for the structure suite).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from random import Random
 
 from .choice import (
@@ -41,7 +46,7 @@ from .sampling import (
     random_labeling,
     random_selection_function,
 )
-from .worlds import canonical_universe
+from .worlds import Universe, canonical_universe
 
 ATOM_POOL = ("p", "q", "r", "s")
 
@@ -51,45 +56,34 @@ class SuiteResult:
     name: str
     cases: int
     failures: int
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
 
-def _atoms(count: int) -> tuple[str, ...]:
-    return ATOM_POOL[:count]
+def _build_obeys_laws(case) -> bool:
+    selection, labeling = case
+    table = build_filtered(revision_from_selection(selection), labeling)
+    return check_filtered(table, labeling).all_hold
 
 
-def filter_build_suite(atoms: int, cases: int | None, seed: int) -> SuiteResult:
-    universe = canonical_universe(_atoms(atoms))
-    ran = failures = 0
-    detail = ""
-
-    def run(selection, labeling):
-        nonlocal ran, failures, detail
-        ran += 1
-        table = build_filtered(revision_from_selection(selection), labeling)
-        report = check_filtered(table, labeling)
-        if not report.all_hold:
-            failures += 1
-            if not detail:
-                detail = report.failures()[0].check
-
-    if cases is None:
-        labelings = list(all_labelings(universe))
-        for selection in all_selection_functions(universe):
-            for labeling in labelings:
-                run(selection, labeling)
-    else:
-        rng = Random(f"{seed}:build-vs-laws")
-        for _ in range(cases):
-            run(random_selection_function(rng, universe), random_labeling(rng, universe))
-    return SuiteResult("build-vs-laws", ran, failures, detail)
+def _draw_table(rng: Random, universe: Universe):
+    labeling = random_labeling(rng, universe)
+    table = build_filtered(
+        revision_from_selection(random_selection_function(rng, universe)), labeling
+    )
+    if rng.random() < 0.5:
+        # corrupt one entry; agreement must still hold either way
+        masks = list(table._masks)
+        target = rng.randrange(universe.full_mask + 1)
+        masks[target] = rng.randrange(universe.full_mask + 1)
+        table = RevisionTable.from_masks(universe, table.initial.points.mask, masks)
+    return table, labeling
 
 
-def _recovery_agrees(table: RevisionTable, labeling) -> bool:
+def _recovery_agrees(case) -> bool:
+    table, labeling = case
     lawful = check_filtered(table, labeling).all_hold
     outcome = recover_basic(table, labeling)
     if lawful != bool(outcome):
@@ -99,64 +93,50 @@ def _recovery_agrees(table: RevisionTable, labeling) -> bool:
     return True
 
 
-def recovery_suite(atoms: int, cases: int | None, seed: int) -> SuiteResult:
-    universe = canonical_universe(_atoms(atoms))
-    ran = failures = 0
-
-    if cases is None:
-        labelings = list(all_labelings(universe))
-        for table in all_revision_tables(universe):
-            for labeling in labelings:
-                ran += 1
-                if not _recovery_agrees(table, labeling):
-                    failures += 1
-    else:
-        rng = Random(f"{seed}:recover-roundtrip")
-        for _ in range(cases):
-            ran += 1
-            labeling = random_labeling(rng, universe)
-            table = build_filtered(
-                revision_from_selection(random_selection_function(rng, universe)), labeling
-            )
-            if rng.random() < 0.5:
-                # corrupt one entry; agreement must still hold either way
-                masks = list(table._masks)
-                target = rng.randrange(universe.full_mask + 1)
-                masks[target] = rng.randrange(universe.full_mask + 1)
-                table = RevisionTable.from_masks(universe, table.initial.points.mask, masks)
-            if not _recovery_agrees(table, labeling):
-                failures += 1
-    return SuiteResult("recover-roundtrip", ran, failures)
+def _criteria_agree(structure) -> bool | None:
+    try:
+        direct = check_agm_consistency(structure).all_hold
+    except InvalidStructureError:
+        return None
+    atoms = len(structure.universe.atoms)
+    return direct == agm_consistency_bruteforce(structure, atoms=atoms).consistent
 
 
-def criteria_suite(atoms: int, cases: int | None, seed: int) -> SuiteResult:
-    n_states = 2**atoms
-    ran = failures = 0
-
-    def run(structure):
-        nonlocal ran, failures
-        try:
-            direct = check_agm_consistency(structure).all_hold
-        except InvalidStructureError:
-            return
-        ran += 1
-        brute = agm_consistency_bruteforce(structure, atoms=atoms).consistent
-        if direct != brute:
-            failures += 1
-
-    if cases is None:
-        for structure in all_choice_structures(_atoms(atoms)):
-            run(structure)
-    else:
-        rng = Random(f"{seed}:criteria-vs-oracle")
-        for _ in range(cases):
-            run(random_choice_structure(rng, n_states, _atoms(atoms)))
-    return SuiteResult("criteria-vs-oracle", ran, failures)
+# (name, every case, draw(rng, universe) of one case, check)
+_SUITES = (
+    (
+        "build-vs-laws",
+        lambda universe: product(all_selection_functions(universe), all_labelings(universe)),
+        lambda rng, universe: (
+            random_selection_function(rng, universe),
+            random_labeling(rng, universe),
+        ),
+        _build_obeys_laws,
+    ),
+    (
+        "recover-roundtrip",
+        lambda universe: product(all_revision_tables(universe), all_labelings(universe)),
+        _draw_table,
+        _recovery_agrees,
+    ),
+    (
+        "criteria-vs-oracle",
+        lambda universe: all_choice_structures(universe.atoms),
+        lambda rng, universe: random_choice_structure(rng, universe.size, universe.atoms),
+        _criteria_agree,
+    ),
+)
 
 
 def run_suites(atoms: int, cases: int | None, seed: int) -> list[SuiteResult]:
-    return [
-        filter_build_suite(atoms, cases, seed),
-        recovery_suite(atoms, cases, seed),
-        criteria_suite(atoms, cases, seed),
-    ]
+    universe = canonical_universe(ATOM_POOL[:atoms])
+    results = []
+    for name, every_case, draw, check in _SUITES:
+        if cases is None:
+            source = every_case(universe)
+        else:
+            rng = Random(f"{seed}:{name}")
+            source = (draw(rng, universe) for _ in range(cases))
+        verdicts = Counter(check(case) for case in source)
+        results.append(SuiteResult(name, verdicts[True] + verdicts[False], verdicts[False]))
+    return results

@@ -92,6 +92,13 @@ def random_plausibility_order(rng: Random, universe: Universe) -> PlausibilityOr
     return PlausibilityOrder.from_ranks(universe, ranking)
 
 
+def _cycled_universe(atoms: Sequence[str], n_states: int) -> Universe:
+    """States ``s0``, ``s1``, ... whose rows cycle through the valuations
+    of ``atoms``, so two states share a row only past ``2**len(atoms)``."""
+    rows = itertools.cycle(itertools.product((False, True), repeat=len(atoms)))
+    return Universe(tuple(atoms), tuple(Point(f"s{i}", row) for i, row in zip(range(n_states), rows)))
+
+
 def random_choice_structure(
     rng: Random,
     n_states: int,
@@ -108,54 +115,31 @@ def random_choice_structure(
     """
     if conforming is None:
         conforming = rng.random() < 0.5
-    rows = list(itertools.islice(itertools.cycle(itertools.product((False, True), repeat=len(atoms))), n_states))
-    universe = Universe(
-        tuple(atoms), tuple(Point(f"s{i}", rows[i]) for i in range(n_states))
-    )
+    universe = _cycled_universe(atoms, n_states)
     full = universe.full_mask
-    credible = {full}
-    allowable: set[int] = set()
-    rejected = {0}
+    # every menu but the empty and the full one draws its family:
+    # 0 none, 1 credible, 2 allowable, 3 rejected
+    families: tuple[set[int], ...] = (set(), {full}, set(), {0})
     for mask in range(1, full):
-        draw = rng.randrange(4)
-        if draw == 1:
-            credible.add(mask)
-        elif draw == 2:
-            allowable.add(mask)
-        elif draw == 3:
-            rejected.add(mask)
+        families[rng.randrange(4)].add(mask)
+    _, credible, allowable, rejected = families
     f_omega = _random_nonempty_submask(rng, full)
     f: dict[int, int] = {full: f_omega}
-    for event in sorted(credible | allowable | rejected):
-        if event == full:
-            continue
-        family = (
-            Credibility.CREDIBLE
-            if event in credible
-            else Credibility.ALLOWABLE
-            if event in allowable
-            else Credibility.REJECTED
-        )
-        if family is Credibility.REJECTED:
+    for event in sorted((credible | allowable | rejected) - {full}):
+        if event in rejected:
             f[event] = f_omega
+        elif conforming and event in credible:
+            overlap = event & f_omega
+            f[event] = overlap if overlap else _random_nonempty_submask(rng, event)
         elif conforming:
-            if family is Credibility.CREDIBLE:
-                overlap = event & f_omega
-                f[event] = overlap if overlap else _random_nonempty_submask(rng, event)
-            else:
-                f[event] = (
-                    f_omega
-                    if event & f_omega
-                    else f_omega | _random_nonempty_submask(rng, event)
-                )
+            f[event] = f_omega if event & f_omega else f_omega | _random_nonempty_submask(rng, event)
+        elif event in credible:
+            f[event] = _random_nonempty_submask(rng, event)
         else:
-            if family is Credibility.CREDIBLE:
-                f[event] = _random_nonempty_submask(rng, event)
-            else:
-                meet = _random_nonempty_submask(rng, event)
-                outside = full & ~event
-                rest = rng.randrange(0, outside + 1) & outside if outside else 0
-                f[event] = meet | rest
+            meet = _random_nonempty_submask(rng, event)
+            outside = full & ~event
+            rest = rng.randrange(0, outside + 1) & outside if outside else 0
+            f[event] = meet | rest
     return ChoiceStructure(universe, frozenset(credible), frozenset(allowable), frozenset(rejected), f)
 
 
@@ -197,20 +181,14 @@ def all_choice_structures(atoms: Sequence[str] = ("p",)) -> Iterator[ChoiceStruc
     """Every two-state structure shape: all family assignments for the
     two singleton menus crossed with all choice maps.  Includes shapes
     failing the structural laws; filter with validate_structure."""
-    rows = list(itertools.islice(itertools.cycle(itertools.product((False, True), repeat=len(atoms))), 2))
-    universe = Universe(tuple(atoms), (Point("s0", rows[0]), Point("s1", rows[1])))
+    universe = _cycled_universe(atoms, 2)
     full = universe.full_mask
     for fam0, fam1 in itertools.product(range(4), repeat=2):
-        credible = {full}
-        allowable: set[int] = set()
-        rejected = {0}
-        for mask, fam in ((1, fam0), (2, fam1)):
-            if fam == 1:
-                credible.add(mask)
-            elif fam == 2:
-                allowable.add(mask)
-            elif fam == 3:
-                rejected.add(mask)
+        # as random_choice_structure's draws: 0 none, 1 credible, 2 allowable, 3 rejected
+        families: tuple[set[int], ...] = (set(), {full}, set(), {0})
+        families[fam0].add(1)
+        families[fam1].add(2)
+        _, credible, allowable, rejected = families
         events = sorted(credible | allowable | rejected)
         for picks in itertools.product(range(full + 1), repeat=len(events)):
             yield ChoiceStructure(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filtra import fuzzing
 from filtra.cli import main
 from filtra.revision import revision_from_selection
 from filtra.sampling import random_selection_function
@@ -241,9 +243,13 @@ class TestCheckCommands:
         payload = {"command": "check agm", **expected.to_json()}
         assert as_json.output == json.dumps(payload, indent=2) + "\n"
 
-    def test_table_needed(self, runner, detective_file):
-        result = runner.invoke(main, ["check", "agm", detective_file])
-        assert result.exit_code == 2
+    def test_table_needed(self, runner, detective_file, tmp_path):
+        message = f"Error: {detective_file}: table: this command needs a 'table' or 'preorder' section"
+        out = str(tmp_path / "out.json")
+        for command in [["check", "agm"], ["check", "filtered"], ["build", "filtered", "-o", out]]:
+            result = runner.invoke(main, [*command, detective_file])
+            assert result.exit_code == 2
+            assert result.output.splitlines()[-1] == message
 
 
 class TestBuildFiltered:
@@ -369,6 +375,30 @@ class TestJsonMode:
         payload = json.loads(result.output)
         assert [suite["result"] for suite in payload["suites"]] == ["pass"] * 3
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_a_failing_suite_fails_the_run(self, runner, monkeypatch, as_json):
+        # the oracle contradicts the criteria on the first structure only
+        oracle = fuzzing.agm_consistency_bruteforce
+        calls = []
+
+        def contradicting_once(structure, **kwargs):
+            outcome = oracle(structure, **kwargs)
+            calls.append(structure)
+            return replace(outcome, consistent=not outcome.consistent) if len(calls) == 1 else outcome
+
+        monkeypatch.setattr(fuzzing, "agm_consistency_bruteforce", contradicting_once)
+        result = runner.invoke(main, ["fuzz", "--cases", "20", *(["--json"] if as_json else [])])
+        assert result.exit_code == 1
+        rows = [("build-vs-laws", 0, "pass"), ("recover-roundtrip", 0, "pass"), ("criteria-vs-oracle", 1, "fail")]
+        if as_json:
+            payload = json.loads(result.output)
+            assert payload["verdict"] == "fail"
+            assert [(suite["name"], suite["failures"], suite["result"]) for suite in payload["suites"]] == rows
+        else:
+            lines = result.output.splitlines()
+            assert [(name, int(failures), status) for name, _, failures, status in map(str.split, lines[2:5])] == rows
+            assert lines[5] == "verdict: fail"
+
 
 class TestDeterminism:
     def test_demo_matches_golden(self, runner):
@@ -391,6 +421,14 @@ class TestDeterminism:
         assert result.output == (GOLDEN / "fuzz_atoms1_cases200_seed0.json").read_text(
             encoding="utf-8"
         )
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_two_atom_fuzz_matches_golden(self, runner, as_json):
+        args = ["fuzz", "--atoms", "2", "--cases", "100", "--seed", "0", *(["--json"] if as_json else [])]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        golden = GOLDEN / f"fuzz_atoms2_cases100_seed0.{'json' if as_json else 'txt'}"
+        assert result.output == golden.read_text(encoding="utf-8")
 
     def test_exhaustive_fuzz_matches_golden(self, runner):
         # pins all_selection_functions, all_revision_tables and all_labelings
@@ -497,15 +535,21 @@ class TestDeterminism:
         assert first.output == second.output
 
     def test_env_seed_overrides_flag(self, runner, monkeypatch):
-        monkeypatch.setenv("FILTRA_SEED", "42")
-        result = runner.invoke(main, ["fuzz", "--cases", "20", "--seed", "0"])
-        assert result.exit_code == 0
-        assert "seed=42" in result.output
+        for as_json in ([], ["--json"]):
+            expected = runner.invoke(main, ["fuzz", "--cases", "20", "--seed", "7", *as_json])
+            monkeypatch.setenv("FILTRA_SEED", "7")
+            result = runner.invoke(main, ["fuzz", "--cases", "20", "--seed", "0", *as_json])
+            monkeypatch.delenv("FILTRA_SEED")
+            assert result.exit_code == expected.exit_code == 0
+            assert result.output == expected.output
+            assert ("seed=7" if not as_json else '"seed": 7') in result.output
 
     def test_env_seed_must_be_an_integer(self, runner, monkeypatch):
-        monkeypatch.setenv("FILTRA_SEED", "soon")
-        result = runner.invoke(main, ["fuzz", "--cases", "20"])
-        assert result.exit_code == 2
+        for value in ["soon", "x"]:
+            monkeypatch.setenv("FILTRA_SEED", value)
+            result = runner.invoke(main, ["fuzz", "--cases", "20"])
+            assert result.exit_code == 2
+            assert result.output.splitlines()[-1] == f"Error: FILTRA_SEED must be an integer, got {value!r}"
 
 
 def _fields(value, path=()):
@@ -570,11 +614,9 @@ class TestMutatedScenarios:
         directory.mkdir(exist_ok=True)
         file = directory / name
         file.write_text(json.dumps(payload), encoding="utf-8")
-        if "gcs" in payload:
-            commands = [["validate"], ["check", "prop2"], ["oracle", "def6"], ["rationalize"]]
-        else:
-            out = str(directory / "built.json")
-            commands = [["check", "agm"], ["check", "filtered"], ["build", "filtered", "-o", out]]
+        out = str(directory / "built.json")
+        commands = [["validate"], ["check", "prop2"], ["oracle", "def6"], ["rationalize"]]
+        commands += [["check", "agm"], ["check", "filtered"], ["build", "filtered", "-o", out]]
         runner = CliRunner()
         for command in commands:
             result = runner.invoke(main, [*command, *(["--json"] if as_json else []), str(file)])
