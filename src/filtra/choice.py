@@ -11,8 +11,8 @@ criteria under which every interpretation of the structure extends to
 a credibility-filtered revision built from a basic revision table
 (``check_agm_consistency``), and cross-checks those criteria against a
 brute-force enumeration of interpretations (``agm_consistency_bruteforce``,
-which runs the per-proposition extension oracle on one valuation per
-partition of the states into rows; the oracle sees a valuation only
+which decides the extension oracle's conditions under every partition
+of the states into rows at once; the oracle sees a valuation only
 through that partition).  The feasibility algebra is worked out in
 docs/semantics.md.
 """
@@ -292,9 +292,9 @@ class _Quotient:
 
 @lru_cache(maxsize=256)
 def _quotient(point_classes: tuple[int, ...], n_rows: int) -> _Quotient:
-    # the brute force revisits the same few partitions for every
-    # structure (23 up to four states), and a model's operations share
-    # one quotient; the bound caps the memory the lookup tables hold
+    # a model's operations (image_of, induced_beliefs, the extension
+    # oracle) share one quotient; the bound caps the memory the lookup
+    # tables hold
     return _Quotient(point_classes, n_rows)
 
 
@@ -366,6 +366,13 @@ def induced_beliefs(model: Model) -> PartialRevision:
     return PartialRevision(initial, entries)
 
 
+# Why a pinned menu admits no selection value, one per failing condition.
+_NOT_OVERLAP = "credible entry must be the theory of the overlap"
+_NOT_UNCHANGED = "entry must leave the initial theory unchanged"
+_NEW_BELIEFS = "allowable entry may not add new beliefs"
+_OUTSIDE = "allowable entry adds worlds outside the information"
+
+
 def _infeasible_event(
     menus: Sequence[_Menu], initial: int, saturate: Callable[[int], int]
 ) -> tuple[int, str] | None:
@@ -386,14 +393,14 @@ def _infeasible_event(
         if event & initial:
             if family is Credibility.CREDIBLE:
                 if saturate(chosen) != saturate(event & initial):
-                    return event, "credible entry must be the theory of the overlap"
+                    return event, _NOT_OVERLAP
             elif saturate(chosen) != sat_initial:
-                return event, "entry must leave the initial theory unchanged"
+                return event, _NOT_UNCHANGED
         elif family is Credibility.ALLOWABLE:
             if sat_initial & ~saturate(chosen):
-                return event, "allowable entry may not add new beliefs"
+                return event, _NEW_BELIEFS
             if (chosen & ~sat_initial) & ~event:
-                return event, "allowable entry adds worlds outside the information"
+                return event, _OUTSIDE
         # off f(omega), laws 3c and 3b make credible and rejected menus
         # feasible, and 3d puts a row outside v(f(omega)) into an
         # allowable one's choice (docs/semantics.md, "Choice structures")
@@ -480,13 +487,15 @@ class BruteforceOutcome:
         return self.consistent
 
 
-@lru_cache(maxsize=16)
-def _row_partitions(size: int, max_blocks: int) -> tuple[tuple[int, ...], ...]:
+# Set partitions of the states, each a restricted growth string.
+_Partitions = tuple[tuple[int, ...], ...]
+
+
+def _row_partitions(size: int, max_blocks: int) -> _Partitions:
     """Set partitions of ``size`` states into at most ``max_blocks``
     blocks, as restricted growth strings in lexicographic order: state
     i lies in block ``rgs[i]``, and each block's first state opens it
-    with the next unused number.  Cached, since the brute force walks
-    the same few lists for every structure."""
+    with the next unused number."""
     partitions: list[tuple[int, ...]] = [()]
     for _ in range(size):
         partitions = [
@@ -497,58 +506,112 @@ def _row_partitions(size: int, max_blocks: int) -> tuple[tuple[int, ...], ...]:
     return tuple(partitions)
 
 
+# The brute force's size caps; they bound its tables at 4**4 mask pairs.
+_STATE_LIMIT = 4
+_ATOM_LIMIT = 4
+
+
+@lru_cache(maxsize=None)
+def _partition_tables(
+    size: int, max_blocks: int
+) -> tuple[_Partitions, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``_row_partitions(size, max_blocks)`` and saturation facts over
+    them, one bit per partition (bit k for partition k): ``closed[m]``
+    holds the partitions under which sat(m) = m, and ``within[x][y]``
+    those under which x lies within sat(y).  Built once per argument
+    pair, which the size caps keep to 16."""
+    partitions = _row_partitions(size, max_blocks)
+    closed = [0] * (1 << size)
+    within = [[0] * (1 << size) for _ in range(1 << size)]
+    for k, rgs in enumerate(partitions):
+        bit = 1 << k
+        saturate = _Quotient(rgs, max(rgs) + 1).saturate
+        for y in range(1 << size):
+            sat = saturate(y)
+            if sat == y:
+                closed[y] |= bit
+            x = sat  # walk the submasks of sat(y), ending at 0
+            while True:
+                within[x][y] |= bit
+                if not x:
+                    break
+                x = (x - 1) & sat
+    return partitions, tuple(closed), tuple(map(tuple, within))
+
+
 def agm_consistency_bruteforce(
-    structure: ChoiceStructure,
-    atoms: int | None = None,
-    state_limit: int = 4,
-    atom_limit: int = 4,
+    structure: ChoiceStructure, atoms: int | None = None
 ) -> BruteforceOutcome:
-    """Decide consistency by running the extension feasibility check on
-    every valuation of a budget of atoms over the states, one per
-    partition of the states into rows.
+    """Decide consistency by checking extension feasibility under every
+    valuation of a budget of atoms over the states, one per partition
+    of the states into rows.
 
     The feasibility conditions see a valuation only through which
     states share a row, so valuations with the same kernel get the same
     verdict; each set partition with at most 2**atoms blocks is checked
-    once, through the valuation sending block i to row i.
-    ``valuations_checked`` counts these representatives.  The menus are
-    read once per call; a partition costs one pass over them through
-    its cached saturation table (``_quotient``), which is all the check
-    reads of the valuation.
+    once, through the valuation sending block i to row i.  All of them
+    are checked at once: each menu's conditions become ANDs of cached
+    per-partition bitsets (``_partition_tables``), one bit per
+    partition, and a menu's failure bitset holds the partitions under
+    which it is infeasible.  The lowest failing bit is the first
+    partition the one-at-a-time walk of ``_infeasible_event`` would
+    reject, and ``valuations_checked`` counts the partitions up to it
+    (all of them on a pass), as that walk did.
 
     The default budget is the smallest one admitting an injective
     valuation (atom count = ceil(log2 of the state count)), which is
     enough to expose every criteria violation.
     """
     _require_valid(structure)
-    size = structure.universe.size
-    if size > state_limit:
-        raise SizeLimitError(f"brute force supports up to {state_limit} states, got {size}")
+    universe = structure.universe
+    size = universe.size
+    if size > _STATE_LIMIT:
+        raise SizeLimitError(f"brute force supports up to {_STATE_LIMIT} states, got {size}")
     n_atoms = atoms if atoms is not None else max(1, math.ceil(math.log2(size)))
-    if not 1 <= n_atoms <= atom_limit:
-        raise SizeLimitError(f"atom budget must be 1..{atom_limit}, got {n_atoms}")
+    if not 1 <= n_atoms <= _ATOM_LIMIT:
+        raise SizeLimitError(f"atom budget must be 1..{_ATOM_LIMIT}, got {n_atoms}")
 
+    partitions, closed, within = _partition_tables(size, 1 << n_atoms)
+    f = structure.f
+    initial = f[universe.full_mask]
+    # (event, reason, partitions under which the menu is pinned and
+    # fails the condition), a menu's conditions in the order
+    # _infeasible_event tests them.  Law 3b pins a rejected menu's
+    # choice to f(omega), so only credible menus meeting f(omega) and
+    # allowable menus can fail.  sat(a) = sat(b) iff a lies within
+    # sat(b) and b within sat(a).
+    failures: list[tuple[int, str, int]] = []
+    for event in structure.credible:
+        overlap, chosen = event & initial, f[event]
+        if overlap:
+            holds = within[chosen][overlap] & within[overlap][chosen]
+            failures.append((event, _NOT_OVERLAP, closed[event] & ~holds))
+    for event in structure.allowable:
+        chosen, pinned = f[event], closed[event]
+        if event & initial:
+            holds = within[chosen][initial] & within[initial][chosen]
+            failures.append((event, _NOT_UNCHANGED, pinned & ~holds))
+        else:
+            failures.append((event, _NEW_BELIEFS, pinned & ~within[initial][chosen]))
+            failures.append((event, _OUTSIDE, pinned & ~within[chosen & ~event][initial]))
+    failing = 0
+    for _, _, bad in failures:
+        failing |= bad
+
+    if not failing:
+        return BruteforceOutcome(True, len(partitions))
+    first = failing & -failing
+    # the lowest menu failing there; min keeps the first of a menu's
+    # two allowable conditions when both fail
+    event, reason, _ = min((item for item in failures if item[2] & first), key=lambda item: item[0])
+    checked = first.bit_length()
     atom_names = tuple(f"a{i}" for i in range(n_atoms))
-    menus = _menus(structure)
-    initial = structure.f[structure.universe.full_mask]
-    partitions = _row_partitions(size, 1 << n_atoms)
-    for checked, valuation in enumerate(partitions, 1):
-        saturate = _quotient(valuation, max(valuation) + 1).saturate
-        found = _infeasible_event(menus, initial, saturate)
-        if found is not None:
-            event, reason = found
-            assignments = tuple(
-                (
-                    point.id,
-                    tuple(bool(cls >> (n_atoms - 1 - j) & 1) for j in range(n_atoms)),
-                )
-                for point, cls in zip(structure.universe.points, valuation)
-            )
-            counter = CounterModel(
-                atom_names, assignments, PointSet(structure.universe, event), reason
-            )
-            return BruteforceOutcome(False, checked, counter)
-    return BruteforceOutcome(True, len(partitions))
+    assignments = tuple(
+        (point.id, tuple(bool(cls >> (n_atoms - 1 - j) & 1) for j in range(n_atoms)))
+        for point, cls in zip(universe.points, partitions[checked - 1])
+    )
+    counter = CounterModel(atom_names, assignments, PointSet(universe, event), reason)
+    return BruteforceOutcome(False, checked, counter)
 
 
 def find_rationalizing_preorder(

@@ -8,6 +8,7 @@ counterparts used at the smallest sizes.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from random import Random
 from typing import Iterator, Sequence
 
@@ -92,11 +93,13 @@ def random_plausibility_order(rng: Random, universe: Universe) -> PlausibilityOr
     return PlausibilityOrder.from_ranks(universe, ranking)
 
 
-def _cycled_universe(atoms: Sequence[str], n_states: int) -> Universe:
+@lru_cache(maxsize=32)
+def _cycled_universe(atoms: tuple[str, ...], n_states: int) -> Universe:
     """States ``s0``, ``s1``, ... whose rows cycle through the valuations
-    of ``atoms``, so two states share a row only past ``2**len(atoms)``."""
+    of ``atoms``, so two states share a row only past ``2**len(atoms)``.
+    Cached, since a sampler draws many structures of one size."""
     rows = itertools.cycle(itertools.product((False, True), repeat=len(atoms)))
-    return Universe(tuple(atoms), tuple(Point(f"s{i}", row) for i, row in zip(range(n_states), rows)))
+    return Universe(atoms, tuple(Point(f"s{i}", row) for i, row in zip(range(n_states), rows)))
 
 
 def random_choice_structure(
@@ -115,7 +118,7 @@ def random_choice_structure(
     """
     if conforming is None:
         conforming = rng.random() < 0.5
-    universe = _cycled_universe(atoms, n_states)
+    universe = _cycled_universe(tuple(atoms), n_states)
     full = universe.full_mask
     # every menu but the empty and the full one draws its family:
     # 0 none, 1 credible, 2 allowable, 3 rejected
@@ -181,7 +184,7 @@ def all_choice_structures(atoms: Sequence[str] = ("p",)) -> Iterator[ChoiceStruc
     """Every two-state structure shape: all family assignments for the
     two singleton menus crossed with all choice maps.  Includes shapes
     failing the structural laws; filter with validate_structure."""
-    universe = _cycled_universe(atoms, 2)
+    universe = _cycled_universe(tuple(atoms), 2)
     full = universe.full_mask
     for fam0, fam1 in itertools.product(range(4), repeat=2):
         # as random_choice_structure's draws: 0 none, 1 credible, 2 allowable, 3 rejected

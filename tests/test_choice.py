@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from random import Random
 
@@ -5,7 +6,9 @@ import pytest
 
 from filtra import choice, reports
 from filtra.choice import (
+    BruteforceOutcome,
     ChoiceStructure,
+    CounterModel,
     InvalidStructureError,
     _infeasible_event,
     agm_consistency_bruteforce,
@@ -27,7 +30,7 @@ from filtra.revision import (
     revision_from_preorder,
 )
 from filtra.sampling import all_choice_structures, random_choice_structure
-from filtra.worlds import PointSet, Universe, dnf_of, truth_set
+from filtra.worlds import PointSet, SizeLimitError, Universe, dnf_of, truth_set
 
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
 
@@ -494,6 +497,106 @@ class TestQuotient:
             assert list(partitions) == sorted(partitions)
             count = sum(stirling2(size, k) for k in range(1, max_blocks + 1))
             assert len(partitions) == len(set(partitions)) == count
+
+
+def naive_bruteforce(structure, atoms=None):
+    """The oracle one partition at a time: run ``_infeasible_event``
+    through each partition's saturation map, in ``_row_partitions``
+    order, and stop at the first infeasible menu (the test oracle for
+    the bit-sliced ``agm_consistency_bruteforce``)."""
+    universe = structure.universe
+    n_atoms = atoms if atoms is not None else max(1, (universe.size - 1).bit_length())
+    menus = choice._menus(structure)
+    initial = structure.f[universe.full_mask]
+    partitions = choice._row_partitions(universe.size, 1 << n_atoms)
+    for checked, valuation in enumerate(partitions, 1):
+        found = _infeasible_event(menus, initial, choice._quotient(valuation, max(valuation) + 1).saturate)
+        if found is not None:
+            event, reason = found
+            assignments = tuple(
+                (point.id, tuple(bool(cls >> (n_atoms - 1 - j) & 1) for j in range(n_atoms)))
+                for point, cls in zip(universe.points, valuation)
+            )
+            atom_names = tuple(f"a{i}" for i in range(n_atoms))
+            counter = CounterModel(atom_names, assignments, PointSet(universe, event), reason)
+            return BruteforceOutcome(False, checked, counter)
+    return BruteforceOutcome(True, len(partitions))
+
+
+BUDGETS = (None, 1, 2, 3, 4)
+
+
+class TestBitSlicedOracle:
+    """The oracle decides every partition at once; it must return what
+    the one-partition-at-a-time loop returns, counter-model included."""
+
+    @pytest.mark.parametrize("atoms", [("p",), ("p", "q")], ids=["1atom", "2atoms"])
+    def test_equals_the_per_partition_loop_on_every_two_state_structure(self, atoms):
+        failing = 0
+        for g in all_choice_structures(atoms):
+            if not validate_structure(g).all_hold:
+                continue
+            for budget in BUDGETS:
+                outcome = agm_consistency_bruteforce(g, atoms=budget)
+                assert outcome == naive_bruteforce(g, budget)
+                failing += not outcome.consistent
+        assert failing > 50
+
+    @pytest.mark.parametrize("conforming", [True, False])
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_equals_the_per_partition_loop_on_seeded_draws(self, size, conforming):
+        rng = Random(f"bitsliced:{size}:{conforming}")
+        counts = {True: 0, False: 0}
+        counter_models = set()  # (valuations checked, reason) per failure
+        for _ in range(500):
+            g = random_choice_structure(rng, size, conforming=conforming)
+            for budget in BUDGETS:
+                outcome = agm_consistency_bruteforce(g, atoms=budget)
+                assert outcome == naive_bruteforce(g, budget)
+                counts[outcome.consistent] += 1
+                if outcome.counterexample is not None:
+                    counter_models.add((outcome.valuations_checked, outcome.counterexample.reason))
+        if conforming:  # conforming draws pass the criteria
+            assert counts == {True: 500 * len(BUDGETS), False: 0}
+            return
+        assert counts[True] > 100 and counts[False] > 500
+        if size > 2:  # failures at several partitions, for every reason
+            assert len({checked for checked, _ in counter_models}) > 2
+            assert {reason for _, reason in counter_models} == {
+                choice._NOT_OVERLAP,
+                choice._NOT_UNCHANGED,
+                choice._NEW_BELIEFS,
+                choice._OUTSIDE,
+            }
+
+    @pytest.mark.parametrize("size", range(1, 5))
+    def test_tables_equal_each_partitions_saturation(self, size):
+        masks = range(1 << size)
+        for max_blocks in (2, 4, 8, 16):
+            partitions, closed, within = choice._partition_tables(size, max_blocks)
+            assert partitions == choice._row_partitions(size, max_blocks)
+            assert len(closed) == len(within) == 1 << size
+            every = (1 << len(partitions)) - 1
+            assert all(not bits & ~every for bits in (*closed, *itertools.chain(*within)))
+            for k, rgs in enumerate(partitions):
+                saturate = choice._quotient(rgs, max(rgs) + 1).saturate
+                for y in masks:
+                    assert bool(closed[y] >> k & 1) == (saturate(y) == y)
+                    for x in masks:
+                        assert bool(within[x][y] >> k & 1) == (x & ~saturate(y) == 0)
+
+    def test_size_refusals(self):
+        universe = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(5)])
+        full = universe.full_mask
+        five = ChoiceStructure(universe, frozenset({full}), frozenset(), frozenset({0}), {full: 1, 0: 1})
+        with pytest.raises(SizeLimitError) as raised:
+            agm_consistency_bruteforce(five)
+        assert str(raised.value) == "brute force supports up to 4 states, got 5"
+        for budget in (0, 5):
+            with pytest.raises(SizeLimitError) as raised:
+                agm_consistency_bruteforce(detective_structure(), atoms=budget)
+            assert str(raised.value) == f"atom budget must be 1..4, got {budget}"
+        assert list(inspect.signature(agm_consistency_bruteforce).parameters) == ["structure", "atoms"]
 
 
 def stirling2(n, k):

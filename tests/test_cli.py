@@ -490,6 +490,17 @@ class TestDeterminism:
         assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("atoms", ["1", "4"])
+    def test_oracle_counter_models_at_other_budgets_match_golden(self, runner, atoms, as_json):
+        # the same third valuation at E = {c}, written in one atom's rows
+        # and in four atoms' rows, not the default budget's two
+        args = ["oracle", "def6", "--atoms", atoms, *(["--json"] if as_json else [])]
+        result = runner.invoke(main, [*args, str(GOLDEN / "gcs_failing_criteria.json")])
+        assert result.exit_code == 1
+        golden = f"oracle_def6_atoms{atoms}_failing_criteria.{'json' if as_json else 'txt'}"
+        assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize("command", [["oracle", "def6"], ["rationalize"]], ids=["oracle", "rationalize"])
     def test_passing_choice_reports_match_golden(self, runner, detective_file, command, as_json):
         result = runner.invoke(main, [*command, *(["--json"] if as_json else []), detective_file])

@@ -85,6 +85,14 @@ def test_random_structures_satisfy_the_structural_laws():
             assert validate_structure(random_choice_structure(rng, size)).all_hold
 
 
+def test_draws_of_one_size_share_their_universe():
+    rng = Random(4)
+    first, second = random_choice_structure(rng, 3), random_choice_structure(rng, 3, atoms=["p", "q"])
+    assert first.universe is second.universe
+    assert random_choice_structure(rng, 4).universe.size == 4
+    assert random_choice_structure(rng, 3, atoms=("r",)).universe.atoms == ("r",)
+
+
 def test_conforming_structures_pass_the_criteria():
     rng = Random(3)
     for _ in range(100):
