@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from itertools import chain, combinations
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
@@ -58,10 +59,15 @@ class ChoiceStructure:
 
     def __post_init__(self):
         full = self.universe.full_mask
-        for family in (self.credible, self.allowable, self.rejected):
-            for mask in family:
+
+        def check(kind: str, masks: Iterable[int]) -> None:
+            for mask in masks:
+                if type(mask) is not int:
+                    raise ValueError(f"{kind} mask {mask!r} is not an int")
                 if not 0 <= mask <= full:
-                    raise ValueError(f"menu mask {mask:#x} out of range")
+                    raise ValueError(f"{kind} mask {mask:#x} out of range")
+
+        check("menu", chain(self.credible, self.allowable, self.rejected))
         events = self.events
         if set(self.f) != events:
             missing = sorted(events - set(self.f))
@@ -69,9 +75,7 @@ class ChoiceStructure:
             raise ValueError(
                 f"choice map must cover the menus exactly (missing {missing}, extra {extra})"
             )
-        for mask in self.f.values():
-            if not 0 <= mask <= full:
-                raise ValueError(f"choice mask {mask:#x} out of range")
+        check("choice", self.f.values())
 
     @property
     def events(self) -> frozenset[int]:
@@ -85,12 +89,6 @@ class ChoiceStructure:
         if mask in self.rejected:
             return Credibility.REJECTED
         return None
-
-    def choice(self, menu: PointSet) -> PointSet:
-        return PointSet(self.universe, self.f[menu.mask])
-
-    def initial_points(self) -> PointSet:
-        return PointSet(self.universe, self.f[self.universe.full_mask])
 
 
 def with_valuation(
@@ -112,14 +110,19 @@ def with_valuation(
     )
 
 
-_CLAUSES = ("2", "3a", "3b", "3c", "3d")
+_CLAUSES = ("1", "2", "3a", "3b", "3c", "3d")
 
-# One witness of a failing clause: the clause, the witness's (name,
-# mask) parts and a detail line.
-_Fault = tuple[str, tuple[tuple[str, int], ...], str]
+# One witness of a failing clause: the clause, the witness's names and
+# masks, and a detail line.
+_Fault = tuple[str, tuple[str, ...], tuple[int, ...], str]
+_E, _EF = ("E",), ("E", "f(E)")
+
+# Passing results carry no witness, so every report shares them.
+_HOLDS = {clause: CheckResult(clause, True) for clause in (*_CLAUSES[1:], "1a", "1b")}
+_HOLDS["1"] = CheckResult("1", True, note="state space is nonempty by construction")
 
 
-# A menu as the criteria and the oracle read it: E, f(E) and E's family.
+# A menu as the oracle reads it: E, f(E) and E's family.
 _Menu = tuple[int, int, Credibility]
 
 
@@ -130,38 +133,35 @@ def _menus(structure: ChoiceStructure) -> list[_Menu]:
 
 
 def _structure_faults(structure: ChoiceStructure) -> list[_Fault]:
-    """Every failing instance of structural laws 2-3d, in clause order
-    (empty for a valid structure)."""
-    full = structure.universe.full_mask
-    f = structure.f
-    faults: list[_Fault] = []
-
-    pairs = [
-        ("credible", structure.credible, "allowable", structure.allowable),
-        ("credible", structure.credible, "rejected", structure.rejected),
-        ("allowable", structure.allowable, "rejected", structure.rejected),
-    ]
-    for name_a, fam_a, name_b, fam_b in pairs:
-        for mask in sorted(fam_a & fam_b):
-            faults.append(("2", (("E", mask),), f"in both {name_a} and {name_b}"))
-    if full not in structure.credible:
-        faults.append(("2", (("E", full),), "full menu is not credible"))
-    if 0 not in structure.rejected:
-        faults.append(("2", (("E", 0),), "empty menu is not rejected"))
-
+    """Every failing instance of structural laws 2-3d, in clause order;
+    a valid structure's [] costs set and mask tests only."""
+    full, f = structure.universe.full_mask, structure.f
+    credible, allowable, rejected = structure.credible, structure.allowable, structure.rejected
     f_omega = f.get(full)
-    if f_omega is None:
-        faults.append(("3a", (("E", full),), "no choice at the full menu"))
-    elif f_omega == 0:
-        faults.append(("3a", (("f(omega)", 0),), "nothing is initially possible"))
-
-    menu_clauses = (
-        ("3b", [m for m in structure.rejected if f[m] != f_omega], "differs from f(omega)"),
-        ("3c", [m for m in structure.credible if f[m] == 0 or f[m] & ~m], "must be nonempty and within E"),
-        ("3d", [m for m in structure.allowable if f[m] & m == 0], "must keep part of E possible"),
+    shared = (credible & allowable, credible & rejected, allowable & rejected)
+    failing = (  # the menus failing 3b, 3c and 3d
+        [m for m in rejected if f[m] != f_omega],
+        [m for m in credible if f[m] == 0 or f[m] & ~m],
+        [m for m in allowable if f[m] & m == 0],
     )
-    for clause, failing, detail in menu_clauses:
-        faults.extend((clause, (("E", m), ("f(E)", f[m])), detail) for m in sorted(failing))
+    if f_omega and full in credible and 0 in rejected and not any(shared) and not any(failing):
+        return []
+    faults: list[_Fault] = [
+        ("2", _E, (mask,), f"in both {name_a} and {name_b}")
+        for (name_a, name_b), both in zip(combinations(("credible", "allowable", "rejected"), 2), shared)
+        for mask in sorted(both)
+    ]
+    if full not in credible:
+        faults.append(("2", _E, (full,), "full menu is not credible"))
+    if 0 not in rejected:
+        faults.append(("2", _E, (0,), "empty menu is not rejected"))
+    if f_omega is None:
+        faults.append(("3a", _E, (full,), "no choice at the full menu"))
+    elif f_omega == 0:
+        faults.append(("3a", ("f(omega)",), (0,), "nothing is initially possible"))
+    details = ("differs from f(omega)", "must be nonempty and within E", "must keep part of E possible")
+    for clause, menus, detail in zip(_CLAUSES[3:], failing, details):
+        faults.extend((clause, _EF, (m, f[m]), detail) for m in sorted(menus))
     return faults
 
 
@@ -170,19 +170,19 @@ def _fault_report(
     title: str,
     clauses: Sequence[str],
     faults: list[_Fault],
-    leading: Sequence[CheckResult] = (),
     notes: Sequence[str] = (),
 ) -> CheckReport:
-    """The ``leading`` results, then one per clause, failing with the
-    clause's witnesses in ``faults``."""
-    universe = structure.universe
-    witnesses: dict[str, list[Witness]] = {clause: [] for clause in clauses}
-    for clause, parts, detail in faults:
-        witnesses[clause].append(
-            Witness.of([(name, PointSet(universe, mask)) for name, mask in parts], detail=detail)
-        )
-    results = [CheckResult(clause, not found, tuple(found)) for clause, found in witnesses.items()]
-    return CheckReport(title, (*leading, *results), tuple(notes))
+    """One result per clause: the shared passing one, or a failing one
+    with its witnesses (the only point sets built) in ``faults``."""
+    witnesses: dict[str, list[Witness]] = {}
+    for clause, names, masks, detail in faults:
+        sets = tuple([PointSet(structure.universe, mask) for mask in masks])
+        witnesses.setdefault(clause, []).append(Witness(names, sets, detail))
+    results = [
+        CheckResult(clause, False, tuple(witnesses[clause])) if clause in witnesses else _HOLDS[clause]
+        for clause in clauses
+    ]
+    return CheckReport(title, tuple(results), tuple(notes))
 
 
 def validate_structure(structure: ChoiceStructure) -> CheckReport:
@@ -194,16 +194,12 @@ def validate_structure(structure: ChoiceStructure) -> CheckReport:
     choose nonempty within the menu; 3d: allowable menus keep the menu
     possible.
     """
-    law_1 = CheckResult("1", True, note="state space is nonempty by construction")
-    return _fault_report(
-        structure, "choice structure laws", _CLAUSES, _structure_faults(structure), [law_1]
-    )
+    return _fault_report(structure, "choice structure laws", _CLAUSES, _structure_faults(structure))
 
 
 def _require_valid(structure: ChoiceStructure) -> None:
-    """Raise InvalidStructureError, with the full report, unless the
-    structure passes the structural laws; the report is only built on a
-    fault."""
+    """Raise InvalidStructureError, with the full report (built only on
+    a fault), unless the structure passes the structural laws."""
     if _structure_faults(structure):
         raise InvalidStructureError(validate_structure(structure))
 
@@ -215,31 +211,29 @@ def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
     1a: credible menus overlapping the initial set choose exactly the
     overlap.  1b: allowable menus overlapping it change nothing.
     2: allowable menus disjoint from it choose f(omega) plus a nonempty
-    part E' of the menu.  Rejected menus are already pinned by the
-    structural laws.
+    part E' of the menu.  Rejected menus, pinned by law 3b, never fail;
+    a passing menu costs mask tests only (and a clause-2 note).
     """
     _require_valid(structure)
-    universe = structure.universe
-    initial = structure.f[universe.full_mask]
+    f, credible, universe = structure.f, structure.credible, structure.universe
+    initial = f[universe.full_mask]
     faults: list[_Fault] = []
     notes: list[str] = []
-    for event, chosen, family in _menus(structure):
-        parts = (("E", event), ("f(E)", chosen))
+    for event in sorted(credible | structure.allowable):
+        chosen = f[event]
         if event & initial:
-            if family is Credibility.CREDIBLE and chosen != event & initial:
-                overlap = PointSet(universe, event & initial).render()
-                faults.append(("1a", parts, f"required {overlap}"))
-            if family is Credibility.ALLOWABLE and chosen != initial:
-                required = structure.initial_points().render()
-                faults.append(("1b", parts, f"required f(omega) = {required}"))
-        elif family is Credibility.ALLOWABLE:
+            if event in credible:
+                if chosen != event & initial:
+                    faults.append(("1a", _EF, (event, chosen), f"required {universe.render(event & initial)}"))
+            elif chosen != initial:
+                faults.append(("1b", _EF, (event, chosen), f"required f(omega) = {universe.render(initial)}"))
+        elif event not in credible:
             extra = chosen & ~initial
             if initial & ~chosen or extra == 0 or extra & ~event:
-                faults.append(("2", parts, "must equal f(omega) plus a nonempty part of E"))
+                faults.append(("2", _EF, (event, chosen), "must equal f(omega) plus a nonempty part of E"))
             else:
-                menu, part = (PointSet(universe, mask).render() for mask in (event, extra))
-                notes.append(f"clause 2 holds at E = {menu} with E' = {part}")
-    return _fault_report(structure, "consistency criteria", ("1a", "1b", "2"), faults, notes=notes)
+                notes.append(f"clause 2 holds at E = {universe.render(event)} with E' = {universe.render(extra)}")
+    return _fault_report(structure, "consistency criteria", ("1a", "1b", "2"), faults, notes)
 
 
 def _union_through(table: Sequence[int]) -> Callable[[int], int]:
@@ -356,7 +350,7 @@ class PartialRevision:
 def induced_beliefs(model: Model) -> PartialRevision:
     structure = model.structure
     universe = structure.universe
-    initial = BeliefSet(structure.initial_points())
+    initial = BeliefSet(PointSet(universe, structure.f[universe.full_mask]))
     saturate = _quotient(model.point_classes, model.canonical.size).saturate
     entries = {
         event: BeliefSet(PointSet(universe, structure.f[event]))

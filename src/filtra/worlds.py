@@ -100,6 +100,10 @@ class Universe:
     def index_of(self, point_id: str) -> int:
         return self._index[point_id]
 
+    def render(self, mask: int) -> str:
+        """The points in ``mask`` as ``{id, ...}``, in point order."""
+        return "{" + ", ".join([point.id for i, point in enumerate(self.points) if mask >> i & 1]) + "}"
+
     def valuation_index(self, index: int) -> int:
         """Row number of the point's assignment in binary-counting order
         (first atom most significant)."""
@@ -203,7 +207,7 @@ class PointSet:
         return tuple(self.universe.points[i].id for i in self.indices())
 
     def render(self) -> str:
-        return "{" + ", ".join(self.ids) + "}"
+        return self.universe.render(self.mask)
 
 
 def submasks(mask: int) -> list[int]:

@@ -1,5 +1,7 @@
 import inspect
 import itertools
+import re
+from collections import Counter
 from random import Random
 
 import pytest
@@ -30,7 +32,8 @@ from filtra.revision import (
     revision_from_preorder,
 )
 from filtra.sampling import all_choice_structures, random_choice_structure
-from filtra.worlds import PointSet, SizeLimitError, Universe, dnf_of, truth_set
+from filtra.reports import CheckReport, CheckResult, Witness
+from filtra.worlds import PointSet, SizeLimitError, Universe, canonical_universe, dnf_of, truth_set
 
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
 
@@ -746,6 +749,210 @@ def test_guards_build_the_validation_report_only_on_a_fault(monkeypatch):
         assert len(built) == (0 if expected.all_hold else len(guards))
         invalid += not expected.all_hold
     assert 20 < invalid < 180
+
+
+def naive_structure_faults(structure):
+    """Laws 2-3d one family at a time, every failing instance as
+    (clause, ((name, mask), ...), detail) in clause order: the
+    predecessor of ``_structure_faults``, kept as its test oracle."""
+    full = structure.universe.full_mask
+    f = structure.f
+    faults = []
+
+    pairs = [
+        ("credible", structure.credible, "allowable", structure.allowable),
+        ("credible", structure.credible, "rejected", structure.rejected),
+        ("allowable", structure.allowable, "rejected", structure.rejected),
+    ]
+    for name_a, fam_a, name_b, fam_b in pairs:
+        for mask in sorted(fam_a & fam_b):
+            faults.append(("2", (("E", mask),), f"in both {name_a} and {name_b}"))
+    if full not in structure.credible:
+        faults.append(("2", (("E", full),), "full menu is not credible"))
+    if 0 not in structure.rejected:
+        faults.append(("2", (("E", 0),), "empty menu is not rejected"))
+
+    f_omega = f.get(full)
+    if f_omega is None:
+        faults.append(("3a", (("E", full),), "no choice at the full menu"))
+    elif f_omega == 0:
+        faults.append(("3a", (("f(omega)", 0),), "nothing is initially possible"))
+
+    menu_clauses = (
+        ("3b", [m for m in structure.rejected if f[m] != f_omega], "differs from f(omega)"),
+        ("3c", [m for m in structure.credible if f[m] == 0 or f[m] & ~m], "must be nonempty and within E"),
+        ("3d", [m for m in structure.allowable if f[m] & m == 0], "must keep part of E possible"),
+    )
+    for clause, failing, detail in menu_clauses:
+        faults.extend((clause, (("E", m), ("f(E)", f[m])), detail) for m in sorted(failing))
+    return faults
+
+
+def naive_fault_report(structure, title, clauses, faults, leading=(), notes=()):
+    """A fresh result per clause, each failing witness built through
+    ``Witness.of`` (the predecessor of ``_fault_report``)."""
+    universe = structure.universe
+    witnesses = {clause: [] for clause in clauses}
+    for clause, parts, detail in faults:
+        witnesses[clause].append(
+            Witness.of([(name, PointSet(universe, mask)) for name, mask in parts], detail=detail)
+        )
+    results = [CheckResult(clause, not found, tuple(found)) for clause, found in witnesses.items()]
+    return CheckReport(title, (*leading, *results), tuple(notes))
+
+
+def naive_validate_structure(structure):
+    law_1 = CheckResult("1", True, note="state space is nonempty by construction")
+    return naive_fault_report(
+        structure, "choice structure laws", ("2", "3a", "3b", "3c", "3d"), naive_structure_faults(structure), [law_1]
+    )
+
+
+def naive_check_agm_consistency(structure):
+    """The criteria over every menu, rejected ones included, by family,
+    rendering each id through a point set (the predecessor of the
+    bare-mask ``check_agm_consistency``)."""
+    if naive_structure_faults(structure):
+        raise InvalidStructureError(naive_validate_structure(structure))
+    universe = structure.universe
+    initial = structure.f[universe.full_mask]
+    faults = []
+    notes = []
+    for event in sorted(structure.events):
+        chosen, family = structure.f[event], structure.family_of(event)
+        parts = (("E", event), ("f(E)", chosen))
+        if event & initial:
+            if family is Credibility.CREDIBLE and chosen != event & initial:
+                overlap = PointSet(universe, event & initial).render()
+                faults.append(("1a", parts, f"required {overlap}"))
+            if family is Credibility.ALLOWABLE and chosen != initial:
+                required = PointSet(universe, initial).render()
+                faults.append(("1b", parts, f"required f(omega) = {required}"))
+        elif family is Credibility.ALLOWABLE:
+            extra = chosen & ~initial
+            if initial & ~chosen or extra == 0 or extra & ~event:
+                faults.append(("2", parts, "must equal f(omega) plus a nonempty part of E"))
+            else:
+                menu, part = (PointSet(universe, mask).render() for mask in (event, extra))
+                notes.append(f"clause 2 holds at E = {menu} with E' = {part}")
+    return naive_fault_report(structure, "consistency criteria", ("1a", "1b", "2"), faults, notes=notes)
+
+
+def assert_same_reports(structure):
+    """Both checks give their predecessors' reports, or raise the same
+    refusal; returns (valid, consistent), consistent None if invalid."""
+    verdicts = []
+    for check, naive in (
+        (validate_structure, naive_validate_structure),
+        (check_agm_consistency, naive_check_agm_consistency),
+    ):
+        try:
+            expected = naive(structure)
+        except InvalidStructureError as refusal:
+            with pytest.raises(InvalidStructureError) as raised:
+                check(structure)
+            assert str(raised.value) == str(refusal)
+            expected, report = refusal.report, raised.value.report
+            verdicts.append(None)
+        else:
+            report = check(structure)
+            verdicts.append(report.all_hold)
+        assert report == expected
+        assert report.render_text() == expected.render_text()
+        assert report.to_json() == expected.to_json()
+    return tuple(verdicts)
+
+
+def corrupted(rng, structure):
+    """The structure with one choice value redrawn at random."""
+    f = dict(structure.f)
+    f[rng.choice(sorted(f))] = rng.randrange(structure.universe.full_mask + 1)
+    return ChoiceStructure(structure.universe, structure.credible, structure.allowable, structure.rejected, f)
+
+
+def edge_case(credible, allowable, rejected, f):
+    """A three-state structure, menus and choices as masks (full = 7)."""
+    universe = Universe.from_assignments(("p", "q"), [("s1", {}), ("s2", {"q": True}), ("s3", {"p": True})])
+    return ChoiceStructure(universe, frozenset(credible), frozenset(allowable), frozenset(rejected), f)
+
+
+# Structures the samplers never draw, each with the clauses it fails.
+EDGE_CASES = {
+    "menu-in-two-families": (edge_case({7, 1}, {1}, {0}, {7: 1, 1: 1, 0: 1}), ["2"]),
+    "menu-in-three-families": (edge_case({7, 3}, {3}, {0, 3}, {7: 1, 3: 2, 0: 1}), ["2", "3b"]),
+    "full-menu-in-no-family": (edge_case({1}, {2}, {0}, {1: 1, 2: 2, 0: 1}), ["2", "3a", "3b"]),
+    "full-menu-allowable": (edge_case({1}, {7}, {0}, {1: 1, 7: 1, 0: 1}), ["2"]),
+    "empty-menu-in-no-family": (edge_case({7}, {6}, {4}, {7: 1, 6: 3, 4: 1}), ["2"]),
+    "empty-menu-credible": (edge_case({7, 0}, set(), {2}, {7: 1, 0: 1, 2: 1}), ["2", "3c"]),
+    "no-rejected-menu": (edge_case({7, 1}, {6}, set(), {7: 1, 1: 1, 6: 3}), ["2"]),
+    "nothing-initially-possible": (edge_case({7}, {2}, {0}, {7: 0, 2: 2, 0: 0}), ["3a", "3c"]),
+    "everything-fails": (edge_case({7, 0, 2}, {2, 5}, {0, 6}, {7: 0, 0: 0, 2: 4, 5: 2, 6: 1}), ["2", "3a", "3b", "3c", "3d"]),
+}
+
+
+class TestMaskChecksEqualTheirPredecessors:
+    """``validate_structure`` and ``check_agm_consistency`` read bare
+    masks and share passing results; their reports and refusals must be
+    the ones the per-family, point-set versions built."""
+
+    def test_every_two_state_structure(self):
+        verdicts = Counter(assert_same_reports(g) for g in all_choice_structures(("p",)))
+        assert sum(verdicts.values()) == 2704
+        assert set(verdicts) == {(False, None), (True, True), (True, False)}
+
+    @pytest.mark.parametrize("conforming", [True, False])
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_seeded_draws_and_their_corruptions(self, size, conforming):
+        rng = Random(f"maskchecks:{size}:{conforming}")
+        drawn, broken = Counter(), Counter()
+        for _ in range(500):
+            g = random_choice_structure(rng, size, conforming=conforming)
+            drawn[assert_same_reports(g)] += 1
+            broken[assert_same_reports(corrupted(rng, g))] += 1
+        if conforming:  # conforming draws pass the criteria
+            assert drawn == {(True, True): 500}
+        else:
+            assert drawn[True, False] > 100
+        assert broken[False, None] > 300 and broken[True, False] > 10
+
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_hand_built_edge_cases(self, name):
+        g, failing = EDGE_CASES[name]
+        assert assert_same_reports(g) == (False, None)
+        assert [result.check for result in validate_structure(g).failures()] == failing
+
+    def test_passing_results_are_shared_and_carry_no_witness(self):
+        g = detective_structure()
+        for report in (validate_structure(g), validate_structure(g), check_agm_consistency(g)):
+            assert report.all_hold
+            for result in report.results:
+                assert result is choice._HOLDS[result.check] and result.witnesses == ()
+
+
+class TestMaskTypes:
+    """A menu or choice mask that is not an int is refused when the
+    structure is built, not later by a check."""
+
+    @pytest.mark.parametrize("value", [1.0, "1", True, None], ids=["float", "str", "bool", "none"])
+    def test_a_non_int_choice_is_refused(self, value):
+        universe = canonical_universe(("p",))
+        with pytest.raises(ValueError, match=rf"^choice mask {re.escape(repr(value))} is not an int$"):
+            ChoiceStructure(universe, frozenset({3, 1}), frozenset(), frozenset({0}), {3: 1, 0: 1, 1: value})
+
+    @pytest.mark.parametrize("value", [1.0, "1", True], ids=["float", "str", "bool"])
+    def test_a_non_int_menu_is_refused(self, value):
+        universe = canonical_universe(("p",))
+        with pytest.raises(ValueError, match=rf"^menu mask {re.escape(repr(value))} is not an int$"):
+            ChoiceStructure(universe, frozenset({3}), frozenset({value}), frozenset({0}), {3: 1, 0: 1, value: 1})
+
+    def test_out_of_range_messages_are_unchanged(self):
+        universe = canonical_universe(("p",))
+        with pytest.raises(ValueError, match=r"^menu mask 0x4 out of range$"):
+            ChoiceStructure(universe, frozenset({3, 4}), frozenset(), frozenset({0}), {3: 1, 0: 1, 4: 1})
+        with pytest.raises(ValueError, match=r"^menu mask -0x1 out of range$"):
+            ChoiceStructure(universe, frozenset({3}), frozenset({-1}), frozenset({0}), {3: 1, 0: 1, -1: 1})
+        with pytest.raises(ValueError, match=r"^choice mask 0x5 out of range$"):
+            ChoiceStructure(universe, frozenset({3, 1}), frozenset(), frozenset({0}), {3: 1, 0: 1, 1: 5})
 
 
 class TestRationalization:

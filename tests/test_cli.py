@@ -501,8 +501,14 @@ class TestDeterminism:
         assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    @pytest.mark.parametrize("command", [["oracle", "def6"], ["rationalize"]], ids=["oracle", "rationalize"])
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["check", "prop2"], ["oracle", "def6"], ["rationalize"]],
+        ids=["validate", "prop2", "oracle", "rationalize"],
+    )
     def test_passing_choice_reports_match_golden(self, runner, detective_file, command, as_json):
+        # validate's all-passing laws and prop2's clause-2 note come from
+        # the shared passing results and the bare-mask criteria
         result = runner.invoke(main, [*command, *(["--json"] if as_json else []), detective_file])
         assert result.exit_code == 0
         golden = f"{'_'.join(command)}_detective.{'json' if as_json else 'txt'}"
