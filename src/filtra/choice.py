@@ -71,9 +71,12 @@ class ChoiceStructure:
         events = self.events
         if set(self.f) != events:
             missing = sorted(events - set(self.f))
-            extra = sorted(set(self.f) - events)
+            extra = set(self.f) - events
+            for key in self.f:  # mixed key types would not sort
+                if key in extra and type(key) is not int:
+                    raise ValueError(f"choice key {key!r} is not an int")
             raise ValueError(
-                f"choice map must cover the menus exactly (missing {missing}, extra {extra})"
+                f"choice map must cover the menus exactly (missing {missing}, extra {sorted(extra)})"
             )
         check("choice", self.f.values())
 

@@ -20,8 +20,8 @@ proposition E (``_agm_failures``, ``_filter_failures``; recovery reads
 the latter).  A table is stored as one packed array with a native word
 per proposition.  The pre-order constructor, ``build_filtered`` and
 ``recover_basic`` compute their tables as those per-state ints and pack
-them into the array once (``_untranspose``); ``_pack`` checks only
-masks from outside.
+them into the array once (``_untranspose``), the first two only when
+the array is first read; ``_pack`` checks only masks from outside.
 """
 
 from __future__ import annotations
@@ -158,39 +158,69 @@ class _Entries(Mapping):
     proposition: one native word of ``_layout(size)``'s type each, each
     within the universe (``_pack`` checks masks from outside).
 
+    Entries given as per-state slices are packed on the first read of
+    ``masks`` or of an entry; until then the array slot is unset, so a
+    lookup's hit path stays one slot read.  Length, membership and
+    iteration never pack.
+
     Each distinct theory is made once, on first lookup (the initial one
     is given), so equal entries share one BeliefSet.  Two views compare
     by their masks.
     """
 
-    __slots__ = ("universe", "masks", "_theories")
+    __slots__ = ("universe", "_array", "_slices", "_count", "_theories")
 
-    def __init__(self, universe: Universe, initial: BeliefSet, masks: array):
+    def __init__(
+        self,
+        universe: Universe,
+        initial: BeliefSet,
+        masks: array | None = None,
+        slices: list[int] | None = None,
+    ):
         self.universe = universe
-        self.masks = masks
+        self._slices = slices
+        if masks is None:
+            self._count = 1 << universe.size
+        else:
+            self._array = masks
+            self._count = len(masks)
         self._theories = {initial.points.mask: initial}
+
+    @property
+    def masks(self) -> array:
+        try:
+            return self._array
+        except AttributeError:
+            return self._pack_slices()
+
+    def _pack_slices(self) -> array:
+        self._array = _untranspose(self._slices, self.universe.size)
+        return self._array
 
     def __getitem__(self, proposition: int) -> BeliefSet:
         try:
             # a bare array index would wrap a negative key
             if proposition >= 0:
-                return self._theories[self.masks[proposition]]
+                return self._theories[self._array[proposition]]
         except KeyError:  # the first lookup of this theory
-            mask = self.masks[proposition]
+            mask = self._array[proposition]
             theory = self._theories[mask] = BeliefSet(PointSet(self.universe, mask))
             return theory
         except (TypeError, IndexError):
             pass
+        except AttributeError:  # the first read of a table given as slices
+            self._pack_slices()
+            return self[proposition]
         raise KeyError(proposition)
 
     def __contains__(self, proposition) -> bool:
-        return isinstance(proposition, int) and 0 <= proposition < len(self.masks)
+        return isinstance(proposition, int) and 0 <= proposition < self._count
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self.masks)))
+        return iter(range(self._count))
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self._count
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _Entries):
@@ -256,10 +286,9 @@ class RevisionTable:
     def _of_slices(
         cls, universe: Universe, initial: BeliefSet, slices: list[int]
     ) -> "RevisionTable":
-        """The table whose per-state slices are ``slices``, packed once
-        and kept, so it is never transposed."""
-        masks = _untranspose(slices, universe.size)
-        table = cls(universe, initial, _Entries(universe, initial, masks))
+        """The table whose per-state slices are ``slices``, kept, so it
+        is never transposed, and packed on first read."""
+        table = cls(universe, initial, _Entries(universe, initial, slices=slices))
         table.__dict__["_slices"] = slices
         return table
 
@@ -756,6 +785,12 @@ def check_agm(
 
 
 _FILTER_CHECKS = ("F1", "F2a", "F2b", "F3", "F3a", "F3b")
+_FILTER_TITLE = "filtered revision laws"
+_F4 = CheckResult("F4", True, note="by representation: entries are keyed by truth sets")
+# every passing check_filtered returns this one report; it is frozen
+_FILTER_HOLDS = CheckReport(
+    _FILTER_TITLE, (*(CheckResult(check, True) for check in _FILTER_CHECKS), _F4)
+)
 
 
 def _filter_mask_holds(
@@ -818,11 +853,14 @@ def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> Check
 
     Each law is read off its bit-sliced failure set (``_filter_failures``):
     the count is its number of set bits, the witnesses its lowest ones.
+    When every set is empty the one shared passing report is returned.
     """
     if labeling.universe != table.universe:
         raise UniverseMismatchError("labeling over a different universe")
     universe = table.universe
     fails = _filter_failures(table, labeling._view)
+    if not any(fails.values()):
+        return _FILTER_HOLDS
     results = []
     for check in _FILTER_CHECKS:
         total = fails[check].bit_count()
@@ -832,10 +870,7 @@ def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> Check
         )
         note = f"{total} failing propositions" if total > _MAX_WITNESSES else ""
         results.append(CheckResult(check, not total, witnesses, note))
-    results.append(
-        CheckResult("F4", True, note="by representation: entries are keyed by truth sets")
-    )
-    return CheckReport("filtered revision laws", tuple(results))
+    return CheckReport(_FILTER_TITLE, (*results, _F4))
 
 
 def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> RevisionTable:
@@ -846,8 +881,8 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
     The routing is per state (docs/semantics.md, "Bit-sliced
     evaluation"): a state of I is in every entry not labeled C, any
     other state only in entries not labeled R, so the built table's
-    slices are ``S_s | A | R`` and ``S_s & ~R``.  They are packed once
-    and kept, so the built table is never transposed.
+    slices are ``S_s | A | R`` and ``S_s & ~R``.  They are kept, so the
+    built table is never transposed, and packed on first read.
 
     Requires ``star`` to satisfy AGM1-AGM6 (PostulateViolation otherwise).
     """

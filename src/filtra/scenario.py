@@ -179,6 +179,35 @@ def _parse_event_key(key: str, universe: Universe, field: str) -> int:
     return mask
 
 
+def _key_masks(universe: Universe) -> dict[str, int]:
+    """Every proposition's canonical event key, mapped to its mask.
+
+    Ids are added in sorted order, each appended to every key made
+    before it, so each key comes out sorted.
+    """
+    index = universe._index
+    keys = {"": 0}
+    for state_id in sorted(index):
+        bit = 1 << index[state_id]
+        keys.update(
+            [(f"{key},{state_id}" if key else state_id, mask | bit) for key, mask in keys.items()]
+        )
+    return keys
+
+
+def _lookup_list(value, keys: Mapping[str, int]) -> int | None:
+    """An id list's mask by one lookup in ``keys`` of its ids joined, or
+    None for the validating parse.  A hit counts only with as many ids
+    as the list has items, so none of them holds a comma or is empty."""
+    if not isinstance(value, list):
+        return None
+    try:
+        mask = keys.get(",".join(value))
+    except TypeError:  # an item is not a string
+        return None
+    return mask if mask is not None and len(value) == mask.bit_count() else None
+
+
 def _parse_gcs(payload: Mapping, universe: Universe) -> ChoiceStructure:
     section = _expect_object(payload, "gcs")
     extra = set(section) - _GCS_KEYS
@@ -234,14 +263,16 @@ def _parse_preorder(payload, universe: Universe) -> PlausibilityOrder:
 
 
 def _parse_labeling(
-    payload, universe: Universe
+    payload, universe: Universe, keys: Mapping[str, int]
 ) -> tuple[CredibilityLabeling, dict[str, str]]:
     section = _expect_object(payload, "labeling")
     overrides: dict[int, Credibility] = {}
     raw: dict[str, str] = {}
     letters = {item.value: item for item in Credibility}
     for key, letter in section.items():
-        mask = _parse_event_key(key, universe, f"labeling[{key!r}]")
+        mask = keys.get(key)
+        if mask is None:  # the validating parse names what is wrong
+            mask = _parse_event_key(key, universe, f"labeling[{key!r}]")
         if not isinstance(letter, str) or letter not in letters:
             raise ScenarioError(f"labeling[{key!r}]", f"label must be one of C, A, R, got {letter!r}")
         overrides[mask] = letters[letter]
@@ -252,7 +283,7 @@ def _parse_labeling(
         raise ScenarioError("labeling", str(exc)) from None
 
 
-def _parse_table(payload, universe: Universe) -> RevisionTable:
+def _parse_table(payload, universe: Universe, keys: Mapping[str, int]) -> RevisionTable:
     section = _expect_object(payload, "table")
     extra = set(section) - _TABLE_KEYS
     if extra:
@@ -261,10 +292,15 @@ def _parse_table(payload, universe: Universe) -> RevisionTable:
     entries_section = _expect_object(section.get("entries"), "table.entries")
     entries: dict[int, int] = {}
     for key, value in entries_section.items():
-        mask = _parse_event_key(key, universe, f"table.entries[{key!r}]")
+        mask = keys.get(key)
+        if mask is None:
+            mask = _parse_event_key(key, universe, f"table.entries[{key!r}]")
         if mask in entries:
             raise ScenarioError(f"table.entries[{key!r}]", "duplicate event key")
-        entries[mask] = _parse_event_list(value, universe, f"table.entries[{key!r}]")
+        entry = _lookup_list(value, keys)
+        if entry is None:
+            entry = _parse_event_list(value, universe, f"table.entries[{key!r}]")
+        entries[mask] = entry
     expected = range(universe.full_mask + 1)
     if set(entries) != set(expected):
         raise ScenarioError(
@@ -289,16 +325,21 @@ def scenario_from_payload(payload) -> Scenario:
             message = f"a {section} section supports at most {STATE_LIMIT} states"
             raise ScenarioError(section, f"{message}, got {universe.size}")
     scenario = Scenario(atoms, universe)
+    # a table keys every proposition and a full labeling does too; a
+    # labeling of fewer than a quarter of them parses faster key by key
+    labeling = payload.get("labeling")
+    many = isinstance(labeling, dict) and 4 * len(labeling) > universe.full_mask
+    keys = _key_masks(universe) if many or "table" in payload else {}
     if "gcs" in payload:
         scenario.structure = _parse_gcs(payload["gcs"], universe)
     if "preorder" in payload:
         scenario.preorder = _parse_preorder(payload["preorder"], universe)
     if "labeling" in payload:
         scenario.labeling, scenario.labeling_overrides = _parse_labeling(
-            payload["labeling"], universe
+            labeling, universe, keys
         )
     if "table" in payload:
-        scenario.table = _parse_table(payload["table"], universe)
+        scenario.table = _parse_table(payload["table"], universe, keys)
     if "comments" in payload:
         comments = payload["comments"]
         if not (

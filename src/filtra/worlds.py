@@ -39,6 +39,11 @@ class Point:
 
 @dataclass(frozen=True)
 class Universe:
+    """Atoms and points, with ``size`` (the point count) and
+    ``full_mask`` (the mask of every point) stored once at construction;
+    neither is a field, so equality, hashing and repr see only these
+    two."""
+
     atoms: tuple[str, ...]
     points: tuple[Point, ...]
 
@@ -66,6 +71,8 @@ class Universe:
                     f"point {point.id!r} assigns {len(point.values)} atoms, "
                     f"expected {len(self.atoms)}"
                 )
+        object.__setattr__(self, "size", len(self.points))
+        object.__setattr__(self, "full_mask", (1 << len(self.points)) - 1)
 
     @classmethod
     def from_assignments(
@@ -83,14 +90,6 @@ class Universe:
                 )
             points.append(Point(point_id, tuple(bool(assignment.get(a, False)) for a in atoms)))
         return cls(atoms, tuple(points))
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.points)) - 1
 
     @functools.cached_property
     def _index(self) -> dict[str, int]:

@@ -945,6 +945,17 @@ class TestMaskTypes:
         with pytest.raises(ValueError, match=rf"^menu mask {re.escape(repr(value))} is not an int$"):
             ChoiceStructure(universe, frozenset({3}), frozenset({value}), frozenset({0}), {3: 1, 0: 1, value: 1})
 
+    def test_a_non_int_extra_choice_key_is_refused(self):
+        universe = canonical_universe(("p",))
+        with pytest.raises(ValueError, match=r"^choice key 'x' is not an int$"):
+            ChoiceStructure(universe, frozenset({3}), frozenset(), frozenset({0}), {3: 1, 0: 1, "x": 1, 2: 1})
+
+    def test_an_extra_int_choice_key_message_is_unchanged(self):
+        universe = canonical_universe(("p",))
+        message = r"^choice map must cover the menus exactly \(missing \[1\], extra \[2, 5\]\)$"
+        with pytest.raises(ValueError, match=message):
+            ChoiceStructure(universe, frozenset({3, 1}), frozenset(), frozenset({0}), {3: 1, 0: 1, 5: 1, 2: 1})
+
     def test_out_of_range_messages_are_unchanged(self):
         universe = canonical_universe(("p",))
         with pytest.raises(ValueError, match=r"^menu mask 0x4 out of range$"):

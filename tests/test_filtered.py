@@ -1,6 +1,8 @@
 import functools
 import operator
 import re
+from collections import Counter
+from itertools import product
 from random import Random
 
 import pytest
@@ -22,6 +24,7 @@ from filtra.revision import (
     check_filtered,
     filter_holds_at,
     recover_basic,
+    revision_from_preorder,
     revision_from_selection,
 )
 from filtra.revision import (
@@ -29,14 +32,17 @@ from filtra.revision import (
     _Labels,
     _filter_failures,
     _filter_mask_holds,
+    _lowest_bits,
     _recovery_reason,
     _transpose,
+    _untranspose,
 )
 from filtra.sampling import (
     all_labelings,
     all_revision_tables,
     all_selection_functions,
     random_labeling,
+    random_plausibility_order,
     random_selection_function,
 )
 from filtra.worlds import PointSet, Universe, canonical_universe, submasks
@@ -525,3 +531,139 @@ class TestWordWidths:
                 verdicts.add(bool(outcome))
             assert build_filtered(recover_basic(filtered, labeling).basic, labeling) == filtered
         assert verdicts == {True, False}
+
+
+def unshared_check_filtered(table, labeling):
+    """check_filtered before the shared passing report: the same failure
+    sets, with a report built on every call."""
+    universe = table.universe
+    fails = _filter_failures(table, labeling._view)
+    results = []
+    for check in _FILTER_CHECKS:
+        total = fails[check].bit_count()
+        witnesses = tuple(
+            Witness.of([("E", PointSet(universe, e))], detail=f"label {labeling.labels[e].value}")
+            for e in _lowest_bits(fails[check], 5)
+        )
+        note = f"{total} failing propositions" if total > 5 else ""
+        results.append(CheckResult(check, not total, witnesses, note))
+    results.append(CheckResult("F4", True, note="by representation: entries are keyed by truth sets"))
+    return CheckReport("filtered revision laws", tuple(results))
+
+
+class TestSharedPassingReport:
+    """A passing check_filtered returns one shared report, equal to the
+    report its predecessor built, in text and JSON too."""
+
+    @staticmethod
+    def same_report(table, labeling):
+        report = check_filtered(table, labeling)
+        expected = unshared_check_filtered(table, labeling)
+        assert report == expected
+        assert report.render_text() == expected.render_text()
+        assert report.to_json() == expected.to_json()
+        assert (report is revision._FILTER_HOLDS) == report.all_hold
+        return report.all_hold
+
+    def test_every_one_atom_table_and_labeling(self, u1):
+        cases = product(all_revision_tables(u1), all_labelings(u1))
+        verdicts = Counter(self.same_report(table, labeling) for table, labeling in cases)
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("n_atoms,draws", [(2, 10), (3, 3)])
+    def test_seeded_built_and_corrupted_tables(self, n_atoms, draws):
+        universe = canonical_universe(("p", "q", "r")[:n_atoms])
+        verdicts = Counter()
+        for draw in range(draws):
+            rng = Random(170 + 10 * n_atoms + draw)
+            for kind, table in kernel_tables(n_atoms, seed=rng.randrange(10**6)):
+                labeling = random_labeling(rng, universe)
+                if kind in ("preorder", "selection"):
+                    built = build_filtered(table, labeling)
+                    assert self.same_report(built, labeling)
+                    masks = list(built._masks)
+                    masks[rng.randrange(len(masks))] ^= 1 + rng.randrange(universe.full_mask)
+                    table = RevisionTable.from_masks(universe, built.initial.points.mask, masks)
+                verdicts[self.same_report(table, labeling)] += 1
+        assert verdicts[False]
+
+
+def packed(table):
+    """Whether the table's entry array has been made."""
+    return hasattr(table.entries, "_array")
+
+
+def lazy_tables(n_atoms):
+    """Makers of fresh tables from revision_from_preorder and
+    build_filtered (packed on first read) and recover_basic (packed at
+    once), over one seeded draw."""
+    universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+    rng = Random(190 + n_atoms)
+    order = random_plausibility_order(rng, universe)
+    basic = revision_from_selection(random_selection_function(rng, universe))
+    labeling = random_labeling(rng, universe)
+    built = build_filtered(basic, labeling)
+    return {
+        "preorder": lambda: revision_from_preorder(order),
+        "build": lambda: build_filtered(basic, labeling),
+        "recover": lambda: recover_basic(built, labeling).basic,
+    }
+
+
+class TestLazyPacking:
+    """A table built from slices packs its entry array on first read; it
+    equals the table packed eagerly from the same slices, and behaves as
+    a mapping the same before and after that read."""
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_lazy_tables_equal_their_eager_packing(self, n_atoms):
+        for kind, make in lazy_tables(n_atoms).items():
+            table = make()
+            size = table.universe.size
+            eager = RevisionTable.from_masks(
+                table.universe, table.initial.points.mask, _untranspose(table._slices, size)
+            )
+            assert packed(table) == (kind == "recover"), kind
+            assert table == eager
+            assert packed(table)
+            assert table._masks == eager._masks
+            assert table._slices == _transpose(eager._masks, size)
+            fresh = make()
+            assert dict(fresh.entries) == dict(eager.entries)
+            assert_entries_shared(fresh)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_mapping_protocol_before_and_after_the_first_read(self, n_atoms):
+        makers = lazy_tables(n_atoms)
+        full = makers["preorder"]().universe.full_mask
+        keys = [0, 1, full, full + 1, 1 << 40, -1, -full - 1, True, 1.0, "1", None, (0,)]
+
+        def lookup(entries, key):
+            try:
+                return entries[key].points.mask
+            except KeyError as exc:
+                return ("KeyError", exc.args)
+
+        probes = {
+            "len": len,
+            "in": lambda entries: [key in entries for key in keys],
+            "iter": list,
+            "dict": lambda entries: {e: b.points.mask for e, b in entries.items()},
+            "lookup": lambda entries: [lookup(entries, key) for key in keys],
+        }
+        for kind, make in makers.items():
+            read = make()
+            read.entries[0]  # the first read
+            for name, probe in probes.items():
+                fresh = make()
+                assert probe(fresh.entries) == probe(read.entries), (kind, name)
+        for make in (makers["preorder"], makers["build"]):
+            fresh = make()
+            assert len(fresh.entries) == full + 1
+            assert list(fresh.entries) == list(range(full + 1))
+            assert [key in fresh.entries for key in keys] == [True] * 3 + [False] * 4 + [True] + [False] * 4
+            assert not packed(fresh)
+            for key in (-1, -full - 1, "1", None, (0,)):
+                with pytest.raises(KeyError):
+                    fresh.entries[key]
+            assert not packed(fresh)  # rejected before the array is read

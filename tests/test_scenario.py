@@ -1,8 +1,11 @@
 import json
+from random import Random
 
 import pytest
 
-from filtra.revision import Credibility
+from filtra import scenario as scenario_module
+from filtra.revision import Credibility, revision_from_selection
+from filtra.sampling import random_labeling, random_selection_function
 from filtra.scenario import (
     Scenario,
     STATE_LIMIT,
@@ -14,6 +17,7 @@ from filtra.scenario import (
     loads,
     scenario_to_payload,
 )
+from filtra.scenario import _key_masks, _parse_event_key, _parse_event_list
 from filtra.worlds import PointSet, Universe, canonical_universe
 
 
@@ -300,3 +304,106 @@ class TestSaving:
             )
             once = dumps(scenario)
             assert dumps(loads(once)) == once
+
+
+# canonical universes at 1-4 atoms (w10 sorts before w2 from 3 atoms
+# on), and point order the reverse of string order
+KEY_UNIVERSES = {
+    **{f"{n}atoms": canonical_universe(("p", "q", "r", "s")[:n]) for n in range(1, 5)},
+    "reversed": Universe.from_assignments(("p",), [(i, {}) for i in ("e", "d", "c", "b", "a")]),
+}
+
+
+def full_scenario(universe, seed):
+    """A scenario with a random table and every label written."""
+    rng = Random(seed)
+    labeling = random_labeling(rng, universe)
+    table = revision_from_selection(random_selection_function(rng, universe))
+    return Scenario(universe.atoms, universe, table=table, labeling=labeling)
+
+
+def full_scenario_text(universe, seed):
+    # unindented, which json encodes in C: loading ignores the layout
+    return json.dumps(scenario_to_payload(full_scenario(universe, seed)))
+
+
+class TestKeyTable:
+    """The loader resolves canonical keys and id lists through one key ->
+    mask table; a miss falls back to the validating parser, so what loads
+    and every refusal message are the parser's."""
+
+    @pytest.mark.parametrize("name", list(KEY_UNIVERSES))
+    def test_every_canonical_key_resolves_as_the_parser_does(self, name):
+        universe = KEY_UNIVERSES[name]
+        keys = _key_masks(universe)
+        masks = range(universe.full_mask + 1)
+        assert keys == {event_key(ids_of_mask(universe, mask)): mask for mask in masks}
+        for key, mask in keys.items():
+            assert _parse_event_key(key, universe, "key") == mask
+            assert _parse_event_list(key.split(",") if key else [], universe, "list") == mask
+
+    @pytest.mark.parametrize("name", list(KEY_UNIVERSES))
+    def test_tables_round_trip_through_either_path(self, name, monkeypatch):
+        universe = KEY_UNIVERSES[name]
+        original = full_scenario(universe, seed=universe.size)
+        text = json.dumps(scenario_to_payload(original))
+        loaded = loads(text)
+        assert loaded.table == original.table
+        assert loaded.labeling.labels == original.labeling.labels
+        if universe.size == 16:
+            return  # the parser alone takes ~1 s here
+        assert dumps(loaded) == dumps(original)
+        monkeypatch.setattr(scenario_module, "_key_masks", lambda universe: {})
+        parsed = loads(text)
+        assert parsed.table == loaded.table
+        assert parsed.labeling.labels == loaded.labeling.labels
+        assert parsed.labeling_overrides == loaded.labeling_overrides
+
+    def test_a_few_overrides_parse_key_by_key(self, monkeypatch):
+        # fewer than a quarter of the propositions: no table is built
+        universe = KEY_UNIVERSES["4atoms"]
+        payload = scenario_to_payload(Scenario(universe.atoms, universe))
+        payload["labeling"] = {"w0,w10,w3": "A", "w5": "R"}
+        built = []
+        monkeypatch.setattr(scenario_module, "_key_masks", lambda universe: built.append(1) or {})
+        labeling = loads(json.dumps(payload)).labeling
+        assert not built
+        assert labeling.labels[1 | 1 << 3 | 1 << 10] is Credibility.ALLOWABLE
+        assert labeling.labels[1 << 5] is Credibility.REJECTED
+
+    @pytest.mark.parametrize(
+        "key", ["w1,w0", "w0,w0", "w9", "w0,", ",w0", " w0", "w0,w1,"], ids=repr
+    )
+    @pytest.mark.parametrize("section", ["labeling", "table"])
+    def test_a_key_miss_keeps_the_parser_message(self, key, section):
+        universe = KEY_UNIVERSES["2atoms"]
+        payload = json.loads(full_scenario_text(universe, seed=7))
+        items = payload[section] if section == "labeling" else payload["table"]["entries"]
+        items[key] = items.pop("w1")
+        field = "labeling" if section == "labeling" else "table.entries"
+        with pytest.raises(ScenarioError) as expected:
+            _parse_event_key(key, universe, f"{field}[{key!r}]")
+        with pytest.raises(ScenarioError) as err:
+            loads(json.dumps(payload))
+        assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [["w0,w1"], [""], ["", "w0"], ["w0", ""], [1], ["w0", 1], ["w0", "w0"], ["w9"], "w0", "w0,w1", {"w0": 1}, None],
+        ids=repr,
+    )
+    def test_a_value_miss_keeps_the_parser_message(self, value):
+        universe = KEY_UNIVERSES["2atoms"]
+        payload = json.loads(full_scenario_text(universe, seed=7))
+        payload["table"]["entries"]["w1"] = value
+        with pytest.raises(ScenarioError) as expected:
+            _parse_event_list(value, universe, "table.entries['w1']")
+        with pytest.raises(ScenarioError) as err:
+            loads(json.dumps(payload))
+        assert str(err.value) == str(expected.value)
+
+    def test_an_unsorted_value_still_loads(self):
+        universe = KEY_UNIVERSES["3atoms"]
+        payload = json.loads(full_scenario_text(universe, seed=9))
+        payload["table"]["entries"]["w1"] = ["w7", "w1", "w0"]
+        assert loads(json.dumps(payload)).table.entries[1 << 1].points.mask == 0b10000011

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from random import Random
 
@@ -69,6 +70,35 @@ class TestCanonicalUniverse:
         )
         assert not u.is_exhaustive()
         assert truth_set(Atom("p"), u).ids == ("x", "y")
+
+
+class TestStoredSizes:
+    """``size`` and ``full_mask`` are stored once per universe, outside
+    the dataclass fields, so equality, hashing and repr are unchanged."""
+
+    def test_they_are_not_fields(self):
+        u = canonical_universe(("p", "q"))
+        assert [field.name for field in dataclasses.fields(u)] == ["atoms", "points"]
+        assert (u.size, u.full_mask) == (4, 15)
+        assert repr(u) == f"Universe(atoms={u.atoms!r}, points={u.points!r})"
+        same = Universe(u.atoms, u.points)
+        assert same == u and hash(same) == hash(u)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.size = 3
+
+    def test_they_survive_replace_and_with_valuation(self):
+        from filtra.choice import ChoiceStructure, with_valuation
+
+        u = canonical_universe(("p", "q"))
+        fewer = dataclasses.replace(u, points=u.points[:3])
+        assert (fewer.size, fewer.full_mask) == (3, 7)
+        renamed = dataclasses.replace(u, atoms=("a", "b"))
+        assert (renamed.size, renamed.full_mask) == (4, 15)
+        structure = ChoiceStructure(u, frozenset({15}), frozenset(), frozenset({0}), {15: 1, 0: 1})
+        rows = [(bool(i & 1),) for i in range(4)]
+        moved = with_valuation(structure, ("r",), rows).universe
+        assert (moved.size, moved.full_mask) == (4, 15)
+        assert moved == Universe(("r",), tuple(Point(p.id, row) for p, row in zip(u.points, rows)))
 
 
 class TestPointSets:
