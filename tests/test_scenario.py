@@ -389,7 +389,10 @@ class TestKeyTable:
 
     @pytest.mark.parametrize(
         "value",
-        [["w0,w1"], [""], ["", "w0"], ["w0", ""], [1], ["w0", 1], ["w0", "w0"], ["w9"], "w0", "w0,w1", {"w0": 1}, None],
+        [
+            ["w0,w1"], [""], ["", "w0"], ["w0", ""], [1], ["w0", 1], ["w0", "w0"], ["w9"],
+            "w0", "w0,w1", {"w0": 1}, None,
+        ],  # fmt: skip
         ids=repr,
     )
     def test_a_value_miss_keeps_the_parser_message(self, value):
