@@ -22,6 +22,8 @@ per proposition.  The pre-order constructor, ``build_filtered`` and
 ``recover_basic`` compute their tables as those per-state ints and pack
 them into the array once (``_untranspose``), the first two only when
 the array is first read; ``_pack`` checks only masks from outside.
+A selection function keeps only its packed table and a labeling one
+code byte per proposition, each behind a read-only view (``_Packed``).
 """
 
 from __future__ import annotations
@@ -123,7 +125,9 @@ class SelectionFunction:
     pinned to E & initial whenever that overlap is nonempty.
 
     ``choice`` is keyed by proposition bitmask.  It is packed once, with
-    0 at 0, into the table that is checked and kept as its revision.
+    0 at 0, into the table that is checked and kept as its revision;
+    the caller's mapping is not kept, and ``choice`` becomes a read-only
+    view over that table's array for keys 1..full.
     """
 
     universe: Universe
@@ -150,6 +154,49 @@ class SelectionFunction:
             table = RevisionTable.from_masks(self.universe, self.initial.points.mask, values)
         _check_selection(table, outside)
         self.__dict__["_table"] = table
+        object.__setattr__(self, "choice", _Packed(table._masks, first=1))
+
+
+class _Packed(Mapping):
+    """A read-only mapping from proposition mask E to ``data[E]``, over
+    data packed one item per proposition, for E from ``first`` up; each
+    item is read through ``decode`` when that is given.  A key is found
+    exactly when ``_Entries`` would find it: an int in range."""
+
+    __slots__ = ("data", "_first", "_decode")
+
+    def __init__(self, data: Sequence, first: int = 0, decode: Mapping | None = None):
+        self.data = data
+        self._first = first
+        self._decode = decode
+
+    def __getitem__(self, proposition):
+        try:
+            # keys start at first; a bare index would also wrap a negative one
+            if proposition >= self._first:
+                item = self.data[proposition]
+                return item if self._decode is None else self._decode[item]
+        except (TypeError, IndexError):
+            pass
+        raise KeyError(proposition)
+
+    def __contains__(self, proposition) -> bool:
+        return isinstance(proposition, int) and self._first <= proposition < len(self.data)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._first, len(self.data)))
+
+    def __len__(self) -> int:
+        return len(self.data) - self._first
+
+    def __eq__(self, other) -> bool:
+        first = self._first
+        if isinstance(other, _Packed) and (other._first, other._decode) == (first, self._decode):
+            return self.data[first:] == other.data[first:]
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 class _Entries(Mapping):
@@ -165,7 +212,7 @@ class _Entries(Mapping):
 
     Each distinct theory is made once, on first lookup (the initial one
     is given), so equal entries share one BeliefSet.  Two views compare
-    by their masks.
+    by their slices when both keep them, else by their masks.
     """
 
     __slots__ = ("universe", "_array", "_slices", "_count", "_theories")
@@ -224,7 +271,11 @@ class _Entries(Mapping):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _Entries):
-            return self.masks == other.masks and self.universe == other.universe
+            if self._slices is not None and other._slices is not None:
+                same = self._slices == other._slices  # neither side packs
+            else:
+                same = self.masks == other.masks
+            return same and self.universe == other.universe
         return super().__eq__(other)
 
 
@@ -260,10 +311,16 @@ class RevisionTable:
         if len(entries) != len(propositions) or not all(map(entries.__contains__, propositions)):
             raise ValueError("entries must cover every proposition exactly once")
         beliefs = list(map(entries.__getitem__, propositions))
-        # equal entries usually share one object; check each object once
-        for belief in dict(zip(map(id, beliefs), beliefs)).values():
-            if belief.universe is not universe and belief.universe != universe:
-                raise UniverseMismatchError("entry belief set over a different universe")
+        try:
+            # BeliefSet.universe is a property; count compares by identity first
+            universes = [belief.points.universe for belief in beliefs]
+        except AttributeError:  # not a BeliefSet; the loop below names it
+            universes = []
+        if universes.count(universe) != len(beliefs):
+            # the first fault in proposition order, as an entry-by-entry check finds it
+            for belief in beliefs:
+                if belief.universe is not universe and belief.universe != universe:
+                    raise UniverseMismatchError("entry belief set over a different universe")
         masks = _pack(universe, [belief.points.mask for belief in beliefs])
         object.__setattr__(self, "entries", _Entries(universe, self.initial, masks))
 
@@ -328,6 +385,10 @@ class CredibilityLabeling:
     The full proposition (the tautology class) is always credible and
     the empty one (the contradiction class) always rejected; credible
     and allowable labels are reserved for nonempty propositions.
+
+    The caller's mapping is checked and encoded once as one code byte
+    per proposition (b"C", b"A" or b"R"), and not kept: ``labels``
+    becomes a read-only view over those codes.
     """
 
     universe: Universe
@@ -345,6 +406,8 @@ class CredibilityLabeling:
             raise ValueError("the full proposition must be labeled credible")
         if labels[0] is not Credibility.REJECTED:
             raise ValueError("the empty proposition must be labeled rejected")
+        codes = "".join(map(_VALUE, map(labels.__getitem__, range(full + 1)))).encode()
+        object.__setattr__(self, "labels", _Packed(codes, decode=_LABEL_OF_CODE))
 
     @classmethod
     def all_credible(cls, universe: Universe) -> "CredibilityLabeling":
@@ -364,17 +427,22 @@ class CredibilityLabeling:
             raise UniverseMismatchError("proposition over a different universe")
         return self.labels[proposition.mask]
 
+    @property
+    def _codes(self) -> bytes:
+        # one code byte per proposition, b"C", b"A" or b"R"
+        return self.labels.data
+
     @functools.cached_property
     def _view(self) -> "_Labels":
         # the labels as one bitset per label, bit E for proposition E
-        labels = map(self.labels.__getitem__, range(self.universe.full_mask + 1))
-        return _Labels.of("".join(map(_VALUE, labels)).encode())
+        return _Labels.of(self._codes)
 
 
 # Bit-sliced evaluation (docs/semantics.md): a law at every proposition
 # at once, as a few operations on ints whose bit E stands for proposition E.
 
 _VALUE = operator.attrgetter("_value_")  # not .value or a member hash: both run Python code
+_LABEL_OF_CODE = {ord(member.value): member for member in Credibility}
 
 
 class _Labels(NamedTuple):
@@ -750,7 +818,6 @@ def check_agm(
     if not wanted or not set(wanted) <= set(ALL_POSTULATES):
         raise ValueError(f"postulates must be a nonempty subset of 1..8, got {wanted}")
     universe = table.universe
-    holds = functools.partial(_agm_mask_holds, table._masks, table.initial.points.mask)
     masks = range(universe.full_mask + 1)
     pair_counts = _agm78_failure_counts(table) if {7, 8} & set(wanted) else {}
     fails = _agm_failures(table) if {2, 3, 4, 5} & set(wanted) else {}
@@ -764,6 +831,8 @@ def check_agm(
         if postulate in (7, 8):
             counts = pair_counts[postulate]
             total = sum(counts)
+            # bound here: AGM1-6 read no packed array
+            holds = functools.partial(_agm_mask_holds, table._masks, table.initial.points.mask)
             for e in masks:
                 if len(failing) >= _MAX_WITNESSES:
                     break

@@ -404,9 +404,16 @@ def scenario_to_payload(scenario: Scenario) -> dict:
     labeling = scenario.labeling if scenario.labeling_overrides is None else None
     if labeling is not None or scenario.table is not None:
         # each proposition's id list, rendered once: it is a key, a sort
-        # key and the value of every entry with those points
-        ids = [ids_of_mask(universe, mask) for mask in range(universe.full_mask + 1)]
-        keys = [event_key(item) for item in ids]
+        # key and the value of every entry with those points.  Ids are
+        # added in sorted order, each appended to every list made before
+        # it, so each list comes out sorted (as in _key_masks).
+        index = universe._index
+        made: dict[int, list[str]] = {0: []}
+        for state_id in sorted(index):
+            bit = 1 << index[state_id]
+            made.update([(mask | bit, [*prior, state_id]) for mask, prior in made.items()])
+        ids = list(map(made.__getitem__, range(len(made))))
+        keys = list(map(",".join, ids))
         by_key = sorted(range(len(ids)), key=keys.__getitem__)
     if scenario.labeling_overrides is not None:
         payload["labeling"] = {
@@ -414,7 +421,8 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         }
     elif labeling is not None:
         # with no overrides read from a file, every label is written
-        payload["labeling"] = {keys[mask]: labeling.labels[mask].value for mask in by_key}
+        codes = labeling._codes.decode()
+        payload["labeling"] = {keys[mask]: codes[mask] for mask in by_key}
     if scenario.table is not None:
         table = scenario.table
         masks = table._masks

@@ -523,6 +523,27 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize(
+        ("postulates", "scenario", "golden", "exit_code"),
+        [
+            ("1-6", "preorder_3atoms.json", "check_agm_postulates1-6_preorder_3atoms", 0),
+            ("7-8", "failing_laws_3atoms.json", "check_agm_postulates7-8_failing_laws", 1),
+        ],
+        ids=["1-6-preorder", "7-8-failing"],
+    )
+    def test_postulate_subsets_match_golden(
+        self, runner, postulates, scenario, golden, exit_code, as_json
+    ):
+        # AGM1-6 on a pre-order table read only its slices; AGM7/8 read
+        # its packed entries, both for the count and the witness scan
+        args = ["check", "agm", "--postulates", postulates, *(["--json"] if as_json else [])]
+        result = runner.invoke(main, [*args, str(GOLDEN / scenario)])
+        assert result.exit_code == exit_code
+        assert result.output == (GOLDEN / f"{golden}.{'json' if as_json else 'txt'}").read_text(
+            encoding="utf-8"
+        )
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize(
         "command",
         [["validate"], ["check", "prop2"], ["oracle", "def6"], ["rationalize"]],
         ids=["validate", "prop2", "oracle", "rationalize"],

@@ -667,3 +667,55 @@ class TestLazyPacking:
                 with pytest.raises(KeyError):
                     fresh.entries[key]
             assert not packed(fresh)  # rejected before the array is read
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_agm_one_to_six_read_no_array(self, n_atoms):
+        # AGM2-5 are read off the slices, passing or failing; only AGM7/8
+        # read the entries
+        makers = lazy_tables(n_atoms)
+        built = makers["build"]()
+        assert not check_agm(built, (1, 2, 3, 4, 5, 6)).all_hold
+        assert not packed(built)
+        table = makers["preorder"]()
+        assert check_agm(table, (1, 2, 3, 4, 5, 6)).all_hold
+        assert not packed(table)
+        if n_atoms < 4:  # AGM7 at 4 atoms takes seconds
+            assert check_agm(table, (7,)).all_hold
+            assert packed(table)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_slice_equality_agrees_with_mask_equality(self, n_atoms):
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        rng = Random(200 + n_atoms)
+        basic = revision_from_selection(random_selection_function(rng, universe))
+        labeling = random_labeling(rng, universe)
+        built = build_filtered(basic, labeling)
+        initial = built.initial.points.mask
+        masks = built._masks.tolist()
+        one_off = masks.copy()
+        one_off[rng.randrange(len(masks))] ^= 1 << rng.randrange(universe.size)
+        off = RevisionTable.from_masks(universe, initial, one_off)
+        slices_off = _transpose(off._masks, universe.size)
+        renamed = canonical_universe(("w", "x", "y", "z")[:n_atoms])
+        makers = {
+            "built": lambda: build_filtered(basic, labeling),
+            "rebuilt": lambda: build_filtered(recover_basic(built, labeling).basic, labeling),
+            "from masks": lambda: RevisionTable.from_masks(universe, initial, masks),
+            "slices one off": lambda: RevisionTable._of_slices(
+                universe, built.initial, list(slices_off)
+            ),
+            "masks one off": lambda: RevisionTable.from_masks(universe, initial, one_off),
+            "renamed": lambda: RevisionTable._of_slices(
+                renamed, BeliefSet(PointSet(renamed, initial)), list(built._slices)
+            ),
+        }
+        with_slices = {"built", "rebuilt", "slices one off", "renamed"}
+        classes = [{"built", "rebuilt", "from masks"}, {"slices one off", "masks one off"}]
+        for (a, make_a), (b, make_b) in product(makers.items(), repeat=2):
+            x, y = make_a(), make_b()
+            got = x.entries == y.entries
+            if a in with_slices and b in with_slices:
+                assert not packed(x) and not packed(y), (a, b)
+            same = x.universe == y.universe and x._masks.tolist() == y._masks.tolist()
+            assert got == same, (a, b)
+            assert got == (a == b or any({a, b} <= group for group in classes)), (a, b)

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import re
+import tracemalloc
 from array import array
 from random import Random
 from types import SimpleNamespace
@@ -13,6 +15,8 @@ from filtra.choice import build_model, extension_oracle
 from filtra.formulas import parse_formula
 from filtra.reports import CheckReport, CheckResult, Witness
 from filtra.revision import (
+    Credibility,
+    CredibilityLabeling,
     PlausibilityOrder,
     RevisionTable,
     SelectionError,
@@ -43,7 +47,13 @@ from filtra.sampling import (
     random_selection_function,
 )
 from filtra.scenario import Scenario, detective_scenario, dumps, loads
-from filtra.worlds import PointSet, SizeLimitError, Universe, canonical_universe
+from filtra.worlds import (
+    PointSet,
+    SizeLimitError,
+    Universe,
+    UniverseMismatchError,
+    canonical_universe,
+)
 
 ATOMS = ("p", "q")
 
@@ -601,6 +611,171 @@ class TestEntriesView:
         renamed = canonical_universe(("x", "y"))
         with pytest.raises(ValueError, match="different universe"):
             RevisionTable(renamed, BeliefSet.tautologies(renamed), table.entries)
+
+    def test_a_callers_mapping_fails_as_the_object_loop_did(self, u1, u2):
+        table = revision_from_preorder(spec_order(u2))
+        entries = dict(table.entries)
+        foreign = BeliefSet.tautologies(u1)
+        without_7 = {k: v for k, v in entries.items() if k != 7}
+        cases = {
+            "missing key": without_7,
+            "extra key": {**entries, 16: table.initial},
+            "foreign key": {**without_7, "7": entries[7]},
+            "foreign universe": {**entries, 9: foreign},
+            "int value": {**entries, 9: 9},
+            "None value": {**entries, 9: None},
+            "point set value": {**entries, 9: entries[9].points},
+            "foreign universe, then int": {**entries, 4: foreign, 9: 9},
+            "int, then foreign universe": {**entries, 4: 4, 9: foreign},
+            "point set, then foreign universe": {**entries, 4: entries[4].points, 9: foreign},
+        }
+        for name, broken in cases.items():
+            want = object_loop_table_error(u2, table.initial, broken)
+            assert want is not None, name
+            with pytest.raises(type(want)) as got:
+                RevisionTable(u2, table.initial, broken)
+            assert type(got.value) is type(want) and str(got.value) == str(want), name
+        # an equal universe that is another object passes, as before
+        twin = Universe(u2.atoms, u2.points)
+        assert twin is not u2
+        entries[9] = BeliefSet(PointSet(twin, entries[9].points.mask))
+        assert object_loop_table_error(u2, table.initial, entries) is None
+        assert RevisionTable(u2, table.initial, entries) == table
+
+
+def object_loop_table_error(universe, initial, entries):
+    """RevisionTable's check of a caller's mapping as it was, each
+    distinct entry object checked once in first-seen order: the error
+    it raised, or None."""
+    propositions = range(universe.full_mask + 1)
+    try:
+        if len(entries) != len(propositions) or not all(map(entries.__contains__, propositions)):
+            raise ValueError("entries must cover every proposition exactly once")
+        beliefs = list(map(entries.__getitem__, propositions))
+        for belief in dict(zip(map(id, beliefs), beliefs)).values():
+            if belief.universe is not universe and belief.universe != universe:
+                raise UniverseMismatchError("entry belief set over a different universe")
+        _pack(universe, [belief.points.mask for belief in beliefs])
+    except (ValueError, AttributeError) as exc:
+        return exc
+    return None
+
+
+def valid_choice(universe, initial_mask, rng):
+    """A caller's choice dict: E & I where they overlap, else a random
+    nonempty part of E."""
+    choice = {}
+    for event in range(1, universe.full_mask + 1):
+        part = event & rng.randrange(1, universe.full_mask + 1)
+        choice[event] = event & initial_mask or part or event
+    return choice
+
+
+def valid_labels(universe, rng):
+    """A caller's label dict: R at 0, C at the full proposition, a
+    random label elsewhere."""
+    full = universe.full_mask
+    labels = {mask: rng.choice(list(Credibility)) for mask in range(full + 1)}
+    return {**labels, 0: Credibility.REJECTED, full: Credibility.CREDIBLE}
+
+
+class TestPackedViews:
+    """``SelectionFunction.choice`` and ``CredibilityLabeling.labels``
+    are read-only views over the packed table and the label codes: they
+    keep the caller's dict's contract, not the dict."""
+
+    def made(self, n_atoms, seed):
+        """A universe, a selection and a labeling with the dicts they
+        were made from."""
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        rng = Random(seed)
+        initial = BeliefSet(PointSet(universe, rng.randrange(1, universe.full_mask + 1)))
+        choice = valid_choice(universe, initial.points.mask, rng)
+        labels = valid_labels(universe, rng)
+        selection = SelectionFunction(universe, initial, choice)
+        return universe, selection, choice, CredibilityLabeling(universe, labels), labels
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 4])
+    def test_mapping_protocol(self, n_atoms):
+        universe, selection, choice, labeling, labels = self.made(n_atoms, 80 + n_atoms)
+        full = universe.full_mask
+        entries = revision_from_selection(selection).entries
+        keys = [0, 1, full, full + 1, -1, True, 1.0, "1", None]
+        for view, origin, first in ((selection.choice, choice, 1), (labeling.labels, labels, 0)):
+            assert len(view) == len(origin) == full + 1 - first
+            assert list(view) == list(view.keys()) == list(range(first, full + 1))
+            assert list(view.items()) == sorted(origin.items())
+            assert list(view.values()) == [origin[key] for key in range(first, full + 1)]
+            for key in keys:
+                # exactly the keys the table's entries find, from the first up
+                found = key in entries and key >= first
+                assert (key in view) is found, key
+                if found:
+                    assert view[key] == origin[key]
+                else:
+                    assert view.get(key) is None
+                    with pytest.raises(KeyError):
+                        view[key]
+            with pytest.raises(TypeError):
+                view[1] = origin[1]
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3])
+    def test_views_equal_their_dicts(self, n_atoms):
+        universe, selection, choice, labeling, labels = self.made(n_atoms, 90 + n_atoms)
+        assert selection.choice == choice and choice == selection.choice
+        assert labeling.labels == labels and labels == labeling.labels
+        assert selection.choice != labels and labeling.labels != choice
+        for view, origin in ((selection.choice, choice), (labeling.labels, labels)):
+            one_off = {**origin, 1: "other"}
+            assert view != one_off and one_off != view
+        again = SelectionFunction(universe, selection.initial, dict(choice))
+        assert again.choice == selection.choice and again == selection
+        assert CredibilityLabeling(universe, dict(labels)) == labeling
+
+    def test_views_compare_by_content(self, u2):
+        initial = BeliefSet(PointSet(u2, 1))
+        choice = {event: event & 1 or event for event in range(1, 16)}
+        selection = SelectionFunction(u2, initial, choice)
+        assert SelectionFunction(u2, initial, {**choice, 6: 2}).choice != selection.choice
+        assert SelectionFunction(u2, initial, {**choice, 6: 6}).choice == selection.choice
+        labeling = CredibilityLabeling.all_credible(u2)
+        allowable = CredibilityLabeling.from_overrides(u2, {6: Credibility.ALLOWABLE})
+        assert allowable.labels != labeling.labels
+        assert allowable.labels == {**labeling.labels, 6: Credibility.ALLOWABLE}
+
+    def test_the_callers_dicts_are_not_kept(self):
+        universe, selection, choice, labeling, labels = self.made(2, 100)
+        kept_choice, kept_labels = dict(choice), dict(labels)
+        masks = revision_from_selection(selection)._masks.tolist()
+        choice[3] = 0
+        del choice[5]
+        labels[0] = Credibility.CREDIBLE
+        labels[6] = next(label for label in Credibility if label is not labels[6])
+        labels["x"] = Credibility.CREDIBLE
+        assert dict(selection.choice) == kept_choice
+        assert dict(labeling.labels) == kept_labels
+        assert revision_from_selection(selection)._masks.tolist() == masks
+        assert labeling._view == CredibilityLabeling(universe, kept_labels)._view
+
+    @pytest.mark.parametrize("draw", [random_labeling, random_selection_function])
+    def test_a_four_atom_draw_keeps_no_dict(self, draw):
+        # a labeling keeps 64 KB of codes; a selection its packed table
+        # (128 KB) with the slices and terms its check cached; each kept
+        # its caller's dict before, 4.5 MB and 6.5 MB
+        universe = canonical_universe(("p", "q", "r", "s"))
+        rng = Random(7)
+        draw(rng, universe)  # the per-size caches are made once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = draw(rng, universe)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept.universe is universe
+        assert retained < 512 * 1024
 
 
 def naive_agm_report(table):
