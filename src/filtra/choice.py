@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .beliefs import BeliefSet
@@ -49,7 +50,11 @@ class InvalidStructureError(ValueError):
 
 @dataclass(frozen=True)
 class ChoiceStructure:
-    """States, three menu families and a choice map, all as bitmasks."""
+    """States, three menu families and a choice map, all as bitmasks.
+
+    The caller's choice map is checked and copied once, and not kept:
+    ``f`` becomes a read-only view of that copy.
+    """
 
     universe: Universe
     credible: frozenset[int]
@@ -79,6 +84,7 @@ class ChoiceStructure:
                 f"choice map must cover the menus exactly (missing {missing}, extra {sorted(extra)})"
             )
         check("choice", self.f.values())
+        object.__setattr__(self, "f", MappingProxyType(dict(self.f)))
 
     @property
     def events(self) -> frozenset[int]:
@@ -317,14 +323,9 @@ class Model:
         return _quotient(self.point_classes, self.canonical.size).states(canonical_mask)
 
 
-def build_model(structure: ChoiceStructure, atoms: Sequence[str] | None = None) -> Model:
-    """Label every canonical proposition from the structure's families.
-
-    ``atoms``, when given, must match the structure's own atom list
-    (the valuation already lives in the universe's assignments).
-    """
-    if atoms is not None and tuple(atoms) != structure.universe.atoms:
-        raise ValueError("atoms must match the structure universe's declared atoms")
+def build_model(structure: ChoiceStructure) -> Model:
+    """Label every canonical proposition from the structure's families,
+    under the valuation the universe's assignments declare."""
     _require_valid(structure)
     universe = structure.universe
     canonical = canonical_universe(universe.atoms)
@@ -506,6 +507,8 @@ def _row_partitions(size: int, max_blocks: int) -> _Partitions:
 # The brute force's size caps; they bound its tables at 4**4 mask pairs.
 _STATE_LIMIT = 4
 _ATOM_LIMIT = 4
+# The rationalization search's cap: 6 states have 4,683 weak orders.
+_RATIONALIZE_LIMIT = 6
 
 
 @lru_cache(maxsize=None)
@@ -611,21 +614,19 @@ def agm_consistency_bruteforce(
     return BruteforceOutcome(False, checked, counter)
 
 
-def find_rationalizing_preorder(
-    structure: ChoiceStructure, limit: int = 6
-) -> PlausibilityOrder | None:
+def find_rationalizing_preorder(structure: ChoiceStructure) -> PlausibilityOrder | None:
     """A total pre-order whose most-plausible sets reproduce the choice
     map on every credible menu, or None.  Exhaustive over all weak
     orders of the states, first match returned; the structure must pass
     the structural laws."""
     _require_valid(structure)
     universe = structure.universe
-    if universe.size > limit:
+    if universe.size > _RATIONALIZE_LIMIT:
         raise SizeLimitError(
-            f"rationalization search supports up to {limit} states, got {universe.size}"
+            f"rationalization search supports up to {_RATIONALIZE_LIMIT} states, got {universe.size}"
         )
     menus = sorted(structure.credible)
-    for order in enumerate_preorders(universe, limit=limit):
+    for order in enumerate_preorders(universe, limit=_RATIONALIZE_LIMIT):
         if all(order._lowest(menu) == structure.f[menu] for menu in menus):
             return order
     return None

@@ -179,20 +179,24 @@ def _parse_event_key(key: str, universe: Universe, field: str) -> int:
     return mask
 
 
-def _key_masks(universe: Universe) -> dict[str, int]:
-    """Every proposition's canonical event key, mapped to its mask.
+def _id_lists(universe: Universe) -> list[list[str]]:
+    """Every proposition's sorted id list, indexed by its mask.
 
-    Ids are added in sorted order, each appended to every key made
-    before it, so each key comes out sorted.
+    Ids are added in sorted order, each appended to every list made
+    before it, so each list comes out sorted.
     """
     index = universe._index
-    keys = {"": 0}
+    made: dict[int, list[str]] = {0: []}
     for state_id in sorted(index):
         bit = 1 << index[state_id]
-        keys.update(
-            [(f"{key},{state_id}" if key else state_id, mask | bit) for key, mask in keys.items()]
-        )
-    return keys
+        made.update([(mask | bit, [*prior, state_id]) for mask, prior in made.items()])
+    return list(map(made.__getitem__, range(len(made))))
+
+
+def _key_masks(universe: Universe) -> dict[str, int]:
+    """Every proposition's canonical event key, mapped to its mask."""
+    ids = _id_lists(universe)
+    return dict(zip(map(",".join, ids), range(len(ids))))
 
 
 def _lookup_list(value, keys: Mapping[str, int]) -> int | None:
@@ -404,15 +408,8 @@ def scenario_to_payload(scenario: Scenario) -> dict:
     labeling = scenario.labeling if scenario.labeling_overrides is None else None
     if labeling is not None or scenario.table is not None:
         # each proposition's id list, rendered once: it is a key, a sort
-        # key and the value of every entry with those points.  Ids are
-        # added in sorted order, each appended to every list made before
-        # it, so each list comes out sorted (as in _key_masks).
-        index = universe._index
-        made: dict[int, list[str]] = {0: []}
-        for state_id in sorted(index):
-            bit = 1 << index[state_id]
-            made.update([(mask | bit, [*prior, state_id]) for mask, prior in made.items()])
-        ids = list(map(made.__getitem__, range(len(made))))
+        # key and the value of every entry with those points
+        ids = _id_lists(universe)
         keys = list(map(",".join, ids))
         by_key = sorted(range(len(ids)), key=keys.__getitem__)
     if scenario.labeling_overrides is not None:

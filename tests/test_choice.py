@@ -184,10 +184,6 @@ class TestModel:
                 if family is not None:
                     assert model.labeling.labels[prop] is family
 
-    def test_atoms_argument_must_match(self):
-        with pytest.raises(ValueError):
-            build_model(detective_structure(), atoms=("x", "y"))
-
 
 class TestInducedBeliefs:
     def test_detective_partial_revision(self):
@@ -595,6 +591,12 @@ class TestBitSlicedOracle:
         with pytest.raises(SizeLimitError) as raised:
             agm_consistency_bruteforce(five)
         assert str(raised.value) == "brute force supports up to 4 states, got 5"
+        universe = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(7)])
+        full = universe.full_mask
+        seven = ChoiceStructure(universe, frozenset({full}), frozenset(), frozenset({0}), {full: 1, 0: 1})
+        with pytest.raises(SizeLimitError) as raised:
+            find_rationalizing_preorder(seven)
+        assert str(raised.value) == "rationalization search supports up to 6 states, got 7"
         for budget in (0, 5):
             with pytest.raises(SizeLimitError) as raised:
                 agm_consistency_bruteforce(detective_structure(), atoms=budget)
@@ -964,6 +966,25 @@ class TestMaskTypes:
             ChoiceStructure(universe, frozenset({3}), frozenset({-1}), frozenset({0}), {3: 1, 0: 1, -1: 1})
         with pytest.raises(ValueError, match=r"^choice mask 0x5 out of range$"):
             ChoiceStructure(universe, frozenset({3, 1}), frozenset(), frozenset({0}), {3: 1, 0: 1, 1: 5})
+
+    @pytest.mark.parametrize("mutate", ["set", "delete"])
+    def test_the_callers_choice_map_is_not_kept(self, mutate):
+        # a changed or removed choice in the caller's dict reaches none
+        # of the checks: f is a read-only copy
+        g = random_choice_structure(Random(1), 3)
+        f = dict(g.f)
+        g = ChoiceStructure(g.universe, g.credible, g.allowable, g.rejected, f)
+        checks = (validate_structure, check_agm_consistency, agm_consistency_bruteforce)
+        reports = [check(g) for check in checks]
+        assert reports[0].all_hold and 6 in f
+        if mutate == "set":
+            f[6] = "x"
+        else:
+            del f[6]
+        assert [check(g) for check in checks] == reports
+        assert 6 in g.f and g.f != f
+        with pytest.raises(TypeError):
+            g.f[6] = 0
 
 
 class TestRationalization:

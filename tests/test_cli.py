@@ -1,7 +1,9 @@
 import json
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 import pytest
 from click.testing import CliRunner
@@ -19,6 +21,7 @@ from test_choice import three_state_structure
 from test_revision import pair_scan_report
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = resources.files("filtra") / "data"
 DETECTIVE = json.loads(dumps(detective_scenario()))
 HELP_COMMANDS = [
     [],
@@ -35,6 +38,130 @@ HELP_COMMANDS = [
     ["fuzz"],
     ["demo"],
 ]
+
+
+class Golden(NamedTuple):
+    """One CLI run whose output tests/golden pins.  In ``argv``,
+    "{golden}/NAME" names a file in tests/golden and "{data}/NAME" one
+    that the filtra package ships."""
+
+    argv: str
+    stdout: str | None  # None when only the written file is pinned
+    exit_code: int
+    written: str | None = None  # the golden of the file named by -o
+
+
+# Every golden run, once; a new golden is one more entry.
+GOLDENS = [
+    Golden("demo detective", "demo_detective.txt", 0),
+    Golden("demo detective --json", "demo_detective.json", 0),
+    Golden("fuzz --atoms 1 --cases 200 --seed 0", "fuzz_atoms1_cases200_seed0.txt", 0),
+    Golden("fuzz --atoms 1 --cases 200 --seed 0 --json", "fuzz_atoms1_cases200_seed0.json", 0),
+    # pins all_selection_functions, all_revision_tables and all_labelings
+    Golden("fuzz --atoms 1 --cases all", "fuzz_atoms1_casesall_seed0.txt", 0),
+    Golden("fuzz --atoms 2 --cases 100 --seed 0", "fuzz_atoms2_cases100_seed0.txt", 0),
+    Golden("fuzz --atoms 2 --cases 100 --seed 0 --json", "fuzz_atoms2_cases100_seed0.json", 0),
+    # the pre-order table passes AGM1-8 and, being basic, fails four
+    # filter laws at a few propositions; the table built from it passes
+    # every filter law, so its report is the shared passing one
+    Golden("check agm {golden}/preorder_3atoms.json", "check_agm_preorder_3atoms.txt", 0),
+    Golden("check agm --json {golden}/preorder_3atoms.json", "check_agm_preorder_3atoms.json", 0),
+    Golden("check filtered {golden}/preorder_3atoms.json", "check_filtered_preorder_3atoms.txt", 1),
+    Golden("check filtered --json {golden}/preorder_3atoms.json", "check_filtered_preorder_3atoms.json", 1),
+    Golden("check filtered {golden}/build_filtered_preorder_3atoms.json", "check_filtered_built_3atoms.txt", 0),
+    Golden(
+        "check filtered --json {golden}/build_filtered_preorder_3atoms.json", "check_filtered_built_3atoms.json", 0
+    ),
+    # AGM1-6 on a pre-order table read only its slices; AGM7/8 read its
+    # packed entries, both for the count and the witness scan
+    Golden(
+        "check agm --postulates 1-6 {golden}/preorder_3atoms.json", "check_agm_postulates1-6_preorder_3atoms.txt", 0
+    ),
+    Golden(
+        "check agm --postulates 1-6 --json {golden}/preorder_3atoms.json",
+        "check_agm_postulates1-6_preorder_3atoms.json",
+        0,
+    ),
+    Golden(
+        "check agm --postulates 7-8 {golden}/failing_laws_3atoms.json", "check_agm_postulates7-8_failing_laws.txt", 1
+    ),
+    Golden(
+        "check agm --postulates 7-8 --json {golden}/failing_laws_3atoms.json",
+        "check_agm_postulates7-8_failing_laws.json",
+        1,
+    ),
+    # an arbitrary 3-atom table failing every law that does not hold by
+    # representation (all but AGM1, AGM6 and F4)
+    Golden("check agm {golden}/failing_laws_3atoms.json", "check_agm_failing_laws.txt", 1),
+    Golden("check agm --json {golden}/failing_laws_3atoms.json", "check_agm_failing_laws.json", 1),
+    Golden("check filtered {golden}/failing_laws_3atoms.json", "check_filtered_failing_laws.txt", 1),
+    Golden("check filtered --json {golden}/failing_laws_3atoms.json", "check_filtered_failing_laws.json", 1),
+    # a 3-atom pre-order whose labeling uses C, A and R, both on
+    # information overlapping the initial beliefs and off it; the report
+    # names the output path as given, here a relative one
+    Golden(
+        "build filtered {golden}/preorder_3atoms.json -o built.json --json",
+        "build_filtered_stdout.json",
+        0,
+        written="build_filtered_preorder_3atoms.json",
+    ),
+    Golden(
+        "build filtered {golden}/preorder_3atoms.json -o built.json",
+        None,
+        0,
+        written="build_filtered_preorder_3atoms.json",
+    ),
+    # validate's all-passing laws and prop2's clause-2 note come from the
+    # shared passing results and the bare-mask criteria
+    Golden("validate {data}/detective.json", "validate_detective.txt", 0),
+    Golden("validate --json {data}/detective.json", "validate_detective.json", 0),
+    Golden("check prop2 {data}/detective.json", "check_prop2_detective.txt", 0),
+    Golden("check prop2 --json {data}/detective.json", "check_prop2_detective.json", 0),
+    Golden("oracle def6 {data}/detective.json", "oracle_def6_detective.txt", 0),
+    Golden("oracle def6 --json {data}/detective.json", "oracle_def6_detective.json", 0),
+    Golden("rationalize {data}/detective.json", "rationalize_detective.txt", 0),
+    Golden("rationalize --json {data}/detective.json", "rationalize_detective.json", 0),
+    # gcs_failing_structure fails laws 2, 3b, 3c and 3d (two of its
+    # witness sets have no formula), and the searches report just that
+    Golden("validate {golden}/gcs_failing_structure.json", "validate_failing_structure.txt", 1),
+    Golden("validate --json {golden}/gcs_failing_structure.json", "validate_failing_structure.json", 1),
+    Golden("check prop2 {golden}/gcs_failing_structure.json", "check_prop2_failing_structure.txt", 1),
+    Golden("check prop2 --json {golden}/gcs_failing_structure.json", "check_prop2_failing_structure.json", 1),
+    Golden("oracle def6 {golden}/gcs_failing_structure.json", "validate_failing_structure.txt", 1),
+    Golden("rationalize {golden}/gcs_failing_structure.json", "validate_failing_structure.txt", 1),
+    # gcs_failing_criteria is valid but fails criteria 1a, 1b and 2 and
+    # holds clause 2 at one menu, the oracle's third valuation is a
+    # counter-model at E = {c}, and no pre-order rationalizes its
+    # credible menus
+    Golden("validate {golden}/gcs_failing_criteria.json", "validate_failing_criteria.txt", 0),
+    Golden("validate --json {golden}/gcs_failing_criteria.json", "validate_failing_criteria.json", 0),
+    Golden("check prop2 {golden}/gcs_failing_criteria.json", "check_prop2_failing_criteria.txt", 1),
+    Golden("check prop2 --json {golden}/gcs_failing_criteria.json", "check_prop2_failing_criteria.json", 1),
+    Golden("oracle def6 {golden}/gcs_failing_criteria.json", "oracle_def6_failing_criteria.txt", 1),
+    Golden("oracle def6 --json {golden}/gcs_failing_criteria.json", "oracle_def6_failing_criteria.json", 1),
+    Golden("rationalize {golden}/gcs_failing_criteria.json", "rationalize_failing_criteria.txt", 1),
+    Golden("rationalize --json {golden}/gcs_failing_criteria.json", "rationalize_failing_criteria.json", 1),
+    # the same third valuation at E = {c}, written in one atom's rows
+    # and in four atoms' rows, not the default budget's two
+    Golden("oracle def6 --atoms 1 {golden}/gcs_failing_criteria.json", "oracle_def6_atoms1_failing_criteria.txt", 1),
+    Golden(
+        "oracle def6 --atoms 1 --json {golden}/gcs_failing_criteria.json",
+        "oracle_def6_atoms1_failing_criteria.json",
+        1,
+    ),
+    Golden("oracle def6 --atoms 4 {golden}/gcs_failing_criteria.json", "oracle_def6_atoms4_failing_criteria.txt", 1),
+    Golden(
+        "oracle def6 --atoms 4 --json {golden}/gcs_failing_criteria.json",
+        "oracle_def6_atoms4_failing_criteria.json",
+        1,
+    ),
+]
+
+
+def _golden_id(golden: Golden) -> str:
+    """The run's words without their dashes or directories, e.g.
+    "check-agm-json-preorder_3atoms.json"."""
+    return "-".join(Path(word).name.lstrip("-") for word in golden.argv.split())
 
 
 @pytest.fixture(autouse=True)
@@ -336,20 +463,15 @@ class TestOracleAndRationalize:
         assert result.exit_code == 1
         assert "no rationalizing pre-order" in result.output
 
-    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize("command", [["oracle", "def6"], ["rationalize"]], ids=["oracle", "rationalize"])
-    def test_invalid_structures_get_the_validation_report(self, runner, command, as_json):
-        # the searches never run on a structure failing laws 2-3d
+    def test_invalid_structures_get_the_validation_report(self, runner, command):
+        # the searches never run on a structure failing laws 2-3d; the
+        # text report is validate's golden, and the JSON one is relabelled
         path = str(GOLDEN / "gcs_failing_structure.json")
-        result = runner.invoke(main, [*command, *(["--json"] if as_json else []), path])
+        result = runner.invoke(main, [*command, "--json", path])
         assert result.exit_code == 1
-        golden = (GOLDEN / f"validate_failing_structure.{'json' if as_json else 'txt'}").read_text(
-            encoding="utf-8"
-        )
-        if as_json:
-            assert json.loads(result.output) == {**json.loads(golden), "command": " ".join(command)}
-        else:
-            assert result.output == golden
+        golden = (GOLDEN / "validate_failing_structure.json").read_text(encoding="utf-8")
+        assert json.loads(result.output) == {**json.loads(golden), "command": " ".join(command)}
 
 
 class TestJsonMode:
@@ -367,7 +489,6 @@ class TestJsonMode:
         assert payload["believes_initially"]["~ann"] is True
         assert payload["believes_after"] == {"ann": False, "~ann": False}
         assert payload["suspended"] is True
-        assert result.output == (GOLDEN / "demo_detective.json").read_text(encoding="utf-8")
 
     def test_fuzz_json(self, runner):
         result = runner.invoke(main, ["fuzz", "--cases", "20", "--json"])
@@ -401,170 +522,27 @@ class TestJsonMode:
 
 
 class TestDeterminism:
-    def test_demo_matches_golden(self, runner):
-        result = runner.invoke(main, ["demo", "detective"])
-        assert result.exit_code == 0
-        assert result.output == (GOLDEN / "demo_detective.txt").read_text(encoding="utf-8")
-
-    def test_fuzz_matches_golden(self, runner):
-        args = ["fuzz", "--atoms", "1", "--cases", "200", "--seed", "0"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        assert result.output == (GOLDEN / "fuzz_atoms1_cases200_seed0.txt").read_text(
-            encoding="utf-8"
-        )
-
-    def test_fuzz_json_matches_golden(self, runner):
-        args = ["fuzz", "--atoms", "1", "--cases", "200", "--seed", "0", "--json"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        assert result.output == (GOLDEN / "fuzz_atoms1_cases200_seed0.json").read_text(
-            encoding="utf-8"
-        )
-
-    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    def test_two_atom_fuzz_matches_golden(self, runner, as_json):
-        args = ["fuzz", "--atoms", "2", "--cases", "100", "--seed", "0", *(["--json"] if as_json else [])]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        golden = GOLDEN / f"fuzz_atoms2_cases100_seed0.{'json' if as_json else 'txt'}"
-        assert result.output == golden.read_text(encoding="utf-8")
-
-    def test_exhaustive_fuzz_matches_golden(self, runner):
-        # pins all_selection_functions, all_revision_tables and all_labelings
-        result = runner.invoke(main, ["fuzz", "--atoms", "1", "--cases", "all"])
-        assert result.exit_code == 0
-        assert result.output == (GOLDEN / "fuzz_atoms1_casesall_seed0.txt").read_text(
-            encoding="utf-8"
-        )
-
-    @pytest.mark.parametrize(
-        ("args", "golden"),
-        [
-            (["check", "agm"], "check_agm_failing_laws.txt"),
-            (["check", "agm", "--json"], "check_agm_failing_laws.json"),
-            (["check", "filtered"], "check_filtered_failing_laws.txt"),
-            (["check", "filtered", "--json"], "check_filtered_failing_laws.json"),
-        ],
-        ids=["agm", "agm-json", "filtered", "filtered-json"],
-    )
-    def test_failing_reports_match_golden(self, runner, args, golden):
-        # an arbitrary 3-atom table on which every AGM2-8 postulate and
-        # every filter law F1-F3b fails more than five times
-        result = runner.invoke(main, [*args, str(GOLDEN / "failing_laws_3atoms.json")])
-        assert result.exit_code == 1
-        assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
-        notes = [line for line in result.output.splitlines() if "failing propositions" in line]
-        assert len(notes) == 6
-
-    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    @pytest.mark.parametrize(
-        ("command", "scenario", "exit_code"),
-        [
-            (["validate"], "structure", 1),
-            (["check", "prop2"], "structure", 1),
-            (["validate"], "criteria", 0),
-            (["check", "prop2"], "criteria", 1),
-            (["oracle", "def6"], "criteria", 1),
-            (["rationalize"], "criteria", 1),
-        ],
-        ids=[
-            "validate-structure",
-            "prop2-structure",
-            "validate-criteria",
-            "prop2-criteria",
-            "oracle-criteria",
-            "rationalize-criteria",
-        ],
-    )
-    def test_choice_reports_match_golden(self, runner, command, scenario, exit_code, as_json):
-        # gcs_failing_structure fails laws 2, 3b, 3c and 3d (two of its
-        # witness sets have no formula); gcs_failing_criteria is valid
-        # but fails criteria 1a, 1b and 2 and holds clause 2 at one menu,
-        # the oracle's third valuation is a counter-model at E = {c}, and
-        # no pre-order rationalizes its credible menus
-        args = [*command, *(["--json"] if as_json else [])]
-        result = runner.invoke(main, [*args, str(GOLDEN / f"gcs_failing_{scenario}.json")])
-        assert result.exit_code == exit_code
-        golden = f"{'_'.join(command)}_failing_{scenario}.{'json' if as_json else 'txt'}"
-        assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
-
-    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    @pytest.mark.parametrize("atoms", ["1", "4"])
-    def test_oracle_counter_models_at_other_budgets_match_golden(self, runner, atoms, as_json):
-        # the same third valuation at E = {c}, written in one atom's rows
-        # and in four atoms' rows, not the default budget's two
-        args = ["oracle", "def6", "--atoms", atoms, *(["--json"] if as_json else [])]
-        result = runner.invoke(main, [*args, str(GOLDEN / "gcs_failing_criteria.json")])
-        assert result.exit_code == 1
-        golden = f"oracle_def6_atoms{atoms}_failing_criteria.{'json' if as_json else 'txt'}"
-        assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
-
-    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    @pytest.mark.parametrize(
-        ("check", "scenario", "golden", "exit_code"),
-        [
-            ("agm", "preorder_3atoms.json", "check_agm_preorder_3atoms", 0),
-            ("filtered", "preorder_3atoms.json", "check_filtered_preorder_3atoms", 1),
-            ("filtered", "build_filtered_preorder_3atoms.json", "check_filtered_built_3atoms", 0),
-        ],
-        ids=["agm", "filtered-basic", "filtered-built"],
-    )
-    def test_law_reports_match_golden(self, runner, check, scenario, golden, exit_code, as_json):
-        # the pre-order table passes AGM1-8 and, being basic, fails four
-        # filter laws at a few propositions; the table built from it
-        # passes every filter law, so its report is the shared passing one
-        args = ["check", check, *(["--json"] if as_json else []), str(GOLDEN / scenario)]
-        result = runner.invoke(main, args)
-        assert result.exit_code == exit_code
-        assert result.output == (GOLDEN / f"{golden}.{'json' if as_json else 'txt'}").read_text(
-            encoding="utf-8"
-        )
-
-    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    @pytest.mark.parametrize(
-        ("postulates", "scenario", "golden", "exit_code"),
-        [
-            ("1-6", "preorder_3atoms.json", "check_agm_postulates1-6_preorder_3atoms", 0),
-            ("7-8", "failing_laws_3atoms.json", "check_agm_postulates7-8_failing_laws", 1),
-        ],
-        ids=["1-6-preorder", "7-8-failing"],
-    )
-    def test_postulate_subsets_match_golden(
-        self, runner, postulates, scenario, golden, exit_code, as_json
-    ):
-        # AGM1-6 on a pre-order table read only its slices; AGM7/8 read
-        # its packed entries, both for the count and the witness scan
-        args = ["check", "agm", "--postulates", postulates, *(["--json"] if as_json else [])]
-        result = runner.invoke(main, [*args, str(GOLDEN / scenario)])
-        assert result.exit_code == exit_code
-        assert result.output == (GOLDEN / f"{golden}.{'json' if as_json else 'txt'}").read_text(
-            encoding="utf-8"
-        )
-
-    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    @pytest.mark.parametrize(
-        "command",
-        [["validate"], ["check", "prop2"], ["oracle", "def6"], ["rationalize"]],
-        ids=["validate", "prop2", "oracle", "rationalize"],
-    )
-    def test_passing_choice_reports_match_golden(self, runner, detective_file, command, as_json):
-        # validate's all-passing laws and prop2's clause-2 note come from
-        # the shared passing results and the bare-mask criteria
-        result = runner.invoke(main, [*command, *(["--json"] if as_json else []), detective_file])
-        assert result.exit_code == 0
-        golden = f"{'_'.join(command)}_detective.{'json' if as_json else 'txt'}"
-        assert result.output == (GOLDEN / golden).read_text(encoding="utf-8")
-
-    def test_build_json_matches_golden(self, runner, tmp_path, monkeypatch):
-        # the report names the output path as given, here a relative one
+    @pytest.mark.parametrize("golden", GOLDENS, ids=_golden_id)
+    def test_golden(self, runner, tmp_path, monkeypatch, golden):
+        # a build writes its -o file, and its report names it, relative
+        # to the working directory
         monkeypatch.chdir(tmp_path)
-        args = ["build", "filtered", str(GOLDEN / "preorder_3atoms.json"), "-o", "built.json"]
-        result = runner.invoke(main, [*args, "--json"])
-        assert result.exit_code == 0
-        assert result.output == (GOLDEN / "build_filtered_stdout.json").read_text(encoding="utf-8")
-        golden = GOLDEN / "build_filtered_preorder_3atoms.json"
-        assert (tmp_path / "built.json").read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+        args = [word.format(golden=GOLDEN, data=DATA) for word in golden.argv.split()]
+        result = runner.invoke(main, args)
+        assert result.exit_code == golden.exit_code
+        if golden.stdout is not None:
+            assert result.output == (GOLDEN / golden.stdout).read_text(encoding="utf-8")
+        if golden.written is not None:
+            written = Path(args[args.index("-o") + 1]).read_text(encoding="utf-8")
+            assert written == (GOLDEN / golden.written).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    @pytest.mark.parametrize("check", ["agm", "filtered"])
+    def test_failing_law_notes(self, check, suffix):
+        # on failing_laws_3atoms, each of the six failing laws of either
+        # report fails more than five times, so each has a count
+        text = (GOLDEN / f"check_{check}_failing_laws.{suffix}").read_text(encoding="utf-8")
+        assert sum("failing propositions" in line for line in text.splitlines()) == 6
 
     def test_help_matches_golden(self, runner):
         # 78 columns, the most click uses on a console or a pipe
@@ -575,16 +553,6 @@ class TestDeterminism:
             assert result.exit_code == 0
             text += f"$ filtra {' '.join(args)}\n{result.output}"
         assert text == (GOLDEN / "help.txt").read_text(encoding="utf-8")
-
-    def test_build_matches_golden(self, runner, tmp_path):
-        # a 3-atom pre-order whose labeling uses C, A and R, both on
-        # information overlapping the initial beliefs and off it
-        out = tmp_path / "filtered.json"
-        args = ["build", "filtered", str(GOLDEN / "preorder_3atoms.json"), "-o", str(out)]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        golden = GOLDEN / "build_filtered_preorder_3atoms.json"
-        assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
 
     def test_repeated_runs_are_byte_identical(self, runner):
         args = ["fuzz", "--atoms", "1", "--cases", "150", "--seed", "7"]
