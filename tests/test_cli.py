@@ -463,15 +463,21 @@ class TestOracleAndRationalize:
         assert result.exit_code == 1
         assert "no rationalizing pre-order" in result.output
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize("command", [["oracle", "def6"], ["rationalize"]], ids=["oracle", "rationalize"])
-    def test_invalid_structures_get_the_validation_report(self, runner, command):
-        # the searches never run on a structure failing laws 2-3d; the
-        # text report is validate's golden, and the JSON one is relabelled
+    def test_invalid_structures_get_the_validation_report(self, runner, command, as_json):
+        # the searches never run on a structure failing laws 2-3d: the text
+        # report is validate's, and the JSON one is validate's relabelled
         path = str(GOLDEN / "gcs_failing_structure.json")
-        result = runner.invoke(main, [*command, "--json", path])
+        result = runner.invoke(main, [*command, *(["--json"] if as_json else []), path])
         assert result.exit_code == 1
-        golden = (GOLDEN / "validate_failing_structure.json").read_text(encoding="utf-8")
-        assert json.loads(result.output) == {**json.loads(golden), "command": " ".join(command)}
+        golden = (GOLDEN / f"validate_failing_structure.{'json' if as_json else 'txt'}").read_text(
+            encoding="utf-8"
+        )
+        if as_json:
+            assert json.loads(result.output) == {**json.loads(golden), "command": " ".join(command)}
+        else:
+            assert result.output == golden
 
 
 class TestJsonMode:
