@@ -5,7 +5,7 @@ total revision tables with postulate and filter-law checkers, and
 generalized choice structures with exhaustive consistency oracles.
 """
 
-from .beliefs import BeliefSet, belief_set_from_points
+from .beliefs import BeliefSet
 from .choice import (
     BruteforceOutcome,
     ChoiceStructure,
@@ -32,7 +32,6 @@ from .formulas import (
     Not,
     Or,
     UnknownAtomError,
-    atom_names,
     conj,
     iff,
     implies,
@@ -71,15 +70,12 @@ from .scenario import (
     save_scenario,
 )
 from .worlds import (
-    Classification,
     Point,
     PointSet,
     SizeLimitError,
     Universe,
     UniverseMismatchError,
-    are_equivalent,
     canonical_universe,
-    classify,
     dnf_of,
     truth_set,
 )

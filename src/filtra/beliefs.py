@@ -4,10 +4,6 @@ A BeliefSet stores the set of points at which every member formula is
 true; a formula belongs to the theory iff that point set is contained
 in its truth set.  Deductive closure is therefore automatic, and the
 empty point set represents the absurd theory containing every formula.
-
-Theory intersection is point-set union (more models = fewer theorems);
-this looks backwards but is the usual theory/model duality on a finite
-universe.
 """
 
 from __future__ import annotations
@@ -35,21 +31,10 @@ class BeliefSet:
         """The inconsistent theory of every formula (no models)."""
         return cls(PointSet.empty(universe))
 
-    @classmethod
-    def tautologies(cls, universe: Universe) -> "BeliefSet":
-        return cls(PointSet.full(universe))
-
     def contains(self, formula: Formula) -> bool:
         return self.points <= truth_set(formula, self.universe)
 
     def expand(self, formula: Formula) -> "BeliefSet":
-        """Add ``formula`` and close under consequence (no retraction)."""
+        """Add ``formula`` and close under consequence (no retraction).
+        Kept as API: AGM expansion, the subject of acceptance criterion 5."""
         return BeliefSet(self.points & truth_set(formula, self.universe))
-
-    def intersect(self, other: "BeliefSet") -> "BeliefSet":
-        """Theory intersection: keep exactly the shared consequences."""
-        return BeliefSet(self.points | other.points)
-
-
-def belief_set_from_points(points: PointSet) -> BeliefSet:
-    return BeliefSet(points)

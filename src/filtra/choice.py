@@ -319,7 +319,8 @@ class Model:
 
     def image_of(self, canonical_mask: int) -> int:
         """State-space truth set of any formula whose canonical truth
-        set is ``canonical_mask``."""
+        set is ``canonical_mask``.  Kept as API: the map from a formula to
+        its event."""
         return _quotient(self.point_classes, self.canonical.size).states(canonical_mask)
 
 
@@ -345,10 +346,6 @@ class PartialRevision:
 
     initial: BeliefSet
     entries: Mapping[int, BeliefSet]
-
-    def information(self) -> tuple[PointSet, ...]:
-        universe = self.initial.universe
-        return tuple(PointSet(universe, mask) for mask in sorted(self.entries))
 
 
 def induced_beliefs(model: Model) -> PartialRevision:

@@ -82,22 +82,6 @@ def iff(left: Formula, right: Formula) -> Formula:
     return conj(implies(left, right), implies(right, left))
 
 
-def atom_names(formula: Formula) -> frozenset[str]:
-    """All atom names occurring in ``formula``."""
-    found: set[str] = set()
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            found.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(found)
-
-
 def print_formula(formula: Formula) -> str:
     """Fully parenthesized canonical text.
 

@@ -113,7 +113,8 @@ class PlausibilityOrder:
         return tuple(PointSet(self.universe, mask) for mask in self._levels)
 
     def most_plausible(self, among: PointSet) -> PointSet:
-        """The lowest-rank members of ``among`` (empty for the empty set)."""
+        """The lowest-rank members of ``among`` (empty for the empty set).
+        Kept as API: Grove's selection, the subject of acceptance criterion 7."""
         if among.universe != self.universe:
             raise UniverseMismatchError("point set over a different universe")
         return PointSet(self.universe, self._lowest(among.mask))
@@ -848,7 +849,8 @@ def check_agm(
             )
             for e, f in failing[:_MAX_WITNESSES]
         )
-        note = f"{total} failing propositions" if total > _MAX_WITNESSES else ""
+        unit = "pairs" if postulate in (7, 8) else "propositions"
+        note = f"{total} failing {unit}" if total > _MAX_WITNESSES else ""
         results.append(CheckResult(name, not total, witnesses, note))
     return CheckReport("AGM postulates", tuple(results))
 

@@ -39,11 +39,6 @@ def random_formula(rng: Random, atoms: Sequence[str], max_depth: int) -> Formula
     )
 
 
-def random_point_set(rng: Random, universe: Universe, nonempty: bool = False) -> PointSet:
-    lowest = 1 if nonempty else 0
-    return PointSet(universe, rng.randrange(lowest, universe.full_mask + 1))
-
-
 def _random_nonempty_submask(rng: Random, mask: int) -> int:
     # spread a random nonzero selector over the bits of ``mask``; this
     # is submasks(mask)[selector] without building all 2**|mask| of them
@@ -77,15 +72,6 @@ def random_labeling(rng: Random, universe: Universe) -> CredibilityLabeling:
     labels = (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED)
     draws = {mask: rng.choice(labels) for mask in range(1, universe.full_mask)}
     return CredibilityLabeling.from_overrides(universe, draws)
-
-
-def random_revision_table(rng: Random, universe: Universe) -> RevisionTable:
-    """Arbitrary total table with a consistent initial theory; makes no
-    attempt to satisfy any postulate."""
-    full = universe.full_mask
-    initial = rng.randrange(1, full + 1)
-    masks = [rng.randrange(full + 1) for _ in range(full + 1)]
-    return RevisionTable.from_masks(universe, initial, masks)
 
 
 def random_plausibility_order(rng: Random, universe: Universe) -> PlausibilityOrder:

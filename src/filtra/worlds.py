@@ -3,8 +3,8 @@
 A Universe fixes an ordered atom list and an ordered list of points;
 each point assigns every atom.  Duplicate assignments and partial
 coverage of the truth table are both allowed (arbitrary state spaces
-need them); ``canonical_universe`` builds the special exhaustive,
-duplicate-free carrier used to decide tautology and equivalence.
+need them); ``canonical_universe`` builds the exhaustive,
+duplicate-free one.
 
 A PointSet is an integer bitmask over a fixed universe, so all set
 operations are exact.
@@ -12,7 +12,6 @@ operations are exact.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from dataclasses import dataclass
@@ -96,9 +95,6 @@ class Universe:
         # point id -> position, for loaders that resolve ids by the thousand
         return {point.id: i for i, point in enumerate(self.points)}
 
-    def index_of(self, point_id: str) -> int:
-        return self._index[point_id]
-
     def render(self, mask: int) -> str:
         """The points in ``mask`` as ``{id, ...}``, in point order."""
         return "{" + ", ".join([point.id for i, point in enumerate(self.points) if mask >> i & 1]) + "}"
@@ -111,13 +107,12 @@ class Universe:
             value = (value << 1) | int(bit)
         return value
 
-    def is_exhaustive(self) -> bool:
-        """True when the points enumerate every assignment exactly once."""
-        rows = [self.valuation_index(i) for i in range(self.size)]
-        return self.size == 2 ** len(self.atoms) and len(set(rows)) == self.size
+
+# canonical_universe's cap: 4 atoms give 16 points and 65,536 propositions.
+_CANONICAL_LIMIT = 4
 
 
-def canonical_universe(atoms: Sequence[str], limit: int = 4) -> Universe:
+def canonical_universe(atoms: Sequence[str]) -> Universe:
     """The 2^n points of all truth assignments over ``atoms``.
 
     Ids are "w0".."w{2^n-1}" in binary-counting order of the atom list
@@ -125,9 +120,9 @@ def canonical_universe(atoms: Sequence[str], limit: int = 4) -> Universe:
     false and w1 makes p true.
     """
     atoms = tuple(atoms)
-    if not 1 <= len(atoms) <= limit:
+    if not 1 <= len(atoms) <= _CANONICAL_LIMIT:
         raise SizeLimitError(
-            f"canonical universe supports 1..{limit} atoms, got {len(atoms)}"
+            f"canonical universe supports 1..{_CANONICAL_LIMIT} atoms, got {len(atoms)}"
         )
     points = tuple(
         Point(f"w{i}", values)
@@ -158,13 +153,6 @@ class PointSet:
     def full(cls, universe: Universe) -> "PointSet":
         return cls(universe, universe.full_mask)
 
-    @classmethod
-    def of_ids(cls, universe: Universe, ids: Iterable[str]) -> "PointSet":
-        mask = 0
-        for point_id in ids:
-            mask |= 1 << universe.index_of(point_id)
-        return cls(universe, mask)
-
     def _check(self, other: "PointSet") -> None:
         if self.universe != other.universe:
             raise UniverseMismatchError("point sets belong to different universes")
@@ -180,9 +168,6 @@ class PointSet:
     def __sub__(self, other: "PointSet") -> "PointSet":
         self._check(other)
         return PointSet(self.universe, self.mask & ~other.mask)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.universe, self.universe.full_mask & ~self.mask)
 
     def __le__(self, other: "PointSet") -> bool:
         self._check(other)
@@ -244,35 +229,6 @@ def truth_set(formula: Formula, universe: Universe) -> PointSet:
         return walk(node.left) | walk(node.right)
 
     return PointSet(universe, walk(formula))
-
-
-class Classification(enum.Enum):
-    TAUTOLOGY = "tautology"
-    CONTRADICTION = "contradiction"
-    CONTINGENT = "contingent"
-
-
-def _decision_universe(universe: Universe) -> Universe:
-    # Tautology is a property of the atom set, not of whichever points a
-    # universe happens to list, so decide it on the exhaustive carrier.
-    if universe.is_exhaustive():
-        return universe
-    return canonical_universe(universe.atoms, limit=len(universe.atoms))
-
-
-def classify(formula: Formula, universe: Universe) -> Classification:
-    carrier = _decision_universe(universe)
-    hits = truth_set(formula, carrier)
-    if hits.mask == carrier.full_mask:
-        return Classification.TAUTOLOGY
-    if hits.mask == 0:
-        return Classification.CONTRADICTION
-    return Classification.CONTINGENT
-
-
-def are_equivalent(left: Formula, right: Formula, universe: Universe) -> bool:
-    carrier = _decision_universe(universe)
-    return truth_set(left, carrier) == truth_set(right, carrier)
 
 
 def dnf_of(points: PointSet) -> str | None:

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from filtra.formulas import Atom, Not, Or
-from filtra.worlds import canonical_universe
+from filtra.revision import RevisionTable
+from filtra.worlds import PointSet, canonical_universe
 
 
 @pytest.fixture
@@ -14,6 +15,23 @@ def u1():
 @pytest.fixture
 def u2():
     return canonical_universe(("p", "q"))
+
+
+def of_ids(universe, ids):
+    """The point set of the named points (KeyError on an unknown id)."""
+    position = {point.id: i for i, point in enumerate(universe.points)}
+    mask = 0
+    for point_id in ids:
+        mask |= 1 << position[point_id]
+    return PointSet(universe, mask)
+
+
+def random_revision_table(rng, universe):
+    """An arbitrary total table with a consistent initial theory; it
+    makes no attempt to satisfy any postulate."""
+    full = universe.full_mask
+    initial = rng.randrange(1, full + 1)
+    return RevisionTable.from_masks(universe, initial, [rng.randrange(full + 1) for _ in range(full + 1)])
 
 
 def eval_formula(formula, assignment):

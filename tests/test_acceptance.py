@@ -40,7 +40,7 @@ from filtra.sampling import (
 )
 from filtra.worlds import PointSet, Universe, canonical_universe
 
-from conftest import eval_formula
+from conftest import eval_formula, of_ids
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,7 +185,7 @@ def test_criterion_7_rationalization_roundtrip():
                 assert recovered.most_plausible(PointSet(universe, mask)).mask == f[mask]
 
         def mask_of(*ids):
-            return PointSet.of_ids(universe, ids).mask
+            return of_ids(universe, ids).mask
 
         cyclic = ChoiceStructure(
             universe,

@@ -1,24 +1,28 @@
 from random import Random
 
-from filtra.beliefs import BeliefSet, belief_set_from_points
+from filtra.beliefs import BeliefSet
 from filtra.formulas import Not, parse_formula
-from filtra.sampling import random_formula, random_point_set
-from filtra.worlds import Classification, PointSet, classify
+from filtra.sampling import random_formula
+from filtra.worlds import PointSet
 
-from conftest import brute_entails, enumerate_formulas
+from conftest import brute_entails, enumerate_formulas, of_ids
 
 ATOMS = ("p", "q")
 
 
 def th(universe, *ids):
-    return BeliefSet(PointSet.of_ids(universe, ids))
+    return BeliefSet(of_ids(universe, ids))
+
+
+def random_theory(rng, universe):
+    return BeliefSet(PointSet(universe, rng.randrange(universe.full_mask + 1)))
 
 
 class TestMembership:
     def test_full_point_set_believes_exactly_the_tautologies(self, u2):
-        k = BeliefSet.tautologies(u2)
+        k = BeliefSet(PointSet.full(u2))
         for formula in enumerate_formulas(ATOMS, 2):
-            assert k.contains(formula) == (classify(formula, u2) is Classification.TAUTOLOGY)
+            assert k.contains(formula) == brute_entails([], formula, ATOMS)
 
     def test_empty_point_set_is_the_absurd_theory(self, u2):
         k = BeliefSet.absurd(u2)
@@ -41,7 +45,7 @@ class TestExpansion:
     def test_expansion_narrows_models(self, u2):
         k = th(u2, "w1", "w2")  # exactly one of p, q true
         expanded = k.expand(parse_formula("p", ATOMS))
-        assert expanded.points == PointSet.of_ids(u2, ["w2"])
+        assert expanded.points == of_ids(u2, ["w2"])
         assert expanded.contains(parse_formula("~q", ATOMS))
 
     def test_expand_by_tautology_is_identity(self, u2):
@@ -55,7 +59,7 @@ class TestExpansion:
 
         rng = Random(3)
         for _ in range(500):
-            k = BeliefSet(random_point_set(rng, u2))
+            k = random_theory(rng, u2)
             phi = random_formula(rng, ATOMS, 3)
             psi = random_formula(rng, ATOMS, 3)
             assert k.expand(phi).contains(psi) == k.contains(implies(phi, psi))
@@ -63,49 +67,9 @@ class TestExpansion:
     def test_expansion_only_grows_the_theory(self, u2):
         rng = Random(4)
         for _ in range(200):
-            k = BeliefSet(random_point_set(rng, u2))
+            k = random_theory(rng, u2)
             expanded = k.expand(random_formula(rng, ATOMS, 3))
             assert expanded.points <= k.points
-
-
-class TestIntersection:
-    def test_model_union(self, u2):
-        k1, k2 = th(u2, "w1"), th(u2, "w2")
-        assert k1.intersect(k2) == th(u2, "w1", "w2")
-
-    def test_absurd_is_identity(self, u2):
-        k = th(u2, "w0", "w1")
-        assert k.intersect(BeliefSet.absurd(u2)) == k
-
-    def test_membership_is_conjunction_of_memberships(self, u2):
-        rng = Random(5)
-        catalogue = enumerate_formulas(ATOMS, 2)
-        for _ in range(30):
-            k1 = BeliefSet(random_point_set(rng, u2))
-            k2 = BeliefSet(random_point_set(rng, u2))
-            both = k1.intersect(k2)
-            for formula in catalogue:
-                assert both.contains(formula) == (k1.contains(formula) and k2.contains(formula))
-
-    def test_membership_depth_three_spot_check(self, u1):
-        rng = Random(6)
-        catalogue = enumerate_formulas(("p",), 3)
-        for _ in range(5):
-            k1 = BeliefSet(random_point_set(rng, u1))
-            k2 = BeliefSet(random_point_set(rng, u1))
-            both = k1.intersect(k2)
-            for formula in catalogue:
-                assert both.contains(formula) == (k1.contains(formula) and k2.contains(formula))
-
-    def test_point_level_lattice_laws(self, u2):
-        rng = Random(7)
-        for _ in range(100):
-            a = BeliefSet(random_point_set(rng, u2))
-            b = BeliefSet(random_point_set(rng, u2))
-            c = BeliefSet(random_point_set(rng, u2))
-            assert a.intersect(b) == b.intersect(a)
-            assert a.intersect(a) == a
-            assert a.intersect(b.intersect(c)) == a.intersect(b).intersect(c)
 
 
 class TestConsistency:
@@ -118,7 +82,7 @@ class TestConsistency:
         rng = Random(8)
         catalogue = enumerate_formulas(ATOMS, 2)
         for _ in range(20):
-            k = BeliefSet(random_point_set(rng, u2))
+            k = random_theory(rng, u2)
             witnessed = any(
                 k.contains(formula) and k.contains(Not(formula)) for formula in catalogue
             )
@@ -127,15 +91,14 @@ class TestConsistency:
     def test_nonempty_choice_yields_consistent_initial_theory(self, u2):
         rng = Random(9)
         for _ in range(50):
-            points = random_point_set(rng, u2, nonempty=True)
-            assert belief_set_from_points(points).is_consistent
+            assert BeliefSet(PointSet(u2, rng.randrange(1, u2.full_mask + 1))).is_consistent
 
 
 def test_deductive_closure_is_free(u2):
     # anything entailed by finitely many members is a member
     rng = Random(10)
     for _ in range(100):
-        k = BeliefSet(random_point_set(rng, u2))
+        k = random_theory(rng, u2)
         members = []
         for _ in range(60):
             candidate = random_formula(rng, ATOMS, 3)

@@ -30,10 +30,20 @@ from filtra.revision import (
     build_filtered,
     enumerate_preorders,
     revision_from_preorder,
+    revision_from_selection,
 )
-from filtra.sampling import all_choice_structures, random_choice_structure
+from filtra.sampling import (
+    all_choice_structures,
+    all_labelings,
+    all_selection_functions,
+    random_choice_structure,
+    random_labeling,
+    random_selection_function,
+)
 from filtra.reports import CheckReport, CheckResult, Witness
 from filtra.worlds import PointSet, SizeLimitError, Universe, canonical_universe, dnf_of, truth_set
+
+from conftest import of_ids
 
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
 
@@ -44,7 +54,7 @@ def detective_structure():
         [("a", {"ann": True}), ("b", {"bob": True}), ("c", {})],
     )
     full = universe.full_mask
-    mask_a = 1 << universe.index_of("a")
+    mask_a = of_ids(universe, ["a"]).mask
     return ChoiceStructure(
         universe,
         credible=frozenset({full}),
@@ -73,7 +83,7 @@ def three_state_structure(credible, allowable, f_map):
     )
 
     def mask(ids):
-        return PointSet.of_ids(universe, ids).mask
+        return of_ids(universe, ids).mask
 
     credible_masks = frozenset({universe.full_mask} | {mask(e) for e in credible})
     allowable_masks = frozenset(mask(e) for e in allowable)
@@ -192,7 +202,7 @@ class TestInducedBeliefs:
         atoms = g.universe.atoms
         assert partial.initial.contains(parse_formula("~ann", atoms))
         ann_info = truth_set(parse_formula("ann", atoms), g.universe)
-        assert ann_info in partial.information()
+        assert ann_info.mask in partial.entries
         entry = partial.entries[ann_info.mask]
         assert not entry.contains(parse_formula("ann", atoms))
         assert not entry.contains(parse_formula("~ann", atoms))
@@ -337,6 +347,43 @@ class TestExtensionOracle:
         )
         assert extension_oracle(build_model(g)).feasible
         assert agm_consistency_bruteforce(g).consistent
+
+
+def structure_of_table(table, labeling):
+    """A filtered table read as a full-domain structure: every
+    proposition is a menu in its label's family, and f(E) = B(E)."""
+    families = {C: set(), A: set(), R: set()}
+    for mask, label in labeling.labels.items():
+        families[label].add(mask)
+    f = {mask: entry.points.mask for mask, entry in table.entries.items()}
+    return ChoiceStructure(table.universe, *map(frozenset, families.values()), f)
+
+
+class TestTableToStructure:
+    """The converse of the extension oracle: a built filtered table, read
+    as a structure, passes laws 2-3d, the criteria and the brute force,
+    and the oracle's certificate is the table itself."""
+
+    @staticmethod
+    def assert_round_trip(star, labeling):
+        table = build_filtered(star, labeling)
+        structure = structure_of_table(table, labeling)
+        assert validate_structure(structure).all_hold
+        assert check_agm_consistency(structure).all_hold
+        assert agm_consistency_bruteforce(structure).consistent
+        assert extension_oracle(build_model(structure)).certificate.revision == table
+
+    def test_every_one_atom_build(self, u1):
+        labelings = list(all_labelings(u1))
+        for selection in all_selection_functions(u1):
+            for labeling in labelings:
+                self.assert_round_trip(revision_from_selection(selection), labeling)
+
+    def test_seeded_two_atom_builds(self, u2):
+        rng = Random(190)
+        for _ in range(200):
+            star = revision_from_selection(random_selection_function(rng, u2))
+            self.assert_round_trip(star, random_labeling(rng, u2))
 
 
 class TestBruteforce:
@@ -993,7 +1040,7 @@ class TestRationalization:
             ("p",), [("x", {"p": True}), ("y", {}), ("z", {"p": True})]
         )
         full = universe.full_mask
-        target = PointSet.of_ids(universe, ["y"]).mask
+        target = of_ids(universe, ["y"]).mask
         g = ChoiceStructure(
             universe,
             credible=frozenset({full}),

@@ -18,7 +18,7 @@ from filtra.scenario import Scenario, detective_scenario, dumps, load_scenario
 from filtra.worlds import canonical_universe
 
 from test_choice import three_state_structure
-from test_revision import pair_scan_report
+from test_revision import reference_agm_report
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("filtra") / "data"
@@ -357,9 +357,9 @@ class TestCheckCommands:
         # verdicts, witnesses and counts come from the 4^m pair scan
         universe = canonical_universe(("p", "q", "r"))
         table = revision_from_selection(random_selection_function(Random(1), universe))
-        expected = pair_scan_report(table)
-        assert expected.result("AGM7").note == "848 failing propositions"
-        assert expected.result("AGM8").note == "824 failing propositions"
+        expected = reference_agm_report(table)
+        assert expected.result("AGM7").note == "848 failing pairs"
+        assert expected.result("AGM8").note == "824 failing pairs"
         path = tmp_path / "selection.json"
         path.write_text(dumps(Scenario(universe.atoms, universe, table=table)), encoding="utf-8")
         text = runner.invoke(main, ["check", "agm", str(path)])
@@ -546,9 +546,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("check", ["agm", "filtered"])
     def test_failing_law_notes(self, check, suffix):
         # on failing_laws_3atoms, each of the six failing laws of either
-        # report fails more than five times, so each has a count
+        # report fails more than five times, so each has a count: of
+        # propositions, and of pairs for AGM7/8
         text = (GOLDEN / f"check_{check}_failing_laws.{suffix}").read_text(encoding="utf-8")
-        assert sum("failing propositions" in line for line in text.splitlines()) == 6
+        lines = text.splitlines()
+        pairs = 2 if check == "agm" else 0
+        assert sum("failing propositions" in line for line in lines) == 6 - pairs
+        assert sum("failing pairs" in line for line in lines) == pairs
 
     def test_help_matches_golden(self, runner):
         # 78 columns, the most click uses on a console or a pipe

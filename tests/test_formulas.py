@@ -8,7 +8,6 @@ from filtra.formulas import (
     Not,
     Or,
     UnknownAtomError,
-    atom_names,
     conj,
     iff,
     implies,
@@ -82,10 +81,6 @@ def test_iff_is_right_associative_and_binds_loosest():
 def test_print_examples():
     assert print_formula(Or(Atom("p"), Atom("q"))) == "(p | q)"
     assert print_formula(Not(Atom("p"))) == "(~p)"
-
-
-def test_atom_names():
-    assert atom_names(parse_formula("p -> (q & p)", ATOMS)) == {"p", "q"}
 
 
 @given(formulas)

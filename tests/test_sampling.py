@@ -13,7 +13,6 @@ from filtra.sampling import (
     random_formula,
     random_labeling,
     random_plausibility_order,
-    random_revision_table,
     random_selection_function,
 )
 from filtra.worlds import canonical_universe
@@ -28,7 +27,6 @@ def test_generators_are_reproducible_from_a_seed(u2):
             random_formula(rng, ATOMS, 4),
             random_selection_function(rng, u2).choice,
             random_labeling(rng, u2).labels,
-            random_revision_table(rng, u2),
             random_plausibility_order(rng, u2).ranks,
             random_choice_structure(rng, 3).f,
         )

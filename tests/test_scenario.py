@@ -20,6 +20,8 @@ from filtra.scenario import (
 from filtra.scenario import _key_masks, _parse_event_key, _parse_event_list
 from filtra.worlds import PointSet, Universe, canonical_universe
 
+from conftest import of_ids, random_revision_table
+
 
 def payload_text(**overrides):
     payload = {
@@ -45,7 +47,7 @@ class TestLoading:
         g = scenario.require_structure()
         universe = g.universe
         assert [point.id for point in universe.points] == ["a", "b", "c"]
-        mask_a = 1 << universe.index_of("a")
+        mask_a = of_ids(universe, ["a"]).mask
         assert g.allowable == frozenset({mask_a})
         assert g.credible == frozenset({universe.full_mask})
         assert g.f[mask_a] == universe.full_mask
@@ -207,8 +209,6 @@ class TestSaving:
     @pytest.mark.parametrize("n_atoms", [1, 2, 3])
     def test_table_section_equals_the_per_entry_rendering(self, n_atoms):
         from random import Random
-
-        from filtra.sampling import random_revision_table
 
         rng = Random(40 + n_atoms)
         size = 2**n_atoms
