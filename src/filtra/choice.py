@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
 from .revision import (
+    _PREORDER_LIMIT,
     Credibility,
     CredibilityLabeling,
     PlausibilityOrder,
@@ -504,8 +505,6 @@ def _row_partitions(size: int, max_blocks: int) -> _Partitions:
 # The brute force's size caps; they bound its tables at 4**4 mask pairs.
 _STATE_LIMIT = 4
 _ATOM_LIMIT = 4
-# The rationalization search's cap: 6 states have 4,683 weak orders.
-_RATIONALIZE_LIMIT = 6
 
 
 @lru_cache(maxsize=None)
@@ -618,12 +617,12 @@ def find_rationalizing_preorder(structure: ChoiceStructure) -> PlausibilityOrder
     the structural laws."""
     _require_valid(structure)
     universe = structure.universe
-    if universe.size > _RATIONALIZE_LIMIT:
+    if universe.size > _PREORDER_LIMIT:
         raise SizeLimitError(
-            f"rationalization search supports up to {_RATIONALIZE_LIMIT} states, got {universe.size}"
+            f"rationalization search supports up to {_PREORDER_LIMIT} states, got {universe.size}"
         )
     menus = sorted(structure.credible)
-    for order in enumerate_preorders(universe, limit=_RATIONALIZE_LIMIT):
+    for order in enumerate_preorders(universe):
         if all(order._lowest(menu) == structure.f[menu] for menu in menus):
             return order
     return None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .worlds import PointSet, dnf_of
 
@@ -21,12 +20,6 @@ class Witness:
     names: tuple[str, ...]
     point_sets: tuple[PointSet, ...]
     detail: str = ""
-
-    @classmethod
-    def of(cls, pairs: Sequence[tuple[str, PointSet]], detail: str = "") -> "Witness":
-        names = tuple(name for name, _ in pairs)
-        sets = tuple(ps for _, ps in pairs)
-        return cls(names, sets, detail)
 
     @functools.cached_property
     def formulas(self) -> tuple[str | None, ...]:
@@ -76,12 +69,6 @@ class CheckReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(result for result in self.results if not result.holds)
-
-    def result(self, check: str) -> CheckResult:
-        for item in self.results:
-            if item.check == check:
-                return item
-        raise KeyError(check)
 
     def render_text(self) -> str:
         lines = [self.title]

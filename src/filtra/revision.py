@@ -17,13 +17,15 @@ them at one proposition; the whole-table checks, the ``build_filtered``
 gate and the ``recover_basic`` scan evaluate the same forms bit-sliced,
 as a few operations on one int per state whose bit E stands for
 proposition E (``_agm_failures``, ``_filter_failures``; recovery reads
-the latter).  A table is stored as one packed array with a native word
-per proposition.  The pre-order constructor, ``build_filtered`` and
-``recover_basic`` compute their tables as those per-state ints and pack
-them into the array once (``_untranspose``), the first two only when
-the array is first read; ``_pack`` checks only masks from outside.
-A selection function keeps only its packed table and a labeling one
-code byte per proposition, each behind a read-only view (``_Packed``).
+the latter).  A table's entry view (``_Entries``) keeps it as one
+packed array with a native word per proposition, as those per-state
+ints, or both, either made from the other on first read.  The pre-order
+constructor, ``build_filtered`` and ``recover_basic`` compute their
+tables as per-state ints; the first two keep them and pack them
+(``_untranspose``) only when the array is read, the last packs them at
+once.  ``_pack`` checks only masks from outside.  A selection function
+keeps only its packed table and a labeling one code byte per
+proposition, each behind a read-only view (``_Packed``).
 """
 
 from __future__ import annotations
@@ -160,15 +162,16 @@ class SelectionFunction:
 
 class _Packed(Mapping):
     """A read-only mapping from proposition mask E to ``data[E]``, over
-    data packed one item per proposition, for E from ``first`` up; each
-    item is read through ``decode`` when that is given.  A key is found
-    exactly when ``_Entries`` would find it: an int in range."""
+    data packed one item per proposition, for E from ``first`` up to its
+    stored stop; each item is read through ``decode`` when that is given.
+    A key is found exactly when it is an int in range."""
 
-    __slots__ = ("data", "_first", "_decode")
+    __slots__ = ("data", "_first", "_stop", "_decode")
 
     def __init__(self, data: Sequence, first: int = 0, decode: Mapping | None = None):
         self.data = data
         self._first = first
+        self._stop = len(data)
         self._decode = decode
 
     def __getitem__(self, proposition):
@@ -182,17 +185,17 @@ class _Packed(Mapping):
         raise KeyError(proposition)
 
     def __contains__(self, proposition) -> bool:
-        return isinstance(proposition, int) and self._first <= proposition < len(self.data)
+        return isinstance(proposition, int) and self._first <= proposition < self._stop
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(self._first, len(self.data)))
+        return iter(range(self._first, self._stop))
 
     def __len__(self) -> int:
-        return len(self.data) - self._first
+        return self._stop - self._first
 
     def __eq__(self, other) -> bool:
         first = self._first
-        if isinstance(other, _Packed) and (other._first, other._decode) == (first, self._decode):
+        if type(other) is type(self) and (other._first, other._decode) == (first, self._decode):
             return self.data[first:] == other.data[first:]
         return super().__eq__(other)
 
@@ -200,23 +203,21 @@ class _Packed(Mapping):
         return f"{type(self).__name__}({dict(self)!r})"
 
 
-class _Entries(Mapping):
+class _Entries(_Packed):
     """A table's entries as a read-only mapping from proposition mask to
-    BeliefSet, over one packed array of entry masks indexed by
-    proposition: one native word of ``_layout(size)``'s type each, each
-    within the universe (``_pack`` checks masks from outside).
-
-    Entries given as per-state slices are packed on the first read of
-    ``masks`` or of an entry; until then the array slot is unset, so a
-    lookup's hit path stays one slot read.  Length, membership and
-    iteration never pack.
+    BeliefSet, over the table's two layouts, either made from the other
+    on its first read and then kept: ``masks``, one packed array of
+    entry masks indexed by proposition, a native word of
+    ``_layout(size)``'s type each; and ``slices``, the table transposed,
+    S_s per state s with bit E set iff s is in B(E).  Until slices are
+    packed ``data`` is unset, so a lookup's hit path stays one slot read.
 
     Each distinct theory is made once, on first lookup (the initial one
     is given), so equal entries share one BeliefSet.  Two views compare
     by their slices when both keep them, else by their masks.
     """
 
-    __slots__ = ("universe", "_array", "_slices", "_count", "_theories")
+    __slots__ = ("universe", "_slices", "_theories")
 
     def __init__(
         self,
@@ -225,50 +226,41 @@ class _Entries(Mapping):
         masks: array | None = None,
         slices: list[int] | None = None,
     ):
+        if masks is None:  # packed from the slices on first read
+            self._first, self._stop, self._decode = 0, 1 << universe.size, None
+        else:
+            super().__init__(masks)
         self.universe = universe
         self._slices = slices
-        if masks is None:
-            self._count = 1 << universe.size
-        else:
-            self._array = masks
-            self._count = len(masks)
         self._theories = {initial.points.mask: initial}
 
     @property
     def masks(self) -> array:
-        try:
-            return self._array
-        except AttributeError:
-            return self._pack_slices()
+        if not hasattr(self, "data"):
+            self.data = _untranspose(self._slices, self.universe.size)
+        return self.data
 
-    def _pack_slices(self) -> array:
-        self._array = _untranspose(self._slices, self.universe.size)
-        return self._array
+    @property
+    def slices(self) -> list[int]:
+        if self._slices is None:
+            self._slices = _transpose(self.data, self.universe.size)
+        return self._slices
 
     def __getitem__(self, proposition: int) -> BeliefSet:
         try:
             # a bare array index would wrap a negative key
             if proposition >= 0:
-                return self._theories[self._array[proposition]]
+                return self._theories[self.data[proposition]]
         except KeyError:  # the first lookup of this theory
-            mask = self._array[proposition]
+            mask = self.data[proposition]
             theory = self._theories[mask] = BeliefSet(PointSet(self.universe, mask))
             return theory
         except (TypeError, IndexError):
             pass
         except AttributeError:  # the first read of a table given as slices
-            self._pack_slices()
+            self.masks  # packs them
             return self[proposition]
         raise KeyError(proposition)
-
-    def __contains__(self, proposition) -> bool:
-        return isinstance(proposition, int) and 0 <= proposition < self._count
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._count))
-
-    def __len__(self) -> int:
-        return self._count
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _Entries):
@@ -279,16 +271,17 @@ class _Entries(Mapping):
             return same and self.universe == other.universe
         return super().__eq__(other)
 
+    __repr__ = object.__repr__
+
 
 @dataclass(frozen=True)
 class RevisionTable:
     """Total map from every proposition over the universe to a belief set.
 
-    The table is stored as one packed array of entry masks indexed by
-    proposition (``_masks``, one native word each); ``entries`` is a
-    read-only view over it that wraps each distinct entry in a BeliefSet
-    on first lookup.  A caller's mapping passed as ``entries`` is
-    checked and packed into that view once.
+    ``entries`` is a read-only view (``_Entries``) that stores the table
+    and wraps each distinct entry in a BeliefSet on first lookup; a
+    caller's mapping passed as ``entries`` is checked and packed into
+    that view once.
     """
 
     universe: Universe
@@ -346,19 +339,15 @@ class RevisionTable:
     ) -> "RevisionTable":
         """The table whose per-state slices are ``slices``, kept, so it
         is never transposed, and packed on first read."""
-        table = cls(universe, initial, _Entries(universe, initial, slices=slices))
-        table.__dict__["_slices"] = slices
-        return table
+        return cls(universe, initial, _Entries(universe, initial, slices=slices))
 
     @property
     def _masks(self) -> array:
-        # entry point sets as one packed array indexed by proposition
         return self.entries.masks
 
-    @functools.cached_property
+    @property
     def _slices(self) -> list[int]:
-        # the table transposed: S_s per state s, bit E set iff s is in B(E)
-        return _transpose(self._masks, self.universe.size)
+        return self.entries.slices
 
     @functools.cached_property
     def _terms(self) -> "_Terms":
@@ -422,11 +411,6 @@ class CredibilityLabeling:
         labels[0] = Credibility.REJECTED
         labels.update(overrides)
         return cls(universe, labels)
-
-    def label(self, proposition: PointSet) -> Credibility:
-        if proposition.universe != self.universe:
-            raise UniverseMismatchError("proposition over a different universe")
-        return self.labels[proposition.mask]
 
     @property
     def _codes(self) -> bytes:
@@ -665,14 +649,12 @@ def _filter_failures(table: RevisionTable, labels: _Labels) -> dict[str, int]:
     }
 
 
-def _lowest_bits(bits: int, count: int) -> list[int]:
-    """The positions of the ``count`` lowest set bits, ascending."""
-    found = []
-    while bits and len(found) < count:
+def _set_bits(bits: int) -> Iterator[int]:
+    """The positions of the set bits, ascending."""
+    while bits:
         low = bits & -bits
-        found.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         bits ^= low
-    return found
 
 
 def revision_from_preorder(order: PlausibilityOrder) -> RevisionTable:
@@ -711,6 +693,21 @@ _AGM_NOTES = {
 }
 
 _MAX_WITNESSES = 5
+
+
+def _law_result(
+    universe: Universe, law: str, total: int, failing: Iterable[tuple[int, ...]], detail=None
+) -> CheckResult:
+    """A table law's result from its failure count and its failing E
+    (pairs (E, F) for AGM7/8), ascending: the first ``_MAX_WITNESSES``
+    are witnesses, with ``detail(E)`` if given; a larger count is noted."""
+    witnesses = []
+    for masks in itertools.islice(failing, _MAX_WITNESSES):
+        sets = tuple(PointSet(universe, mask) for mask in masks)
+        witnesses.append(Witness(("E", "F")[: len(sets)], sets, detail(masks[0]) if detail else ""))
+    unit = "pairs" if law in ("AGM7", "AGM8") else "propositions"
+    note = f"{total} failing {unit}" if total > _MAX_WITNESSES else ""
+    return CheckResult(law, not total, tuple(witnesses), note)
 
 
 def _agm_mask_holds(
@@ -819,7 +816,7 @@ def check_agm(
     if not wanted or not set(wanted) <= set(ALL_POSTULATES):
         raise ValueError(f"postulates must be a nonempty subset of 1..8, got {wanted}")
     universe = table.universe
-    masks = range(universe.full_mask + 1)
+    props = range(universe.full_mask + 1)
     pair_counts = _agm78_failure_counts(table) if {7, 8} & set(wanted) else {}
     fails = _agm_failures(table) if {2, 3, 4, 5} & set(wanted) else {}
     results = []
@@ -827,31 +824,17 @@ def check_agm(
         name = f"AGM{postulate}"
         if postulate in (1, 6):
             results.append(CheckResult(name, True, note=_AGM_NOTES[postulate]))
-            continue
-        failing: list[tuple[int, int | None]] = []
-        if postulate in (7, 8):
+        elif postulate in (7, 8):
             counts = pair_counts[postulate]
-            total = sum(counts)
-            # bound here: AGM1-6 read no packed array
+            # bound here, as AGM1-6 read no packed array; F is scanned only
+            # for an E with failing pairs, and only up to the last witness
             holds = functools.partial(_agm_mask_holds, table._masks, table.initial.points.mask)
-            for e in masks:
-                if len(failing) >= _MAX_WITNESSES:
-                    break
-                if counts[e]:
-                    failing.extend((e, f) for f in masks if not holds(postulate, e, f))
+            failing = ((e, f) for e in props if counts[e] for f in props if not holds(postulate, e, f))
+            results.append(_law_result(universe, name, sum(counts), failing))
         else:
-            total = fails[name].bit_count()
-            failing = [(e, None) for e in _lowest_bits(fails[name], _MAX_WITNESSES)]
-        witnesses = tuple(
-            Witness.of(
-                [("E", PointSet(universe, e))]
-                + ([("F", PointSet(universe, f))] if f is not None else [])
-            )
-            for e, f in failing[:_MAX_WITNESSES]
-        )
-        unit = "pairs" if postulate in (7, 8) else "propositions"
-        note = f"{total} failing {unit}" if total > _MAX_WITNESSES else ""
-        results.append(CheckResult(name, not total, witnesses, note))
+            bits = fails[name]
+            failing = ((e,) for e in _set_bits(bits))
+            results.append(_law_result(universe, name, bits.bit_count(), failing))
     return CheckReport("AGM postulates", tuple(results))
 
 
@@ -928,19 +911,15 @@ def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> Check
     """
     if labeling.universe != table.universe:
         raise UniverseMismatchError("labeling over a different universe")
-    universe = table.universe
     fails = _filter_failures(table, labeling._view)
     if not any(fails.values()):
         return _FILTER_HOLDS
+    detail = lambda e: f"label {labeling.labels[e].value}"
     results = []
     for check in _FILTER_CHECKS:
-        total = fails[check].bit_count()
-        witnesses = tuple(
-            Witness.of([("E", PointSet(universe, e))], detail=f"label {labeling.labels[e].value}")
-            for e in _lowest_bits(fails[check], _MAX_WITNESSES)
-        )
-        note = f"{total} failing propositions" if total > _MAX_WITNESSES else ""
-        results.append(CheckResult(check, not total, witnesses, note))
+        bits = fails[check]
+        failing = ((e,) for e in _set_bits(bits))
+        results.append(_law_result(table.universe, check, bits.bit_count(), failing, detail))
     return CheckReport(_FILTER_TITLE, (*results, _F4))
 
 
@@ -1014,7 +993,7 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     view = labeling._view
     infeasible = functools.reduce(operator.or_, _filter_failures(filtered, view).values())
     if infeasible:
-        [event] = _lowest_bits(infeasible, 1)
+        event = next(_set_bits(infeasible))
         reason = _recovery_reason(event, initial, labeling.labels[event])
         return RecoveryOutcome(None, PointSet(universe, event), reason)
     # S(E) is E & I on overlap; off it, the entry (C), the entry minus I
@@ -1056,12 +1035,17 @@ def _ordered_partitions(mask: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_preorders(universe: Universe, limit: int = 5) -> Iterator[PlausibilityOrder]:
+# The pre-order enumeration's cap: 6 points have 4,683 weak orders.
+_PREORDER_LIMIT = 6
+
+
+def enumerate_preorders(universe: Universe) -> Iterator[PlausibilityOrder]:
     """All total pre-orders of the universe's points, each exactly once,
     as ordered set partitions (first block = most plausible)."""
-    if universe.size > limit:
+    if universe.size > _PREORDER_LIMIT:
         raise SizeLimitError(
-            f"exhaustive pre-order enumeration supports up to {limit} points, got {universe.size}"
+            f"exhaustive pre-order enumeration supports up to {_PREORDER_LIMIT} points, "
+            f"got {universe.size}"
         )
     for blocks in _ordered_partitions(universe.full_mask):
         ranks = [0] * universe.size

@@ -56,11 +56,9 @@ def _random_nonempty_submask(rng: Random, mask: int) -> int:
     return out
 
 
-def random_selection_function(
-    rng: Random, universe: Universe, initial: PointSet | None = None
-) -> SelectionFunction:
+def random_selection_function(rng: Random, universe: Universe) -> SelectionFunction:
     full = universe.full_mask
-    initial_mask = initial.mask if initial is not None else rng.randrange(1, full + 1)
+    initial_mask = rng.randrange(1, full + 1)
     choice: dict[int, int] = {}
     for event in range(1, full + 1):
         overlap = event & initial_mask

@@ -4,7 +4,7 @@ import pytest
 
 from filtra.formulas import Atom, Not, Or
 from filtra.revision import RevisionTable
-from filtra.worlds import PointSet, canonical_universe
+from filtra.worlds import PointSet, Universe, canonical_universe
 
 
 @pytest.fixture
@@ -24,6 +24,27 @@ def of_ids(universe, ids):
     for point_id in ids:
         mask |= 1 << position[point_id]
     return PointSet(universe, mask)
+
+
+def result_of(report, check):
+    """The named check's result in a report (KeyError if absent)."""
+    for item in report.results:
+        if item.check == check:
+            return item
+    raise KeyError(check)
+
+
+def permute(perm, mask):
+    """``mask`` with each state i moved to position ``perm[i]``."""
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+def permuted_universe(universe, perm):
+    """``universe`` with each point i moved to position ``perm[i]``."""
+    points = [None] * universe.size
+    for i, point in enumerate(universe.points):
+        points[perm[i]] = point
+    return Universe(universe.atoms, tuple(points))
 
 
 def random_revision_table(rng, universe):

@@ -43,7 +43,7 @@ from filtra.sampling import (
 from filtra.reports import CheckReport, CheckResult, Witness
 from filtra.worlds import PointSet, SizeLimitError, Universe, canonical_universe, dnf_of, truth_set
 
-from conftest import of_ids
+from conftest import of_ids, permute, permuted_universe, result_of
 
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
 
@@ -104,7 +104,7 @@ class TestValidation:
         f[g.universe.full_mask] = 0
         broken = ChoiceStructure(g.universe, g.credible, g.allowable, g.rejected, f)
         report = validate_structure(broken)
-        assert not report.result("3a").holds
+        assert not result_of(report, "3a").holds
 
     def test_choice_escaping_credible_menu_fails_3c(self):
         g = three_state_structure(
@@ -113,8 +113,8 @@ class TestValidation:
             f_map={("s1", "s2", "s3"): ["s1"], ("s1", "s2"): ["s3"]},
         )
         report = validate_structure(g)
-        assert not report.result("3c").holds
-        witness = report.result("3c").witnesses[0]
+        assert not result_of(report, "3c").holds
+        witness = result_of(report, "3c").witnesses[0]
         assert set(witness.point_sets[0].ids) == {"s1", "s2"}
 
     def test_rejected_menu_must_repeat_initial_choice(self):
@@ -122,7 +122,7 @@ class TestValidation:
         f = dict(g.f)
         f[0] = g.f[g.universe.full_mask] | 1
         broken = ChoiceStructure(g.universe, g.credible, g.allowable, g.rejected, f)
-        assert not validate_structure(broken).result("3b").holds
+        assert not result_of(validate_structure(broken), "3b").holds
 
     def test_overlapping_families_fail_clause_2(self):
         g = detective_structure()
@@ -130,7 +130,7 @@ class TestValidation:
         broken = ChoiceStructure(
             g.universe, g.credible | {mask_a}, g.allowable, g.rejected, dict(g.f)
         )
-        assert not validate_structure(broken).result("2").holds
+        assert not result_of(validate_structure(broken), "2").holds
 
 
 class TestConsistencyCriteria:
@@ -146,7 +146,7 @@ class TestConsistencyCriteria:
             f_map={("s1", "s2", "s3"): ["s1", "s2"], ("s2", "s3"): ["s3"]},
         )
         report = check_agm_consistency(g)
-        result = report.result("1a")
+        result = result_of(report, "1a")
         assert not result.holds
         assert set(result.witnesses[0].point_sets[0].ids) == {"s2", "s3"}
 
@@ -157,7 +157,7 @@ class TestConsistencyCriteria:
             f_map={("s1", "s2", "s3"): ["s1", "s2"], ("s3",): ["s1", "s3"]},
         )
         report = check_agm_consistency(g)
-        assert not report.result("2").holds
+        assert not result_of(report, "2").holds
 
     def test_invalid_structure_is_a_precondition_failure(self):
         g = detective_structure()
@@ -838,13 +838,17 @@ def naive_structure_faults(structure):
 
 
 def naive_fault_report(structure, title, clauses, faults, leading=(), notes=()):
-    """A fresh result per clause, each failing witness built through
-    ``Witness.of`` (the predecessor of ``_fault_report``)."""
+    """A fresh result per clause, each failing witness built from its
+    (name, mask) pairs one at a time."""
     universe = structure.universe
     witnesses = {clause: [] for clause in clauses}
     for clause, parts, detail in faults:
         witnesses[clause].append(
-            Witness.of([(name, PointSet(universe, mask)) for name, mask in parts], detail=detail)
+            Witness(
+                tuple(name for name, _ in parts),
+                tuple(PointSet(universe, mask) for _, mask in parts),
+                detail,
+            )
         )
     results = [CheckResult(clause, not found, tuple(found)) for clause, found in witnesses.items()]
     return CheckReport(title, (*leading, *results), tuple(notes))
@@ -1086,3 +1090,45 @@ class TestRationalization:
                 for menu in g.credible
             )
             assert not reproduced
+
+
+def permuted_structure(structure, perm):
+    """The structure with each state i moved to position ``perm[i]``,
+    keeping its row of atom values."""
+    families = (structure.credible, structure.allowable, structure.rejected)
+    return ChoiceStructure(
+        permuted_universe(structure.universe, perm),
+        *(frozenset(permute(perm, menu) for menu in family) for family in families),
+        {permute(perm, menu): permute(perm, chosen) for menu, chosen in structure.f.items()},
+    )
+
+
+def structure_verdicts(structure):
+    """Whether each structural law holds and, on a valid structure,
+    each criterion, the brute-force oracle and a rationalization."""
+    verdicts = [result.holds for result in validate_structure(structure).results]
+    if all(verdicts):
+        verdicts += [result.holds for result in check_agm_consistency(structure).results]
+        verdicts.append(agm_consistency_bruteforce(structure).consistent)
+        verdicts.append(find_rationalizing_preorder(structure) is not None)
+    return verdicts
+
+
+class TestStateSymmetry:
+    """No structure check reads a state's position: one seeded
+    permutation of the states per case, each state keeping its row,
+    leaves every verdict unchanged."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_structures_and_their_corruptions(self, size):
+        rng = Random(f"symmetry:{size}")
+        seen = Counter()
+        for _ in range(60):
+            g = random_choice_structure(rng, size)
+            for structure in (g, corrupted(rng, g)):
+                perm = rng.sample(range(size), size)
+                verdicts = structure_verdicts(structure)
+                assert structure_verdicts(permuted_structure(structure, perm)) == verdicts
+                # None for an invalid structure, else the oracle's verdict
+                seen[verdicts[-2] if len(verdicts) > len(choice._CLAUSES) else None] += 1
+        assert set(seen) == {None, True, False}

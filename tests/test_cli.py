@@ -17,6 +17,7 @@ from filtra.sampling import random_selection_function
 from filtra.scenario import Scenario, detective_scenario, dumps, load_scenario
 from filtra.worlds import canonical_universe
 
+from conftest import result_of
 from test_choice import three_state_structure
 from test_revision import reference_agm_report
 
@@ -358,8 +359,8 @@ class TestCheckCommands:
         universe = canonical_universe(("p", "q", "r"))
         table = revision_from_selection(random_selection_function(Random(1), universe))
         expected = reference_agm_report(table)
-        assert expected.result("AGM7").note == "848 failing pairs"
-        assert expected.result("AGM8").note == "824 failing pairs"
+        assert result_of(expected, "AGM7").note == "848 failing pairs"
+        assert result_of(expected, "AGM8").note == "824 failing pairs"
         path = tmp_path / "selection.json"
         path.write_text(dumps(Scenario(universe.atoms, universe, table=table)), encoding="utf-8")
         text = runner.invoke(main, ["check", "agm", str(path)])

@@ -46,7 +46,7 @@ from filtra.sampling import (
 )
 from filtra.worlds import PointSet, Universe, canonical_universe, submasks
 
-from conftest import of_ids
+from conftest import of_ids, permute, permuted_universe, result_of
 from test_revision import assert_entries_shared, bits, kernel_tables, word_universe
 
 ATOMS = ("p", "q")
@@ -227,7 +227,7 @@ class TestCheckFiltered:
             entries[1] = BeliefSet(PointSet(u2, 2))
         mutated = RevisionTable(u2, filtered.initial, entries)
         report = check_filtered(mutated, labeling)
-        result = report.result("F1")
+        result = result_of(report, "F1")
         assert not result.holds
         assert result.witnesses[0].point_sets[0].mask == 1
         assert not filter_holds_at(mutated, labeling, "F1", PointSet(u2, 1))
@@ -243,7 +243,7 @@ class TestCheckFiltered:
         entries[0b0011] = filtered.initial  # pretend nothing happened
         mutated = RevisionTable(u2, filtered.initial, entries)
         report = check_filtered(mutated, labeling)
-        assert not report.result("F3b").holds
+        assert not result_of(report, "F3b").holds
         # hand-check of the two F3b clauses at this instance: the recovery
         # equation holds (entry & ~E equals the initial points) but the
         # dropped-disbelief clause fails (entry & E is empty)
@@ -337,7 +337,7 @@ def naive_check_filtered(table, labeling):
             if not _filter_mask_holds(table._masks, initial, labeling.labels, check, e)
         ]
         witnesses = tuple(
-            Witness.of([("E", PointSet(universe, e))], detail=f"label {labeling.labels[e].value}")
+            Witness(("E",), (PointSet(universe, e),), f"label {labeling.labels[e].value}")
             for e in failing[:5]
         )
         note = f"{len(failing)} failing propositions" if len(failing) > 5 else ""
@@ -571,8 +571,8 @@ class TestSharedPassingReport:
 
 
 def packed(table):
-    """Whether the table's entry array has been made."""
-    return hasattr(table.entries, "_array")
+    """Whether the table's entry view has made its masks layout."""
+    return hasattr(table.entries, "data")
 
 
 def lazy_tables(n_atoms):
@@ -701,3 +701,43 @@ class TestLazyPacking:
             same = x.universe == y.universe and x._masks.tolist() == y._masks.tolist()
             assert got == same, (a, b)
             assert got == (a == b or any({a, b} <= group for group in classes)), (a, b)
+
+
+def permuted_table(table, perm):
+    """The table with each state i moved to position ``perm[i]``: entry
+    perm(E) is perm(B(E)), over the universe with its points moved."""
+    masks = [0] * len(table._masks)
+    for e, entry in enumerate(table._masks):
+        masks[permute(perm, e)] = permute(perm, entry)
+    universe = permuted_universe(table.universe, perm)
+    return RevisionTable.from_masks(universe, permute(perm, table.initial.points.mask), masks)
+
+
+def summary(report):
+    """A report without its witnesses, which name states."""
+    return report.all_hold, [(r.check, r.holds, r.note) for r in report.results]
+
+
+class TestStateSymmetry:
+    """No law reads a state's position: one seeded permutation of the
+    states per case, applied to a table, its initial theory and its
+    labeling, leaves every verdict and note unchanged, and
+    ``build_filtered`` commutes with it."""
+
+    @pytest.mark.parametrize("n_atoms,draws", [(1, 20), (2, 12), (3, 6)])
+    def test_tables_and_labelings(self, n_atoms, draws):
+        rng = Random(210 + n_atoms)
+        for _ in range(draws):
+            for kind, table in kernel_tables(n_atoms, seed=rng.randrange(10**6)):
+                size = table.universe.size
+                perm = rng.sample(range(size), size)
+                labeling = random_labeling(rng, table.universe)
+                image = permuted_table(table, perm)
+                labels = {permute(perm, e): label for e, label in labeling.labels.items()}
+                image_labeling = CredibilityLabeling(image.universe, labels)
+                assert summary(check_agm(image)) == summary(check_agm(table)), kind
+                filtered = summary(check_filtered(table, labeling))
+                assert summary(check_filtered(image, image_labeling)) == filtered, kind
+                if kind in ("preorder", "selection"):
+                    built = build_filtered(image, image_labeling)
+                    assert built == permuted_table(build_filtered(table, labeling), perm)

@@ -54,7 +54,7 @@ from filtra.worlds import (
     canonical_universe,
 )
 
-from conftest import of_ids, random_revision_table
+from conftest import of_ids, random_revision_table, result_of
 
 ATOMS = ("p", "q")
 
@@ -313,7 +313,7 @@ class TestAgmChecker:
         mutated = RevisionTable(u2, table.initial, entries)
         report = check_agm(mutated, (2,))
         assert not report.all_hold
-        witness = report.result("AGM2").witnesses[0]
+        witness = result_of(report, "AGM2").witnesses[0]
         assert witness.point_sets[0].mask == target
 
     def test_random_tables_agree_with_simulation(self, u2):
@@ -382,7 +382,7 @@ def reference_agm_report(table, postulates=range(1, 9)):
             failing = [(e,) for e in props if not _agm_mask_holds(table._masks, initial, postulate, e)]
             unit = "propositions"
         witnesses = tuple(
-            Witness.of([(var, PointSet(universe, mask)) for var, mask in zip("EF", masks)])
+            Witness(("E", "F")[: len(masks)], tuple(PointSet(universe, mask) for mask in masks))
             for masks in failing[:5]
         )
         note = f"{len(failing)} failing {unit}" if len(failing) > 5 else ""
@@ -418,7 +418,7 @@ class TestAgmSupplementaryOracle:
             counts = _agm78_failure_counts(table)
             for postulate in (7, 8):
                 failing = pair_scan(table, postulate)
-                result = report.result(f"AGM{postulate}")
+                result = result_of(report, f"AGM{postulate}")
                 assert result.holds == (not failing)
                 per_event = [0] * (table.universe.full_mask + 1)
                 for e, _ in failing:
@@ -452,7 +452,7 @@ class TestAgmSupplementaryOracle:
         report = check_agm(table)
         assert report.all_hold
         assert all(not result.witnesses for result in report.results)
-        assert report.result("AGM7").note == report.result("AGM8").note == ""
+        assert result_of(report, "AGM7").note == result_of(report, "AGM8").note == ""
 
 
 def rank_loop_min(order, mask):
@@ -905,8 +905,9 @@ class TestPacking:
         for order in orders:
             table = revision_from_preorder(order)
             assert table == naive_preorder_table(order)
-            # the slices the table was computed on are its transpose
-            assert table.__dict__["_slices"] == _transpose(table._masks, size)
+            # the slices the table was computed on, kept by its entry
+            # view before any packing, are its transpose
+            assert table.entries._slices == _transpose(table._masks, size)
 
     @pytest.mark.parametrize("size", [9, 16])
     def test_big_endian_words(self, size, monkeypatch):
@@ -966,6 +967,7 @@ class TestPreorderEnumeration:
         u = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(5)])
         assert sum(1 for _ in enumerate_preorders(u)) == 541 == fubini(5)
         u6 = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(6)])
-        with pytest.raises(SizeLimitError):
-            next(enumerate_preorders(u6))
-        assert sum(1 for _ in enumerate_preorders(u6, limit=6)) == fubini(6)
+        assert sum(1 for _ in enumerate_preorders(u6)) == 4683 == fubini(6)
+        u7 = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(7)])
+        with pytest.raises(SizeLimitError, match="up to 6 points, got 7"):
+            next(enumerate_preorders(u7))
