@@ -53,7 +53,6 @@ from .revision import (
     build_filtered,
     check_agm,
     check_filtered,
-    enumerate_preorders,
     filter_holds_at,
     recover_basic,
     revision_from_preorder,

@@ -29,15 +29,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
 from .revision import (
-    _PREORDER_LIMIT,
     Credibility,
     CredibilityLabeling,
     PlausibilityOrder,
     RevisionTable,
-    enumerate_preorders,
     recover_basic,
 )
-from .worlds import PointSet, SizeLimitError, Universe, canonical_universe
+from .worlds import PointSet, SizeLimitError, Universe, canonical_universe, set_bits
 
 
 class InvalidStructureError(ValueError):
@@ -612,17 +610,55 @@ def agm_consistency_bruteforce(
 
 def find_rationalizing_preorder(structure: ChoiceStructure) -> PlausibilityOrder | None:
     """A total pre-order whose most-plausible sets reproduce the choice
-    map on every credible menu, or None.  Exhaustive over all weak
-    orders of the states, first match returned; the structure must pass
-    the structural laws."""
+    map on every credible menu, or None; the structure must pass the
+    structural laws.
+
+    The order is peeled one rank at a time (``_least_rank``), and the
+    credible menus a rank meets are settled and dropped.  The result is
+    the first match of a walk over all weak orders as ordered set
+    partitions, first blocks in ascending mask order (docs/semantics.md,
+    "Rationalization").
+    """
     _require_valid(structure)
     universe = structure.universe
-    if universe.size > _PREORDER_LIMIT:
-        raise SizeLimitError(
-            f"rationalization search supports up to {_PREORDER_LIMIT} states, got {universe.size}"
-        )
-    menus = sorted(structure.credible)
-    for order in enumerate_preorders(universe):
-        if all(order._lowest(menu) == structure.f[menu] for menu in menus):
-            return order
-    return None
+    menus = [(menu, structure.f[menu]) for menu in structure.credible]
+    ranks = [0] * universe.size
+    left, rank = universe.full_mask, 0
+    while left:
+        block = _least_rank(menus, left)
+        if not block:
+            return None
+        for i in set_bits(block):
+            ranks[i] = rank
+        left, rank = left & ~block, rank + 1
+        menus = [(menu, chosen) for menu, chosen in menus if not menu & block]
+    return PlausibilityOrder(universe, tuple(ranks))
+
+
+def _least_rank(menus: list[tuple[int, int]], left: int) -> int:
+    """The numerically smallest nonempty B within ``left`` that every
+    (menu, choice) pair meets not at all or exactly in its choice, or 0
+    if there is none.
+
+    B may hold no state a menu leaves unchosen.  The least such set
+    holding a state s closes {s} under the choices of the menus it
+    meets; B is the smallest of these, and the one for s is at least
+    ``1 << s``, so the scan stops there.
+    """
+    unchosen = 0
+    for menu, chosen in menus:
+        unchosen |= menu & ~chosen
+    best = 0
+    for s in set_bits(left & ~unchosen):
+        if best and 1 << s > best:
+            break
+        block, grown = 1 << s, True
+        while grown and not block & unchosen:
+            grown = False
+            for menu, chosen in menus:
+                if menu & block and chosen & ~block:
+                    block |= chosen
+                    grown = True
+        if not block & unchosen and (not best or block < best):
+            best = block
+    return best

@@ -44,9 +44,9 @@ from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
 from .worlds import (
     PointSet,
-    SizeLimitError,
     Universe,
     UniverseMismatchError,
+    set_bits,
     submasks,
     truth_set,
 )
@@ -649,14 +649,6 @@ def _filter_failures(table: RevisionTable, labels: _Labels) -> dict[str, int]:
     }
 
 
-def _set_bits(bits: int) -> Iterator[int]:
-    """The positions of the set bits, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def revision_from_preorder(order: PlausibilityOrder) -> RevisionTable:
     """Revision by minimizing rank: each proposition maps to the theory
     of its most plausible points; the empty proposition maps to the
@@ -833,7 +825,7 @@ def check_agm(
             results.append(_law_result(universe, name, sum(counts), failing))
         else:
             bits = fails[name]
-            failing = ((e,) for e in _set_bits(bits))
+            failing = ((e,) for e in set_bits(bits))
             results.append(_law_result(universe, name, bits.bit_count(), failing))
     return CheckReport("AGM postulates", tuple(results))
 
@@ -918,7 +910,7 @@ def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> Check
     results = []
     for check in _FILTER_CHECKS:
         bits = fails[check]
-        failing = ((e,) for e in _set_bits(bits))
+        failing = ((e,) for e in set_bits(bits))
         results.append(_law_result(table.universe, check, bits.bit_count(), failing, detail))
     return CheckReport(_FILTER_TITLE, (*results, _F4))
 
@@ -993,7 +985,7 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     view = labeling._view
     infeasible = functools.reduce(operator.or_, _filter_failures(filtered, view).values())
     if infeasible:
-        event = next(_set_bits(infeasible))
+        event = next(set_bits(infeasible))
         reason = _recovery_reason(event, initial, labeling.labels[event])
         return RecoveryOutcome(None, PointSet(universe, event), reason)
     # S(E) is E & I on overlap; off it, the entry (C), the entry minus I
@@ -1024,32 +1016,3 @@ def _recovery_reason(event: int, initial: int, label: Credibility) -> str:
     if label is Credibility.ALLOWABLE:
         return "allowable entry must add a nonempty set of information points to the initial ones"
     return "rejected information must preserve the initial beliefs"
-
-
-def _ordered_partitions(mask: int) -> Iterator[tuple[int, ...]]:
-    if mask == 0:
-        yield ()
-        return
-    for first in submasks(mask)[1:]:
-        for rest in _ordered_partitions(mask & ~first):
-            yield (first,) + rest
-
-
-# The pre-order enumeration's cap: 6 points have 4,683 weak orders.
-_PREORDER_LIMIT = 6
-
-
-def enumerate_preorders(universe: Universe) -> Iterator[PlausibilityOrder]:
-    """All total pre-orders of the universe's points, each exactly once,
-    as ordered set partitions (first block = most plausible)."""
-    if universe.size > _PREORDER_LIMIT:
-        raise SizeLimitError(
-            f"exhaustive pre-order enumeration supports up to {_PREORDER_LIMIT} points, "
-            f"got {universe.size}"
-        )
-    for blocks in _ordered_partitions(universe.full_mask):
-        ranks = [0] * universe.size
-        for rank, block in enumerate(blocks):
-            for i in PointSet(universe, block).indices():
-                ranks[i] = rank
-        yield PlausibilityOrder(universe, tuple(ranks))

@@ -22,7 +22,7 @@ from .revision import (
     RevisionTable,
     SelectionFunction,
 )
-from .worlds import Point, PointSet, SizeLimitError, Universe, submasks
+from .worlds import Point, PointSet, SizeLimitError, Universe, set_bits, submasks
 
 
 def random_formula(rng: Random, atoms: Sequence[str], max_depth: int) -> Formula:
@@ -42,18 +42,9 @@ def random_formula(rng: Random, atoms: Sequence[str], max_depth: int) -> Formula
 def _random_nonempty_submask(rng: Random, mask: int) -> int:
     # spread a random nonzero selector over the bits of ``mask``; this
     # is submasks(mask)[selector] without building all 2**|mask| of them
-    positions = []
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        positions.append(low)
-        remaining ^= low
+    positions = list(set_bits(mask))
     selector = rng.randrange(1, 1 << len(positions))
-    out = 0
-    for i, bit in enumerate(positions):
-        if selector >> i & 1:
-            out |= bit
-    return out
+    return sum(1 << position for i, position in enumerate(positions) if selector >> i & 1)
 
 
 def random_selection_function(rng: Random, universe: Universe) -> SelectionFunction:

@@ -362,6 +362,8 @@ def loads(text: str) -> Scenario:
         raise ScenarioError("<file>", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ScenarioError("<file>", "JSON nested too deeply to parse") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ScenarioError("<file>", "JSON integer literal too long to parse") from None
     return scenario_from_payload(payload)
 
 

@@ -180,11 +180,7 @@ class PointSet:
         return self.mask.bit_count()
 
     def indices(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return set_bits(self.mask)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -192,6 +188,14 @@ class PointSet:
 
     def render(self) -> str:
         return self.universe.render(self.mask)
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def submasks(mask: int) -> list[int]:

@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import pytest
 
 from filtra.formulas import Atom, Not, Or
-from filtra.revision import RevisionTable
-from filtra.worlds import PointSet, Universe, canonical_universe
+from filtra.revision import PlausibilityOrder, RevisionTable
+from filtra.worlds import PointSet, Universe, canonical_universe, set_bits, submasks
 
 
 @pytest.fixture
@@ -53,6 +54,42 @@ def random_revision_table(rng, universe):
     full = universe.full_mask
     initial = rng.randrange(1, full + 1)
     return RevisionTable.from_masks(universe, initial, [rng.randrange(full + 1) for _ in range(full + 1)])
+
+
+@functools.cache
+def ordered_partitions(mask):
+    """Every ordered set partition of ``mask``'s bits as a tuple of
+    blocks, first blocks in ascending mask order."""
+    if mask == 0:
+        return ((),)
+    return tuple((first, *rest) for first in submasks(mask)[1:] for rest in ordered_partitions(mask & ~first))
+
+
+def order_of_blocks(universe, blocks):
+    """The pre-order ranking block i at rank i."""
+    ranks = [0] * universe.size
+    for rank, block in enumerate(blocks):
+        for i in set_bits(block):
+            ranks[i] = rank
+    return PlausibilityOrder(universe, tuple(ranks))
+
+
+def enumerate_preorders(universe):
+    """All total pre-orders of the universe's points, each exactly once,
+    as ordered set partitions (first block = most plausible)."""
+    for blocks in ordered_partitions(universe.full_mask):
+        yield order_of_blocks(universe, blocks)
+
+
+def first_rationalizing_preorder(structure):
+    """The exhaustive oracle for ``find_rationalizing_preorder``: the
+    first weak order, in ``ordered_partitions`` order, whose lowest
+    points reproduce every credible choice, or None."""
+    menus = [(menu, structure.f[menu]) for menu in sorted(structure.credible)]
+    for blocks in ordered_partitions(structure.universe.full_mask):
+        if all(next(menu & block for block in blocks if menu & block) == chosen for menu, chosen in menus):
+            return order_of_blocks(structure.universe, blocks)
+    return None
 
 
 def eval_formula(formula, assignment):

@@ -23,7 +23,6 @@ from filtra.revision import (
     build_filtered,
     check_agm,
     check_filtered,
-    enumerate_preorders,
     recover_basic,
     revision_from_preorder,
     revision_from_selection,
@@ -40,7 +39,7 @@ from filtra.sampling import (
 )
 from filtra.worlds import PointSet, Universe, canonical_universe
 
-from conftest import eval_formula, of_ids
+from conftest import enumerate_preorders, eval_formula, of_ids
 
 GOLDEN = Path(__file__).parent / "golden"
 

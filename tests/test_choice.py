@@ -1,7 +1,9 @@
 import inspect
 import itertools
 import re
+import time
 from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -28,7 +30,6 @@ from filtra.revision import (
     RecoveryOutcome,
     check_agm,
     build_filtered,
-    enumerate_preorders,
     revision_from_preorder,
     revision_from_selection,
 )
@@ -38,12 +39,13 @@ from filtra.sampling import (
     all_selection_functions,
     random_choice_structure,
     random_labeling,
+    random_plausibility_order,
     random_selection_function,
 )
 from filtra.reports import CheckReport, CheckResult, Witness
 from filtra.worlds import PointSet, SizeLimitError, Universe, canonical_universe, dnf_of, truth_set
 
-from conftest import of_ids, permute, permuted_universe, result_of
+from conftest import enumerate_preorders, first_rationalizing_preorder, of_ids, permute, permuted_universe, result_of
 
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
 
@@ -641,9 +643,8 @@ class TestBitSlicedOracle:
         universe = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(7)])
         full = universe.full_mask
         seven = ChoiceStructure(universe, frozenset({full}), frozenset(), frozenset({0}), {full: 1, 0: 1})
-        with pytest.raises(SizeLimitError) as raised:
-            find_rationalizing_preorder(seven)
-        assert str(raised.value) == "rationalization search supports up to 6 states, got 7"
+        # rationalization has no size limit
+        assert find_rationalizing_preorder(seven).ranks == tuple(range(7))
         for budget in (0, 5):
             with pytest.raises(SizeLimitError) as raised:
                 agm_consistency_bruteforce(detective_structure(), atoms=budget)
@@ -1090,6 +1091,46 @@ class TestRationalization:
                 for menu in g.credible
             )
             assert not reproduced
+
+    def test_equals_the_exhaustive_first_match(self):
+        # 1,000 seeded valid structures at 2-6 states, most of them
+        # rationalizable; the oracle walks every weak order in turn
+        rng = Random("rationalize")
+        verdicts = Counter()
+        for size, draws in ((2, 100), (3, 300), (4, 300), (5, 200), (6, 100)):
+            for _ in range(draws):
+                g = random_choice_structure(rng, size)
+                order = find_rationalizing_preorder(g)
+                assert order == first_rationalizing_preorder(g)
+                verdicts[order is not None] += 1
+        assert verdicts[True] > 500 and verdicts[False] > 200
+
+    @pytest.mark.parametrize("size", [8, 12, 16])
+    def test_full_domain_preorder_structures(self, size):
+        # every nonempty menu credible and choosing its lowest states: the
+        # two-point menus reveal the order, so it is the only answer
+        universe = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(size)])
+        order = random_plausibility_order(Random(f"full-domain:{size}"), universe)
+        g = full_domain_structure(order)
+        start = time.perf_counter()
+        assert find_rationalizing_preorder(g) == order
+        assert time.perf_counter() - start < 1.0
+        # x ranked strictly above y, and z no better than y: {x, y, z}
+        # still chooses x, so choosing y from {x, y} leaves no order
+        x, *_, y, z = sorted(range(size), key=lambda i: order.ranks[i])
+        assert order.ranks[x] < order.ranks[y]
+        f = dict(g.f)
+        f[1 << x | 1 << y] = 1 << y
+        assert find_rationalizing_preorder(replace(g, f=f)) is None
+
+
+def full_domain_structure(order):
+    """Every nonempty proposition a credible menu choosing its lowest
+    states under ``order``."""
+    full = order.universe.full_mask
+    f = {menu: order._lowest(menu) for menu in range(1, full + 1)}
+    f[0] = f[full]
+    return ChoiceStructure(order.universe, frozenset(f) - {0}, frozenset(), frozenset({0}), f)
 
 
 def permuted_structure(structure, perm):

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from filtra import fuzzing
 from filtra.cli import main
 from filtra.revision import revision_from_selection
-from filtra.sampling import random_selection_function
-from filtra.scenario import Scenario, detective_scenario, dumps, load_scenario
+from filtra.sampling import random_plausibility_order, random_selection_function
+from filtra.scenario import Scenario, detective_scenario, dumps, event_key, load_scenario
 from filtra.worlds import canonical_universe
 
 from conftest import result_of
-from test_choice import three_state_structure
+from test_choice import full_domain_structure, three_state_structure
 from test_revision import reference_agm_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -255,8 +255,10 @@ class TestExitCodes:
             (json.dumps({**DETECTIVE, "labeling": {"a": {"C": 1}}}), "labeling['a']"),
             ("[" * 5000 + "]" * 5000, "<file>"),
             (b"\xff\xfe{}", "<file>"),
+            # past the interpreter's 4,300-digit limit on int parsing
+            (json.dumps({**DETECTIVE, "preorder": {"a": "rank"}}).replace('"rank"', "9" * 5000), "<file>"),
         ],
-        ids=["labeling-list", "labeling-object", "deep-nesting", "not-utf-8"],
+        ids=["labeling-list", "labeling-object", "deep-nesting", "not-utf-8", "long-integer"],
     )
     def test_malformed_input_is_a_usage_error_naming_the_field(self, runner, tmp_path, text, field):
         path = tmp_path / "malformed.json"
@@ -458,6 +460,22 @@ class TestOracleAndRationalize:
         result = runner.invoke(main, ["rationalize", detective_file])
         assert result.exit_code == 0
         assert "rank 0: {b, c}" in result.output
+
+    def test_rationalize_eight_states(self, runner, tmp_path):
+        # the levels the report lists reproduce every credible choice
+        universe = canonical_universe(("p", "q", "r"))
+        structure = full_domain_structure(random_plausibility_order(Random(8), universe))
+        path = tmp_path / "eight.json"
+        path.write_text(dumps(Scenario(universe.atoms, universe, structure=structure)), encoding="utf-8")
+        result = runner.invoke(main, ["rationalize", "--json", str(path)])
+        assert result.exit_code == 0
+        levels = json.loads(result.output)["levels"]
+        rank = {state: r for r, level in enumerate(levels) for state in level}
+        gcs = json.loads(path.read_text(encoding="utf-8"))["gcs"]
+        assert len(rank) == 8 and len(gcs["credible"]) == 255
+        for menu in gcs["credible"]:
+            best = min(rank[state] for state in menu)
+            assert [state for state in menu if rank[state] == best] == gcs["f"][event_key(menu)]
 
     def test_rationalize_cycle(self, runner, cyclic_file):
         result = runner.invoke(main, ["rationalize", cyclic_file])

@@ -24,7 +24,6 @@ from filtra.revision import (
     agm_holds_at,
     build_filtered,
     check_agm,
-    enumerate_preorders,
     recover_basic,
     revision_from_preorder,
     revision_from_selection,
@@ -48,13 +47,12 @@ from filtra.sampling import (
 from filtra.scenario import Scenario, detective_scenario, dumps, loads
 from filtra.worlds import (
     PointSet,
-    SizeLimitError,
     Universe,
     UniverseMismatchError,
     canonical_universe,
 )
 
-from conftest import of_ids, random_revision_table, result_of
+from conftest import enumerate_preorders, of_ids, random_revision_table, result_of
 
 ATOMS = ("p", "q")
 
@@ -961,13 +959,9 @@ class TestPreorderEnumeration:
         )
         assert sum(1 for _ in enumerate_preorders(u)) == 13 == fubini(3)
 
-    def test_five_point_count_and_limit(self):
+    def test_five_to_seven_point_counts(self):
         from filtra.worlds import Universe
 
-        u = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(5)])
-        assert sum(1 for _ in enumerate_preorders(u)) == 541 == fubini(5)
-        u6 = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(6)])
-        assert sum(1 for _ in enumerate_preorders(u6)) == 4683 == fubini(6)
-        u7 = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(7)])
-        with pytest.raises(SizeLimitError, match="up to 6 points, got 7"):
-            next(enumerate_preorders(u7))
+        for size, expected in ((5, 541), (6, 4683), (7, 47293)):
+            u = Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(size)])
+            assert sum(1 for _ in enumerate_preorders(u)) == expected == fubini(size)
