@@ -11,10 +11,11 @@ criteria under which every interpretation of the structure extends to
 a credibility-filtered revision built from a basic revision table
 (``check_agm_consistency``), and cross-checks those criteria against a
 brute-force enumeration of interpretations (``agm_consistency_bruteforce``,
-which decides the extension oracle's conditions under every partition
-of the states into rows at once; the oracle sees a valuation only
-through that partition).  The feasibility algebra is worked out in
-docs/semantics.md.
+which decides the filter laws, rewritten over saturation, under every
+partition of the states into rows at once; the laws see a valuation
+only through that partition).  ``extension_oracle`` decides one
+valuation by the filter laws themselves.  The feasibility algebra is
+worked out in docs/semantics.md.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
 from .revision import (
+    _FILTER_CHECKS,
     Credibility,
     CredibilityLabeling,
     PlausibilityOrder,
     RevisionTable,
+    _filter_mask_holds,
     recover_basic,
 )
 from .worlds import PointSet, SizeLimitError, Universe, canonical_universe, set_bits
@@ -128,16 +131,6 @@ _E, _EF = ("E",), ("E", "f(E)")
 # Passing results carry no witness, so every report shares them.
 _HOLDS = {clause: CheckResult(clause, True) for clause in (*_CLAUSES[1:], "1a", "1b")}
 _HOLDS["1"] = CheckResult("1", True, note="state space is nonempty by construction")
-
-
-# A menu as the oracle reads it: E, f(E) and E's family.
-_Menu = tuple[int, int, Credibility]
-
-
-def _menus(structure: ChoiceStructure) -> list[_Menu]:
-    """Every menu with its choice and family, in ascending mask order."""
-    f = structure.f
-    return [(event, f[event], structure.family_of(event)) for event in sorted(structure.events)]
 
 
 def _structure_faults(structure: ChoiceStructure) -> list[_Fault]:
@@ -360,45 +353,13 @@ def induced_beliefs(model: Model) -> PartialRevision:
     return PartialRevision(initial, entries)
 
 
-# Why a pinned menu admits no selection value, one per failing condition.
+# Why a pinned menu admits no selection value under some partition,
+# one per condition the brute force tests (docs/semantics.md,
+# "Every partition at once").
 _NOT_OVERLAP = "credible entry must be the theory of the overlap"
 _NOT_UNCHANGED = "entry must leave the initial theory unchanged"
 _NEW_BELIEFS = "allowable entry may not add new beliefs"
 _OUTSIDE = "allowable entry adds worlds outside the information"
-
-
-def _infeasible_event(
-    menus: Sequence[_Menu], initial: int, saturate: Callable[[int], int]
-) -> tuple[int, str] | None:
-    """First of ``menus`` whose pinned entry admits no selection value
-    under the valuation with saturation map ``saturate``, or None;
-    ``initial`` is f(omega).
-
-    Only menus that are unions of valuation classes are pinned; the
-    rest correspond to no formula and constrain nothing.  Rows are
-    compared through saturation alone: every realized row holds a
-    state, so v(a) = v(b) iff sat(a) = sat(b), and v(a) is within v(b)
-    iff sat(a) is within sat(b).
-    """
-    sat_initial = saturate(initial)
-    for event, chosen, family in menus:
-        if saturate(event) != event:
-            continue
-        if event & initial:
-            if family is Credibility.CREDIBLE:
-                if saturate(chosen) != saturate(event & initial):
-                    return event, _NOT_OVERLAP
-            elif saturate(chosen) != sat_initial:
-                return event, _NOT_UNCHANGED
-        elif family is Credibility.ALLOWABLE:
-            if sat_initial & ~saturate(chosen):
-                return event, _NEW_BELIEFS
-            if (chosen & ~sat_initial) & ~event:
-                return event, _OUTSIDE
-        # off f(omega), laws 3c and 3b make credible and rejected menus
-        # feasible, and 3d puts a row outside v(f(omega)) into an
-        # allowable one's choice (docs/semantics.md, "Choice structures")
-    return None
 
 
 @dataclass(frozen=True)
@@ -425,9 +386,17 @@ def extension_oracle(model: Model, build_certificate: bool = True) -> ExtensionO
     """Decide whether the model's pinned revision dispositions extend
     to a full filtered revision built from a basic table.
 
-    Feasibility decomposes per pinned menu; propositions pinned by no
-    menu always admit a selection value, so they never matter.  On
-    success (and by default) a witness table pair over the canonical
+    That holds iff the filter laws F1-F3b hold on the table the model
+    pins (docs/semantics.md, "Recovery arithmetic"), and they are
+    evaluated at one proposition per pinned menu E: v(E), with the
+    initial points v(f(omega)), E's family and the entry v(f(E)).  Any
+    other proposition whose image is E differs from v(E) only in rows
+    no state lands on, which neither the initial points nor the entry
+    hold, so it gets the same verdict; one whose image is no menu holds
+    the initial points under label R, which no law refuses.  The lowest
+    failing menu is reported with the laws it fails.
+
+    On success (and by default) a witness table pair over the canonical
     universe is constructed: the filtered table takes the theory of
     f(image) where a proposition's image is a menu and the initial
     theory elsewhere, and ``recover_basic`` supplies the basic table it
@@ -437,15 +406,20 @@ def extension_oracle(model: Model, build_certificate: bool = True) -> ExtensionO
     canonical = model.canonical
     quotient = _quotient(model.point_classes, canonical.size)
     f = structure.f
-    f_omega = f[structure.universe.full_mask]
-    found = _infeasible_event(_menus(structure), f_omega, quotient.saturate)
-    if found is not None:
-        event, reason = found
-        return ExtensionOutcome(False, None, PointSet(structure.universe, event), reason)
+    initial = quotient.rows(f[structure.universe.full_mask])
+    for event in sorted(structure.events):
+        if quotient.saturate(event) != event:
+            continue
+        prop, label, entry = quotient.rows(event), structure.family_of(event), quotient.rows(f[event])
+        failing = [
+            check for check in _FILTER_CHECKS if not _filter_mask_holds(check, initial, prop, label, entry)
+        ]
+        if failing:
+            reason = f"pinned entry fails {', '.join(failing)}"
+            return ExtensionOutcome(False, None, PointSet(structure.universe, event), reason)
     if not build_certificate:
         return ExtensionOutcome(True)
 
-    initial = quotient.rows(f_omega)
     images = [quotient.states(prop) for prop in range(canonical.full_mask + 1)]
     masks = [quotient.rows(f[image]) if image in f else initial for image in images]
     filtered = RevisionTable.from_masks(canonical, initial, masks)
@@ -548,9 +522,9 @@ def agm_consistency_bruteforce(
     per-partition bitsets (``_partition_tables``), one bit per
     partition, and a menu's failure bitset holds the partitions under
     which it is infeasible.  The lowest failing bit is the first
-    partition the one-at-a-time walk of ``_infeasible_event`` would
-    reject, and ``valuations_checked`` counts the partitions up to it
-    (all of them on a pass), as that walk did.
+    partition that a walk over the partitions in order would reject,
+    and ``valuations_checked`` counts the partitions up to it (all of
+    them on a pass), as that walk would.
 
     The default budget is the smallest one admitting an injective
     valuation (atom count = ceil(log2 of the state count)), which is
@@ -569,8 +543,9 @@ def agm_consistency_bruteforce(
     f = structure.f
     initial = f[universe.full_mask]
     # (event, reason, partitions under which the menu is pinned and
-    # fails the condition), a menu's conditions in the order
-    # _infeasible_event tests them.  Law 3b pins a rejected menu's
+    # fails the condition): the filter laws at the menu's proposition,
+    # rewritten over saturation, in the order docs/semantics.md lists
+    # them ("Every partition at once").  Law 3b pins a rejected menu's
     # choice to f(omega), so only credible menus meeting f(omega) and
     # allowable menus can fail.  sat(a) = sat(b) iff a lies within
     # sat(b) and b within sat(a).

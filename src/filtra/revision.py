@@ -839,13 +839,11 @@ _FILTER_HOLDS = CheckReport(
 )
 
 
-def _filter_mask_holds(
-    entries: Sequence[int], initial: int, labels: Mapping[int, Credibility], check: str, e: int
-) -> bool:
-    entry = entries[e]
-    label = labels[e]
+def _filter_mask_holds(check: str, initial: int, e: int, label: Credibility, entry: int) -> bool:
+    """Whether filter law ``check`` holds at one proposition, read only
+    through its tuple (I, E, label, entry) (docs/semantics.md, "One
+    proposition at a time")."""
     overlap = e & initial
-    full = len(entries) - 1
     if check == "F1":
         return label is not Credibility.REJECTED or entry == initial
     if check == "F2a":
@@ -867,11 +865,7 @@ def _filter_mask_holds(
             return True
         # entry within the initial theory minus the refuting formula, and
         # re-adding that formula recovers the initial theory exactly
-        return (
-            initial & ~entry == 0
-            and entry & e != 0
-            and entry & (full & ~e) == initial
-        )
+        return initial & ~entry == 0 and entry & e != 0 and entry & ~e == initial
     raise ValueError(f"unknown filter check {check!r}")
 
 
@@ -879,9 +873,8 @@ def filter_holds_at(
     table: RevisionTable, labeling: CredibilityLabeling, check: str, e: PointSet
 ) -> bool:
     """Evaluate one filter law at a single proposition (see check_filtered)."""
-    return _filter_mask_holds(
-        table._masks, table.initial.points.mask, labeling.labels, check, e.mask
-    )
+    initial = table.initial.points.mask
+    return _filter_mask_holds(check, initial, e.mask, labeling.labels[e.mask], table._masks[e.mask])
 
 
 def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> CheckReport:

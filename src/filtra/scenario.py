@@ -193,10 +193,23 @@ def _id_lists(universe: Universe) -> list[list[str]]:
     return list(map(made.__getitem__, range(len(made))))
 
 
+def _event_keys(universe: Universe) -> list[str]:
+    """Every proposition's canonical event key, indexed by its mask:
+    the id lists of ``_id_lists``, each joined as it is made."""
+    index = universe._index
+    made: dict[int, str] = {0: ""}
+    for state_id in sorted(index):
+        bit = 1 << index[state_id]
+        made.update(
+            [(mask | bit, f"{prior},{state_id}" if mask else state_id) for mask, prior in made.items()]
+        )
+    return list(map(made.__getitem__, range(len(made))))
+
+
 def _key_masks(universe: Universe) -> dict[str, int]:
     """Every proposition's canonical event key, mapped to its mask."""
-    ids = _id_lists(universe)
-    return dict(zip(map(",".join, ids), range(len(ids))))
+    keys = _event_keys(universe)
+    return dict(zip(keys, range(len(keys))))
 
 
 def _lookup_list(value, keys: Mapping[str, int]) -> int | None:
@@ -409,11 +422,14 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         }
     labeling = scenario.labeling if scenario.labeling_overrides is None else None
     if labeling is not None or scenario.table is not None:
-        # each proposition's id list, rendered once: it is a key, a sort
-        # key and the value of every entry with those points
+        # each proposition's key and id list, made once: the key is a
+        # key and a sort key, the list the value of every entry with
+        # those points.  The lists get their own doubling, since
+        # splitting the keys back costs more and would misread a state
+        # id holding a comma, which only the loader refuses
+        keys = _event_keys(universe)
         ids = _id_lists(universe)
-        keys = list(map(",".join, ids))
-        by_key = sorted(range(len(ids)), key=keys.__getitem__)
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
     if scenario.labeling_overrides is not None:
         payload["labeling"] = {
             key: scenario.labeling_overrides[key] for key in sorted(scenario.labeling_overrides)

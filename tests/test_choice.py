@@ -14,7 +14,6 @@ from filtra.choice import (
     ChoiceStructure,
     CounterModel,
     InvalidStructureError,
-    _infeasible_event,
     agm_consistency_bruteforce,
     build_model,
     check_agm_consistency,
@@ -28,6 +27,7 @@ from filtra.formulas import parse_formula
 from filtra.revision import (
     Credibility,
     RecoveryOutcome,
+    RevisionTable,
     check_agm,
     build_filtered,
     revision_from_preorder,
@@ -243,6 +243,76 @@ def vmask(model, mask):
     return out
 
 
+def menus_of(structure):
+    """Every menu as (E, f(E), E's family), in ascending mask order."""
+    return [(event, structure.f[event], structure.family_of(event)) for event in sorted(structure.events)]
+
+
+def infeasible_event(menus, initial, saturate):
+    """The first of ``menus`` whose pinned entry admits no selection
+    value under the valuation with saturation map ``saturate``, with
+    the brute force's reason, or None; ``initial`` is f(omega).
+
+    This is the per-partition reference: the saturation conditions of
+    docs/semantics.md ("Choice structures"), hand-derived from the
+    filter laws.  Only menus equal to their saturation are pinned, and
+    off f(omega) laws 3b-3d settle every condition but an allowable
+    menu's two.
+    """
+    sat_initial = saturate(initial)
+    for event, chosen, family in menus:
+        if saturate(event) != event:
+            continue
+        if event & initial:
+            if family is C:
+                if saturate(chosen) != saturate(event & initial):
+                    return event, choice._NOT_OVERLAP
+            elif saturate(chosen) != sat_initial:
+                return event, choice._NOT_UNCHANGED
+        elif family is A:
+            if sat_initial & ~saturate(chosen):
+                return event, choice._NEW_BELIEFS
+            if (chosen & ~sat_initial) & ~event:
+                return event, choice._OUTSIDE
+    return None
+
+
+def walk_of(model):
+    """``infeasible_event`` under the model's own valuation."""
+    structure = model.structure
+    saturate = choice._quotient(model.point_classes, model.canonical.size).saturate
+    return infeasible_event(menus_of(structure), structure.f[structure.universe.full_mask], saturate)
+
+
+# The one filter law each of the walk's conditions rewrites.
+LAW_OF_REASON = {
+    choice._NOT_OVERLAP: "F2a",
+    choice._NOT_UNCHANGED: "F2b",
+    choice._NEW_BELIEFS: "F3b",
+    choice._OUTSIDE: "F3b",
+}
+
+
+def assert_oracle_equals_the_walk(model):
+    """The oracle's verdict, reported menu and failing law equal the
+    walk's; returns the verdict."""
+    outcome = extension_oracle(model, build_certificate=False)
+    found = walk_of(model)
+    assert outcome.feasible == (found is None)
+    if found is not None:
+        event, reason = found
+        assert outcome.infeasible_event.mask == event
+        assert outcome.reason == f"pinned entry fails {LAW_OF_REASON[reason]}"
+    return outcome.feasible
+
+
+def revalued(rng, structure):
+    """The structure under random rows of its own atoms."""
+    atoms = structure.universe.atoms
+    rows = [tuple(rng.random() < 0.5 for _ in atoms) for _ in range(structure.universe.size)]
+    return with_valuation(structure, atoms, rows)
+
+
 class TestExtensionOracle:
     def test_detective_certificate_reverifies(self):
         g = detective_structure()
@@ -317,6 +387,50 @@ class TestExtensionOracle:
             assert check_agm(certificate.basic, (1, 2, 3, 4, 5, 6)).all_hold
             assert build_filtered(certificate.basic, model.labeling) == certificate.revision
         assert 100 < feasible < len(valid)
+
+    def test_filter_laws_equal_the_walk_on_declared_and_revalued_rows(self):
+        # every two-state shape at 1 and 2 atoms, and seeded draws (each
+        # also with one choice redrawn) at 3-6 states over 1-3 atoms, each
+        # under its declared rows and two random ones: states share rows
+        # and rows go unrealized
+        rng = Random(24)
+        structures = [*all_choice_structures(("p",)), *all_choice_structures(("p", "q"))]
+        for size in range(3, 7):
+            for atoms in (("p",), ("p", "q"), ("p", "q", "r")):
+                for _ in range(40):
+                    g = random_choice_structure(rng, size, atoms)
+                    structures += [g, corrupted(rng, g)]
+        start = time.perf_counter()
+        verdicts = Counter()
+        shared = unrealized = 0
+        for g in structures:
+            if validate_structure(g).all_hold:
+                for h in (g, revalued(rng, g), revalued(rng, g)):
+                    model = build_model(h)
+                    verdicts[assert_oracle_equals_the_walk(model)] += 1
+                    rows = len(set(model.point_classes))
+                    shared += rows < h.universe.size
+                    unrealized += rows < model.canonical.size
+        assert time.perf_counter() - start < 2.0
+        assert verdicts.total() >= 2000 and verdicts[False] > 500
+        assert shared > 500 and unrealized > 500
+
+    def test_a_verdict_builds_no_table(self, monkeypatch):
+        # at 4 atoms the pinned table has 65,536 entries; only the
+        # certificate builds it
+        rng = Random(240)
+        structures = [random_choice_structure(rng, 6, ("p", "q", "r", "s")) for _ in range(4)]
+        models = [build_model(h) for g in structures for h in (g, revalued(rng, g))]
+
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(RevisionTable, "from_masks", refuse)
+        verdicts = {assert_oracle_equals_the_walk(model) for model in models}
+        assert verdicts == {True, False}
+        feasible = next(model for model in models if walk_of(model) is None)
+        with pytest.raises(AssertionError, match="a table was built"):
+            extension_oracle(feasible)
 
     def test_a_failed_recovery_is_an_explicit_error(self, monkeypatch):
         def failing_recovery(filtered, labeling):
@@ -548,17 +662,17 @@ class TestQuotient:
 
 
 def naive_bruteforce(structure, atoms=None):
-    """The oracle one partition at a time: run ``_infeasible_event``
+    """The oracle one partition at a time: run ``infeasible_event``
     through each partition's saturation map, in ``_row_partitions``
     order, and stop at the first infeasible menu (the test oracle for
     the bit-sliced ``agm_consistency_bruteforce``)."""
     universe = structure.universe
     n_atoms = atoms if atoms is not None else max(1, (universe.size - 1).bit_length())
-    menus = choice._menus(structure)
+    menus = menus_of(structure)
     initial = structure.f[universe.full_mask]
     partitions = choice._row_partitions(universe.size, 1 << n_atoms)
     for checked, valuation in enumerate(partitions, 1):
-        found = _infeasible_event(menus, initial, choice._quotient(valuation, max(valuation) + 1).saturate)
+        found = infeasible_event(menus, initial, choice._quotient(valuation, max(valuation) + 1).saturate)
         if found is not None:
             event, reason = found
             assignments = tuple(
@@ -666,10 +780,10 @@ def assert_matches_full_product(structure, n_atoms):
     over the states (no reduction at all), assert that the oracle gives
     the same verdict and that its counter-model replays, and return the
     verdict."""
-    menus = choice._menus(structure)
+    menus = menus_of(structure)
     initial = structure.f[structure.universe.full_mask]
     consistent = all(
-        _infeasible_event(menus, initial, choice._quotient(valuation, 1 << n_atoms).saturate) is None
+        infeasible_event(menus, initial, choice._quotient(valuation, 1 << n_atoms).saturate) is None
         for valuation in itertools.product(range(1 << n_atoms), repeat=structure.universe.size)
     )
     outcome = agm_consistency_bruteforce(structure, atoms=n_atoms)
@@ -1146,12 +1260,15 @@ def permuted_structure(structure, perm):
 
 def structure_verdicts(structure):
     """Whether each structural law holds and, on a valid structure,
-    each criterion, the brute-force oracle and a rationalization."""
+    each criterion, the extension oracle under the declared rows, a
+    rationalization and, up to four states, the brute-force oracle."""
     verdicts = [result.holds for result in validate_structure(structure).results]
     if all(verdicts):
         verdicts += [result.holds for result in check_agm_consistency(structure).results]
-        verdicts.append(agm_consistency_bruteforce(structure).consistent)
+        verdicts.append(extension_oracle(build_model(structure), build_certificate=False).feasible)
         verdicts.append(find_rationalizing_preorder(structure) is not None)
+        if structure.universe.size <= 4:  # the brute force refuses more states
+            verdicts.append(agm_consistency_bruteforce(structure).consistent)
     return verdicts
 
 
@@ -1160,10 +1277,12 @@ class TestStateSymmetry:
     permutation of the states per case, each state keeping its row,
     leaves every verdict unchanged."""
 
-    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
     def test_structures_and_their_corruptions(self, size):
+        # the default atoms put two of five states on one row
         rng = Random(f"symmetry:{size}")
         seen = Counter()
+        oracle = len(choice._CLAUSES) + 3  # the extension oracle's place
         for _ in range(60):
             g = random_choice_structure(rng, size)
             for structure in (g, corrupted(rng, g)):
@@ -1171,5 +1290,5 @@ class TestStateSymmetry:
                 verdicts = structure_verdicts(structure)
                 assert structure_verdicts(permuted_structure(structure, perm)) == verdicts
                 # None for an invalid structure, else the oracle's verdict
-                seen[verdicts[-2] if len(verdicts) > len(choice._CLAUSES) else None] += 1
+                seen[verdicts[oracle] if len(verdicts) > oracle else None] += 1
         assert set(seen) == {None, True, False}

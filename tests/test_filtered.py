@@ -334,7 +334,7 @@ def naive_check_filtered(table, labeling):
         failing = [
             e
             for e in range(universe.full_mask + 1)
-            if not _filter_mask_holds(table._masks, initial, labeling.labels, check, e)
+            if not _filter_mask_holds(check, initial, e, labeling.labels[e], table._masks[e])
         ]
         witnesses = tuple(
             Witness(("E",), (PointSet(universe, e),), f"label {labeling.labels[e].value}")
@@ -405,14 +405,13 @@ class TestBitSlicedLaws:
         for initial in range(1, full + 1):
             for label in (C, A, R):
                 labels = _Labels.of(label.value.encode() * (full + 1))
-                per_prop = dict.fromkeys(range(full + 1), label)
                 for d in range(full + 1):
                     masks = [e ^ d for e in range(full + 1)]
                     table = RevisionTable.from_masks(u2, initial, masks)
                     fails = _filter_failures(table, labels)
                     for check in _FILTER_CHECKS:
                         expected = [
-                            int(not _filter_mask_holds(masks, initial, per_prop, check, e))
+                            int(not _filter_mask_holds(check, initial, e, label, masks[e]))
                             for e in range(full + 1)
                         ]
                         assert bits(fails[check], u2.size) == expected, (initial, label, d, check)
@@ -485,10 +484,8 @@ class TestOnePropositionAtATime:
                     route = {R: lambda v: initial, A: lambda v: initial | v, C: lambda v: v}[label]
                     routed = set(map(route, values))
                     for entry in range(full + 1):
-                        masks, labels = [entry] * (full + 1), {e: label}
                         lawful = all(
-                            _filter_mask_holds(masks, initial, labels, check, e)
-                            for check in _FILTER_CHECKS
+                            _filter_mask_holds(check, initial, e, label, entry) for check in _FILTER_CHECKS
                         )
                         value, _ = scan_step(e, entry, initial, label)
                         case = (initial, e, label, entry)
