@@ -324,11 +324,13 @@ def build_model(structure: ChoiceStructure) -> Model:
     canonical = canonical_universe(universe.atoms)
     point_classes = tuple(universe.valuation_index(i) for i in range(universe.size))
     image = _quotient(point_classes, canonical.size).states
-    labels = {
-        prop: structure.family_of(image(prop)) or Credibility.REJECTED
-        for prop in range(canonical.full_mask + 1)
-    }
-    return Model(structure, canonical, CredibilityLabeling(canonical, labels), point_classes)
+    images = [0]  # per canonical proposition, doubled row by row
+    for row in range(canonical.size):
+        states = image(1 << row)
+        images += [event | states for event in images]
+    code_of = {event: (structure.family_of(event) or Credibility.REJECTED).value for event in set(images)}
+    labeling = CredibilityLabeling._of_codes(canonical, "".join(map(code_of.__getitem__, images)).encode())
+    return Model(structure, canonical, labeling, point_classes)
 
 
 @dataclass(frozen=True)

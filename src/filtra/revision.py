@@ -143,13 +143,15 @@ class SelectionFunction:
         if not self.initial.is_consistent:
             raise SelectionError("initial beliefs must be consistent")
         full, choice = self.universe.full_mask, self.choice
-        if len(choice) != full or not all(map(choice.__contains__, range(1, full + 1))):
+        packed = type(choice) is _Packed and choice._first == 1  # a table, as _pinned packs it
+        if len(choice) != full or not (packed or all(map(choice.__contains__, range(1, full + 1)))):
             raise SelectionError("choice must cover every nonempty proposition exactly")
-        values = [0, *map(choice.__getitem__, range(1, full + 1))]
+        values = choice.data if packed else [0, *map(choice.__getitem__, range(1, full + 1))]
         outside = 0  # bit E set iff S(E) is no mask of the universe, so not within E
         try:
             table = RevisionTable.from_masks(self.universe, self.initial.points.mask, values)
         except ValueError:
+            values = list(values)
             for event, value in enumerate(values):
                 if value & ~full:  # a non-int S(E) raises TypeError here
                     outside |= 1 << event
@@ -158,6 +160,22 @@ class SelectionFunction:
         _check_selection(table, outside)
         self.__dict__["_table"] = table
         object.__setattr__(self, "choice", _Packed(table._masks, first=1))
+
+    @classmethod
+    def _pinned(
+        cls, universe: Universe, initial_mask: int, free: Mapping[int, int]
+    ) -> "SelectionFunction":
+        """S(E) = E & I wherever E meets I, and ``free[E]`` at each E
+        in ``free``, packed as a table from the start."""
+        size = universe.size
+        if size < 8:  # few propositions: one map costs less than a transpose
+            masks = array(_layout(size).code, map(initial_mask.__and__, range(1 << size)))
+        else:
+            pinned = [member if initial_mask >> s & 1 else 0 for s, member in enumerate(_containment(size))]
+            masks = _untranspose(pinned, size)
+        for event, value in free.items():
+            masks[event] = value
+        return cls(universe, BeliefSet(PointSet(universe, initial_mask)), _Packed(masks, first=1))
 
 
 class _Packed(Mapping):
@@ -386,18 +404,26 @@ class CredibilityLabeling:
 
     def __post_init__(self):
         labels, full = self.labels, self.universe.full_mask
-        if len(labels) != full + 1 or not all(map(labels.__contains__, range(full + 1))):
+        packed = type(labels) is _Packed and labels._decode is _LABEL_OF_CODE  # as _of_codes packs it
+        if len(labels) != full + 1 or not (packed or all(map(labels.__contains__, range(full + 1)))):
             raise ValueError("labels must cover every proposition exactly once")
-        if list(map(type, labels.values())).count(Credibility) != len(labels):
-            mask = next(mask for mask in range(full + 1) if type(labels[mask]) is not Credibility)
+        if not packed:
+            if list(map(type, labels.values())).count(Credibility) != len(labels):
+                mask = next(mask for mask in range(full + 1) if type(labels[mask]) is not Credibility)
+                event = PointSet(self.universe, mask).render()
+                raise ValueError(_NOT_A_LABEL.format(labels[mask], event))
+            codes = "".join(map(_VALUE, map(labels.__getitem__, range(full + 1)))).encode()
+            labels = _Packed(codes, decode=_LABEL_OF_CODE)
+        codes = labels.data
+        if codes.translate(None, b"CAR"):  # a byte that is no code shows as itself
+            mask = next(mask for mask, code in enumerate(codes) if code not in b"CAR")
             event = PointSet(self.universe, mask).render()
-            raise ValueError(f"label {labels[mask]!r} at E = {event} is not a Credibility member")
+            raise ValueError(_NOT_A_LABEL.format(codes[mask : mask + 1], event))
         if labels[full] is not Credibility.CREDIBLE:
             raise ValueError("the full proposition must be labeled credible")
         if labels[0] is not Credibility.REJECTED:
             raise ValueError("the empty proposition must be labeled rejected")
-        codes = "".join(map(_VALUE, map(labels.__getitem__, range(full + 1)))).encode()
-        object.__setattr__(self, "labels", _Packed(codes, decode=_LABEL_OF_CODE))
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def all_credible(cls, universe: Universe) -> "CredibilityLabeling":
@@ -411,6 +437,11 @@ class CredibilityLabeling:
         labels[0] = Credibility.REJECTED
         labels.update(overrides)
         return cls(universe, labels)
+
+    @classmethod
+    def _of_codes(cls, universe: Universe, codes: bytes) -> "CredibilityLabeling":
+        """The labeling whose label at E has the value ``chr(codes[E])``."""
+        return cls(universe, _Packed(codes, decode=_LABEL_OF_CODE))
 
     @property
     def _codes(self) -> bytes:
@@ -428,6 +459,7 @@ class CredibilityLabeling:
 
 _VALUE = operator.attrgetter("_value_")  # not .value or a member hash: both run Python code
 _LABEL_OF_CODE = {ord(member.value): member for member in Credibility}
+_NOT_A_LABEL = "label {!r} at E = {} is not a Credibility member"
 
 
 class _Labels(NamedTuple):
@@ -737,9 +769,9 @@ def agm_holds_at(
     return _agm_mask_holds(table._masks, table.initial.points.mask, postulate, e.mask, f_mask)
 
 
-def _agm78_failure_counts(table: RevisionTable) -> dict[int, list[int]]:
-    """Per postulate 7 and 8, the number of failing pairs (E, F) for
-    each E, indexed by E's mask.
+def _agm78_failure_counts(table: RevisionTable, postulates: set[int]) -> dict[int, list[int]]:
+    """Per postulate 7 and 8 in ``postulates``, the number of failing
+    pairs (E, F) for each E, indexed by E's mask.
 
     Each F is split as G | H with G = E & F and H disjoint from E.  For
     a fixed (E, G) the failing H have a closed-form count (derived in
@@ -749,6 +781,7 @@ def _agm78_failure_counts(table: RevisionTable) -> dict[int, list[int]]:
     """
     size = table.universe.size
     entries = table._masks.tolist()
+    want7, want8 = 7 in postulates, 8 in postulates
     counts7 = [0] * len(entries)
     counts8 = [0] * len(entries)
     for e, b in enumerate(entries):
@@ -769,16 +802,13 @@ def _agm78_failure_counts(table: RevisionTable) -> dict[int, list[int]]:
         for g in groups:
             bg = entries[g]
             kept = b & g
-            if kept & ~bg:
-                fail7 += every
-            else:
-                fail7 += every - (every >> (out & ~bg).bit_count())
+            if want7:
+                fail7 += every if kept & ~bg else every - (every >> (out & ~bg).bit_count())
+            if not want8:
+                continue
             if kept:
                 z = bg & ~kept
-                if z & ~out:
-                    fail8 += every
-                else:
-                    fail8 += every - (every >> z.bit_count())
+                fail8 += every if z & ~out else every - (every >> z.bit_count())
             elif bg & ~out:
                 fail8 += meets_out
             elif bg:
@@ -809,7 +839,8 @@ def check_agm(
         raise ValueError(f"postulates must be a nonempty subset of 1..8, got {wanted}")
     universe = table.universe
     props = range(universe.full_mask + 1)
-    pair_counts = _agm78_failure_counts(table) if {7, 8} & set(wanted) else {}
+    pairs = {7, 8} & set(wanted)
+    pair_counts = _agm78_failure_counts(table, pairs) if pairs else {}
     fails = _agm_failures(table) if {2, 3, 4, 5} & set(wanted) else {}
     results = []
     for postulate in wanted:

@@ -3,6 +3,17 @@
 Everything here is driven by an explicit ``random.Random`` so runs are
 reproducible from a seed; the ``all_*`` enumerations are the exhaustive
 counterparts used at the smallest sizes.
+
+The table samplers draw in bulk, straight into the packed forms, yet
+take the draws the per-proposition loops take, seed for seed, on a
+``random.Random``.  ``rng.choice`` of three labels makes tries
+``getrandbits(2)``, the top two bits of one 32-bit word of the Mersenne
+Twister, until one is below 3; ``getrandbits(32 * n)`` gives the next n
+words, the first least significant.  So the top byte of each word, b,
+is the label b >> 6, or a retry from 192 on, and drawing only as many
+words as labels are still missing never takes a word the loop would
+not.  A selection draws only where S(E) is free, at the events
+disjoint from I, in ascending order, as the loop does.
 """
 
 from __future__ import annotations
@@ -50,17 +61,24 @@ def _random_nonempty_submask(rng: Random, mask: int) -> int:
 def random_selection_function(rng: Random, universe: Universe) -> SelectionFunction:
     full = universe.full_mask
     initial_mask = rng.randrange(1, full + 1)
-    choice: dict[int, int] = {}
-    for event in range(1, full + 1):
-        overlap = event & initial_mask
-        choice[event] = overlap if overlap else _random_nonempty_submask(rng, event)
-    return SelectionFunction(universe, BeliefSet(PointSet(universe, initial_mask)), choice)
+    free = {event: _random_nonempty_submask(rng, event) for event in submasks(full & ~initial_mask)[1:]}
+    return SelectionFunction._pinned(universe, initial_mask, free)
+
+
+_LABELS = (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED)
+# a word's top byte b as the code of _LABELS[b >> 6]; from 192 on, a retry
+_CODE_OF_TOP_BYTE = bytes(ord(_LABELS[b >> 6].value) for b in range(192)).ljust(256)
+_RETRIES = bytes(range(192, 256))
 
 
 def random_labeling(rng: Random, universe: Universe) -> CredibilityLabeling:
-    labels = (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED)
-    draws = {mask: rng.choice(labels) for mask in range(1, universe.full_mask)}
-    return CredibilityLabeling.from_overrides(universe, draws)
+    wanted = universe.full_mask - 1  # every proposition but 0 and full
+    codes = b""
+    while len(codes) < wanted:
+        words = wanted - len(codes)
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        codes += top.translate(_CODE_OF_TOP_BYTE, _RETRIES)
+    return CredibilityLabeling._of_codes(universe, b"R" + codes + b"C")
 
 
 def random_plausibility_order(rng: Random, universe: Universe) -> PlausibilityOrder:

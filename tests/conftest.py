@@ -3,8 +3,16 @@ import itertools
 
 import pytest
 
+from filtra.beliefs import BeliefSet
 from filtra.formulas import Atom, Not, Or
-from filtra.revision import PlausibilityOrder, RevisionTable
+from filtra.revision import (
+    Credibility,
+    CredibilityLabeling,
+    PlausibilityOrder,
+    RevisionTable,
+    SelectionFunction,
+)
+from filtra.sampling import _random_nonempty_submask
 from filtra.worlds import PointSet, Universe, canonical_universe, set_bits, submasks
 
 
@@ -54,6 +62,26 @@ def random_revision_table(rng, universe):
     full = universe.full_mask
     initial = rng.randrange(1, full + 1)
     return RevisionTable.from_masks(universe, initial, [rng.randrange(full + 1) for _ in range(full + 1)])
+
+
+def per_draw_selection_function(rng, universe):
+    """The reference for ``random_selection_function``: one pass over
+    every nonempty E, ascending, drawing S(E) only where E misses I."""
+    full = universe.full_mask
+    initial_mask = rng.randrange(1, full + 1)
+    choice = {}
+    for event in range(1, full + 1):
+        overlap = event & initial_mask
+        choice[event] = overlap if overlap else _random_nonempty_submask(rng, event)
+    return SelectionFunction(universe, BeliefSet(PointSet(universe, initial_mask)), choice)
+
+
+def per_draw_labeling(rng, universe):
+    """The reference for ``random_labeling``: one ``rng.choice`` per
+    proposition but the empty and the full one, ascending."""
+    labels = (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED)
+    draws = {mask: rng.choice(labels) for mask in range(1, universe.full_mask)}
+    return CredibilityLabeling.from_overrides(universe, draws)
 
 
 @functools.cache

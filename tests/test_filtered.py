@@ -210,6 +210,25 @@ class TestCheckFiltered:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CredibilityLabeling.from_overrides(u1, overrides)
 
+    @pytest.mark.parametrize(
+        "codes",
+        [b"RCC", b"RCCCC", b"RXCC", b"RCcX", b"RCCA", b"CCCC", b"RAC"],
+        ids=["short", "long", "non-code", "lowest-non-code", "full", "empty", "short-and-full"],
+    )
+    def test_a_code_view_is_refused_as_its_mapping_is(self, u1, codes):
+        of_code = {b"C": C, b"A": A, b"R": R}
+        singles = [codes[mask : mask + 1] for mask in range(len(codes))]
+        labels = {mask: of_code.get(code, code) for mask, code in enumerate(singles)}
+        with pytest.raises(ValueError) as want:
+            CredibilityLabeling(u1, labels)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            CredibilityLabeling._of_codes(u1, codes)
+
+    def test_a_code_view_is_kept_as_its_mapping_is(self, u1):
+        labeling = CredibilityLabeling._of_codes(u1, b"RARC")
+        assert labeling.labels == CredibilityLabeling(u1, {0: R, 1: A, 2: R, 3: C}).labels
+        assert dict(labeling.labels) == {0: R, 1: A, 2: R, 3: C}
+
     def test_built_tables_always_pass(self, u2):
         rng = Random(5)
         for _ in range(200):

@@ -243,6 +243,31 @@ class TestSelectionInvariants:
         assert isinstance(want, TypeError)
         assert_same_error(selection_error(u2, selection.initial, choice), want)
 
+    def test_packed_choices_fail_as_mappings_do(self, u2):
+        # the packed front door: every S(E) given as a free value, each
+        # within the array's word but not always within the universe
+        rng = Random(12)
+        full = u2.full_mask
+        seen = set()
+        for _ in range(2000):
+            selection = random_selection_function(rng, u2)
+            choice = dict(selection.choice)
+            for event in rng.sample(range(1, full + 1), rng.randrange(3)):
+                choice[event] = rng.choice([*range(full + 2), 255])
+            initial_mask = selection.initial.points.mask
+            try:
+                packed = SelectionFunction._pinned(u2, initial_mask, choice)
+            except SelectionError as exc:
+                packed = exc
+            want = selection_error(u2, selection.initial, choice)
+            if want is None:
+                reference = SelectionFunction(u2, selection.initial, choice)
+                assert (packed.initial, packed.choice) == (reference.initial, reference.choice)
+            else:
+                assert_same_error(packed, want)
+            seen.add(str(want).partition(" at ")[0])
+        assert len(seen) == 4  # every invariant failed, and some choices passed
+
     def test_cover_is_checked_first(self, u1):
         initial = BeliefSet(PointSet(u1, 1))
         for choice in ({1: 1, 2: 2}, {1: 1, 2: 2, 3: 1, 4: 0}, {1: 1, 2: 2, "3": 1}):
@@ -413,7 +438,7 @@ class TestAgmSupplementaryOracle:
         noted = set()
         for kind, table in seeded_tables(n_atoms, per_kind, seed=30 + n_atoms):
             report = check_agm(table)
-            counts = _agm78_failure_counts(table)
+            counts = _agm78_failure_counts(table, {7, 8})
             for postulate in (7, 8):
                 failing = pair_scan(table, postulate)
                 result = result_of(report, f"AGM{postulate}")
@@ -433,6 +458,22 @@ class TestAgmSupplementaryOracle:
                 if kind == "preorder":
                     assert result.holds
         assert noted  # some case fails more than five times, so the note shows
+
+    @pytest.mark.parametrize("n_atoms,per_kind", [(1, 20), (2, 6), (3, 2)])
+    def test_each_postulate_alone_reports_as_in_the_full_report(self, n_atoms, per_kind):
+        # pre-order, selection, arbitrary and built tables; only the
+        # requested postulate's pairs are counted
+        rng = Random(40 + n_atoms)
+        tables = [table for _, table in seeded_tables(n_atoms, per_kind, seed=50 + n_atoms)]
+        tables += [build_filtered(table, random_labeling(rng, table.universe)) for table in tables[1::3]]
+        for table in tables:
+            report = check_agm(table)
+            both = _agm78_failure_counts(table, {7, 8})
+            for postulate, other in ((7, 8), (8, 7)):
+                assert check_agm(table, (postulate,)).results == (result_of(report, f"AGM{postulate}"),)
+                alone = _agm78_failure_counts(table, {postulate})
+                assert alone[postulate] == both[postulate]
+                assert not any(alone[other])
 
     def test_single_postulate_requests(self):
         universe = canonical_universe(("p", "q", "r"))

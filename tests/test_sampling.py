@@ -17,6 +17,8 @@ from filtra.sampling import (
 )
 from filtra.worlds import canonical_universe
 
+from conftest import per_draw_labeling, per_draw_selection_function
+
 ATOMS = ("p", "q")
 
 
@@ -69,6 +71,24 @@ def test_seeded_draws_match_their_pinned_digest():
     assert digest == "9725649d698ea1726ef2e71f59845209328f3db700950113756be36237858833"
 
 
+def test_three_and_four_atom_draws_match_their_pinned_digest():
+    # as above, at the sizes the benchmark and the CLI draw tables of
+    lines = []
+    for atoms, seeds in ((("p", "q", "r"), 20), (("a", "b", "c", "d"), 3)):
+        universe = canonical_universe(atoms)
+        for seed in range(seeds):
+            rng = Random(seed)
+            selection = random_selection_function(rng, universe)
+            labels = random_labeling(rng, universe).labels
+            lines.append(
+                f"{selection.initial.points.mask} {list(selection.choice.values())} "
+                + "".join(label.value for label in labels.values())
+                + f" {rng.random()!r}"
+            )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9d5b139024b21267d3d1032fc2ed3afda3dab7db29e49340492f591a65eb360c"
+
+
 def test_random_selection_functions_yield_basic_tables(u2):
     rng = Random(1)
     for _ in range(100):
@@ -98,23 +118,24 @@ def test_conforming_structures_pass_the_criteria():
         assert check_agm_consistency(structure).all_hold
 
 
-def old_random_labels(rng, universe):
-    """random_labeling's labels as they were drawn before it went
-    through from_overrides."""
-    full = universe.full_mask
-    labels = {0: Credibility.REJECTED, full: Credibility.CREDIBLE}
-    for mask in range(1, full):
-        labels[mask] = rng.choice((Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED))
-    return labels
-
-
-@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
 def test_labeling_draws_are_unchanged(n_atoms):
-    universe = canonical_universe(("p", "q", "r")[:n_atoms])
-    for seed in range(5):
+    universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+    for seed in range(5 if n_atoms < 4 else 2):
         rng, old = Random(seed), Random(seed)
         for _ in range(3):
-            assert random_labeling(rng, universe).labels == old_random_labels(old, universe)
+            assert random_labeling(rng, universe).labels == per_draw_labeling(old, universe).labels
+        assert rng.random() == old.random()
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_selection_draws_are_unchanged(n_atoms):
+    universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+    for seed in range(20 if n_atoms < 4 else 2):
+        rng, old = Random(seed), Random(seed)
+        for _ in range(3):
+            new, reference = random_selection_function(rng, universe), per_draw_selection_function(old, universe)
+            assert (new.initial, new.choice) == (reference.initial, reference.choice)
         assert rng.random() == old.random()
 
 
