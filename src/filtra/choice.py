@@ -328,8 +328,10 @@ def build_model(structure: ChoiceStructure) -> Model:
     for row in range(canonical.size):
         states = image(1 << row)
         images += [event | states for event in images]
-    code_of = {event: (structure.family_of(event) or Credibility.REJECTED).value for event in set(images)}
-    labeling = CredibilityLabeling._of_codes(canonical, "".join(map(code_of.__getitem__, images)).encode())
+    labels = list(Credibility)
+    index_of = {event: labels.index(structure.family_of(event) or Credibility.REJECTED) for event in set(images)}
+    # a valid structure labels the empty menu rejected and the full one credible
+    labeling = CredibilityLabeling._of_indices(canonical, bytes(map(index_of.__getitem__, images[1:-1])))
     return Model(structure, canonical, labeling, point_classes)
 
 

@@ -168,11 +168,8 @@ class SelectionFunction:
         """S(E) = E & I wherever E meets I, and ``free[E]`` at each E
         in ``free``, packed as a table from the start."""
         size = universe.size
-        if size < 8:  # few propositions: one map costs less than a transpose
-            masks = array(_layout(size).code, map(initial_mask.__and__, range(1 << size)))
-        else:
-            pinned = [member if initial_mask >> s & 1 else 0 for s, member in enumerate(_containment(size))]
-            masks = _untranspose(pinned, size)
+        pinned = [member if initial_mask >> s & 1 else 0 for s, member in enumerate(_containment(size))]
+        masks = _untranspose(pinned, size)
         for event, value in free.items():
             masks[event] = value
         return cls(universe, BeliefSet(PointSet(universe, initial_mask)), _Packed(masks, first=1))
@@ -404,7 +401,7 @@ class CredibilityLabeling:
 
     def __post_init__(self):
         labels, full = self.labels, self.universe.full_mask
-        packed = type(labels) is _Packed and labels._decode is _LABEL_OF_CODE  # as _of_codes packs it
+        packed = type(labels) is _Packed and labels._decode is _LABEL_OF_CODE  # as _of_indices packs it
         if len(labels) != full + 1 or not (packed or all(map(labels.__contains__, range(full + 1)))):
             raise ValueError("labels must cover every proposition exactly once")
         if not packed:
@@ -439,8 +436,10 @@ class CredibilityLabeling:
         return cls(universe, labels)
 
     @classmethod
-    def _of_codes(cls, universe: Universe, codes: bytes) -> "CredibilityLabeling":
-        """The labeling whose label at E has the value ``chr(codes[E])``."""
+    def _of_indices(cls, universe: Universe, indices: bytes) -> "CredibilityLabeling":
+        """The labeling whose label at each E strictly between the empty
+        and the full proposition is ``tuple(Credibility)[indices[E - 1]]``."""
+        codes = b"R" + indices.translate(_CODE_OF_INDEX) + b"C"
         return cls(universe, _Packed(codes, decode=_LABEL_OF_CODE))
 
     @property
@@ -459,6 +458,7 @@ class CredibilityLabeling:
 
 _VALUE = operator.attrgetter("_value_")  # not .value or a member hash: both run Python code
 _LABEL_OF_CODE = {ord(member.value): member for member in Credibility}
+_CODE_OF_INDEX = "".join(member.value for member in Credibility).encode().ljust(256, b"?")  # "?" is no code
 _NOT_A_LABEL = "label {!r} at E = {} is not a Credibility member"
 
 

@@ -10,10 +10,10 @@ take the draws the per-proposition loops take, seed for seed, on a
 ``getrandbits(2)``, the top two bits of one 32-bit word of the Mersenne
 Twister, until one is below 3; ``getrandbits(32 * n)`` gives the next n
 words, the first least significant.  So the top byte of each word, b,
-is the label b >> 6, or a retry from 192 on, and drawing only as many
-words as labels are still missing never takes a word the loop would
-not.  A selection draws only where S(E) is free, at the events
-disjoint from I, in ascending order, as the loop does.
+is the index b >> 6 of the label, or a retry from 192 on, and drawing
+only as many words as labels are still missing never takes a word the
+loop would not.  A selection draws only where S(E) is free, at the
+events disjoint from I, in ascending order, as the loop does.
 """
 
 from __future__ import annotations
@@ -65,20 +65,20 @@ def random_selection_function(rng: Random, universe: Universe) -> SelectionFunct
     return SelectionFunction._pinned(universe, initial_mask, free)
 
 
-_LABELS = (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED)
-# a word's top byte b as the code of _LABELS[b >> 6]; from 192 on, a retry
-_CODE_OF_TOP_BYTE = bytes(ord(_LABELS[b >> 6].value) for b in range(192)).ljust(256)
+# a word's top byte b as the index b >> 6 of the label rng.choice takes
+# from tuple(Credibility); from 192 on, a retry
+_INDEX_OF_TOP_BYTE = bytes(b >> 6 for b in range(192)).ljust(256)
 _RETRIES = bytes(range(192, 256))
 
 
 def random_labeling(rng: Random, universe: Universe) -> CredibilityLabeling:
     wanted = universe.full_mask - 1  # every proposition but 0 and full
-    codes = b""
-    while len(codes) < wanted:
-        words = wanted - len(codes)
+    indices = b""
+    while len(indices) < wanted:
+        words = wanted - len(indices)
         top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        codes += top.translate(_CODE_OF_TOP_BYTE, _RETRIES)
-    return CredibilityLabeling._of_codes(universe, b"R" + codes + b"C")
+        indices += top.translate(_INDEX_OF_TOP_BYTE, _RETRIES)
+    return CredibilityLabeling._of_indices(universe, indices)
 
 
 def random_plausibility_order(rng: Random, universe: Universe) -> PlausibilityOrder:

@@ -211,21 +211,21 @@ class TestCheckFiltered:
             CredibilityLabeling.from_overrides(u1, overrides)
 
     @pytest.mark.parametrize(
-        "codes",
-        [b"RCC", b"RCCCC", b"RXCC", b"RCcX", b"RCCA", b"CCCC", b"RAC"],
-        ids=["short", "long", "non-code", "lowest-non-code", "full", "empty", "short-and-full"],
+        "indices",
+        [b"\0", b"\0\0\0", b"\1\3", b"\3C"],
+        ids=["short", "long", "non-index", "lowest-non-index"],
     )
-    def test_a_code_view_is_refused_as_its_mapping_is(self, u1, codes):
-        of_code = {b"C": C, b"A": A, b"R": R}
-        singles = [codes[mask : mask + 1] for mask in range(len(codes))]
-        labels = {mask: of_code.get(code, code) for mask, code in enumerate(singles)}
+    def test_an_index_view_is_refused_as_its_mapping_is(self, u1, indices):
+        # a stray index reads as the label b"?", in the view and here
+        labels = {0: R, len(indices) + 1: C}
+        labels.update({mask: (C, A, R)[i] if i < 3 else b"?" for mask, i in enumerate(indices, 1)})
         with pytest.raises(ValueError) as want:
             CredibilityLabeling(u1, labels)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            CredibilityLabeling._of_codes(u1, codes)
+            CredibilityLabeling._of_indices(u1, indices)
 
-    def test_a_code_view_is_kept_as_its_mapping_is(self, u1):
-        labeling = CredibilityLabeling._of_codes(u1, b"RARC")
+    def test_an_index_view_is_kept_as_its_mapping_is(self, u1):
+        labeling = CredibilityLabeling._of_indices(u1, b"\1\2")
         assert labeling.labels == CredibilityLabeling(u1, {0: R, 1: A, 2: R, 3: C}).labels
         assert dict(labeling.labels) == {0: R, 1: A, 2: R, 3: C}
 
