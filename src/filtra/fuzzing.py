@@ -75,7 +75,7 @@ def _draw_table(rng: Random, universe: Universe):
     )
     if rng.random() < 0.5:
         # corrupt one entry; agreement must still hold either way
-        masks = list(table._masks)
+        masks = table._masks[:]  # the built table keeps its own array
         target = rng.randrange(universe.full_mask + 1)
         masks[target] = rng.randrange(universe.full_mask + 1)
         table = RevisionTable.from_masks(universe, table.initial.points.mask, masks)

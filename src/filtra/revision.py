@@ -23,9 +23,11 @@ ints, or both, either made from the other on first read.  The pre-order
 constructor, ``build_filtered`` and ``recover_basic`` compute their
 tables as per-state ints; the first two keep them and pack them
 (``_untranspose``) only when the array is read, the last packs them at
-once.  ``_pack`` checks only masks from outside.  A selection function
-keeps only its packed table and a labeling one code byte per
-proposition, each behind a read-only view (``_Packed``).
+once; a seeded selection's pinned entries take one AND, not a transpose
+(``SelectionFunction._pinned``).  ``_pack`` checks only masks from
+outside.  A selection function keeps only its packed table and a
+labeling one code byte per proposition, each behind a read-only view
+(``_Packed``).
 """
 
 from __future__ import annotations
@@ -50,6 +52,20 @@ from .worlds import (
     submasks,
     truth_set,
 )
+
+
+class _cached_property:
+    """``functools.cached_property`` without the lock it takes on 3.11,
+    which costs more than a small table's first read."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
 
 
 class SelectionError(ValueError):
@@ -149,14 +165,15 @@ class SelectionFunction:
         values = choice.data if packed else [0, *map(choice.__getitem__, range(1, full + 1))]
         outside = 0  # bit E set iff S(E) is no mask of the universe, so not within E
         try:
-            table = RevisionTable.from_masks(self.universe, self.initial.points.mask, values)
+            masks = _pack(self.universe, values)
         except ValueError:
             values = list(values)
             for event, value in enumerate(values):
                 if value & ~full:  # a non-int S(E) raises TypeError here
                     outside |= 1 << event
                     values[event] = 0
-            table = RevisionTable.from_masks(self.universe, self.initial.points.mask, values)
+            masks = _pack(self.universe, values)
+        table = RevisionTable(self.universe, self.initial, _Entries(self.universe, self.initial, masks))
         _check_selection(table, outside)
         self.__dict__["_table"] = table
         object.__setattr__(self, "choice", _Packed(table._masks, first=1))
@@ -166,10 +183,12 @@ class SelectionFunction:
         cls, universe: Universe, initial_mask: int, free: Mapping[int, int]
     ) -> "SelectionFunction":
         """S(E) = E & I wherever E meets I, and ``free[E]`` at each E
-        in ``free``, packed as a table from the start."""
-        size = universe.size
-        pinned = [member if initial_mask >> s & 1 else 0 for s, member in enumerate(_containment(size))]
-        masks = _untranspose(pinned, size)
+        in ``free``, packed as a table from the start: the identity
+        table AND I in every word, both read as one int, gives E & I at
+        every E, and the free values overwrite it where E misses I."""
+        layout, full = _layout(universe.size), universe.full_mask
+        pinned = layout.identity & layout.fulls // full * initial_mask  # I in every word
+        masks = array(layout.code, pinned.to_bytes((full + 1) * layout.width, sys.byteorder))
         for event, value in free.items():
             masks[event] = value
         return cls(universe, BeliefSet(PointSet(universe, initial_mask)), _Packed(masks, first=1))
@@ -310,13 +329,13 @@ class RevisionTable:
         if not self.initial.is_consistent:
             raise ValueError("initial beliefs must be consistent")
         entries = self.entries
-        propositions = range(universe.full_mask + 1)
-        if isinstance(entries, _Entries):
-            if len(entries) != len(propositions):
+        if type(entries) is _Entries:
+            if entries._stop != 1 << universe.size:  # its keys start at 0
                 raise ValueError("entries must cover every proposition exactly once")
             if entries.universe is not universe and entries.universe != universe:
                 raise UniverseMismatchError("entry belief set over a different universe")
             return
+        propositions = range(universe.full_mask + 1)
         if len(entries) != len(propositions) or not all(map(entries.__contains__, propositions)):
             raise ValueError("entries must cover every proposition exactly once")
         beliefs = list(map(entries.__getitem__, propositions))
@@ -364,7 +383,7 @@ class RevisionTable:
     def _slices(self) -> list[int]:
         return self.entries.slices
 
-    @functools.cached_property
+    @_cached_property
     def _terms(self) -> "_Terms":
         return _Terms.of(self._slices, self.initial.points.mask, self.universe.size)
 
@@ -447,7 +466,7 @@ class CredibilityLabeling:
         # one code byte per proposition, b"C", b"A" or b"R"
         return self.labels.data
 
-    @functools.cached_property
+    @_cached_property
     def _view(self) -> "_Labels":
         # the labels as one bitset per label, bit E for proposition E
         return _Labels.of(self._codes)
@@ -495,6 +514,7 @@ class _Layout(NamedTuple):
     planes: tuple[tuple[int, range], ...]
     swaps: tuple[tuple[int, int], ...]  # _SWAPS over every 8 propositions
     fulls: int  # the packed table of full masks, read as an int
+    identity: int  # the packed table whose entry E is E, read as an int
 
 
 @functools.lru_cache(maxsize=None)
@@ -507,7 +527,8 @@ def _layout(size: int) -> _Layout:
     lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * -(-count // 8), "little")
     swaps = tuple((shift, mask * lanes) for shift, mask in _SWAPS)
     fulls = int.from_bytes(array(code, [count - 1]) * count, sys.byteorder)
-    return _Layout(code, width, planes, swaps, fulls)
+    identity = int.from_bytes(array(code, range(count)), sys.byteorder)
+    return _Layout(code, width, planes, swaps, fulls, identity)
 
 
 def _pack(universe: Universe, masks: Sequence[int]) -> array:

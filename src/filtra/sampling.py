@@ -13,7 +13,15 @@ words, the first least significant.  So the top byte of each word, b,
 is the index b >> 6 of the label, or a retry from 192 on, and drawing
 only as many words as labels are still missing never takes a word the
 loop would not.  A selection draws only where S(E) is free, at the
-events disjoint from I, in ascending order, as the loop does.
+events disjoint from I, in ascending order, as the loop does; the
+pinned half, E & I wherever E meets I, draws nothing and is packed by
+one AND (``SelectionFunction._pinned``).
+
+Every bounded draw, ``rng.randrange(n)`` or ``rng.randrange(1, n + 1)``
+in the loops, is ``_below(rng, n)``: ``Random._randbelow`` on CPython
+3.10-3.13 takes ``getrandbits(n.bit_length())`` until a value falls
+below n, and ``_below`` takes the same tries in one frame, where
+``randrange`` spends two.
 """
 
 from __future__ import annotations
@@ -50,17 +58,26 @@ def random_formula(rng: Random, atoms: Sequence[str], max_depth: int) -> Formula
     )
 
 
+def _below(rng: Random, n: int) -> int:
+    """``rng.randrange(n)``, for n > 0, in one frame (module docstring)."""
+    bits = n.bit_length()
+    value = rng.getrandbits(bits)
+    while value >= n:
+        value = rng.getrandbits(bits)
+    return value
+
+
 def _random_nonempty_submask(rng: Random, mask: int) -> int:
     # spread a random nonzero selector over the bits of ``mask``; this
     # is submasks(mask)[selector] without building all 2**|mask| of them
     positions = list(set_bits(mask))
-    selector = rng.randrange(1, 1 << len(positions))
+    selector = 1 + _below(rng, (1 << len(positions)) - 1)
     return sum(1 << position for i, position in enumerate(positions) if selector >> i & 1)
 
 
 def random_selection_function(rng: Random, universe: Universe) -> SelectionFunction:
     full = universe.full_mask
-    initial_mask = rng.randrange(1, full + 1)
+    initial_mask = 1 + _below(rng, full)
     free = {event: _random_nonempty_submask(rng, event) for event in submasks(full & ~initial_mask)[1:]}
     return SelectionFunction._pinned(universe, initial_mask, free)
 
@@ -117,7 +134,7 @@ def random_choice_structure(
     # 0 none, 1 credible, 2 allowable, 3 rejected
     families: tuple[set[int], ...] = (set(), {full}, set(), {0})
     for mask in range(1, full):
-        families[rng.randrange(4)].add(mask)
+        families[_below(rng, 4)].add(mask)
     _, credible, allowable, rejected = families
     f_omega = _random_nonempty_submask(rng, full)
     f: dict[int, int] = {full: f_omega}
@@ -134,7 +151,7 @@ def random_choice_structure(
         else:
             meet = _random_nonempty_submask(rng, event)
             outside = full & ~event
-            rest = rng.randrange(0, outside + 1) & outside if outside else 0
+            rest = _below(rng, outside + 1) & outside if outside else 0
             f[event] = meet | rest
     return ChoiceStructure(universe, frozenset(credible), frozenset(allowable), frozenset(rejected), f)
 

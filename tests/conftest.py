@@ -12,7 +12,6 @@ from filtra.revision import (
     RevisionTable,
     SelectionFunction,
 )
-from filtra.sampling import _random_nonempty_submask
 from filtra.worlds import PointSet, Universe, canonical_universe, set_bits, submasks
 
 
@@ -64,6 +63,15 @@ def random_revision_table(rng, universe):
     return RevisionTable.from_masks(universe, initial, [rng.randrange(full + 1) for _ in range(full + 1)])
 
 
+def per_draw_nonempty_submask(rng, mask):
+    """The reference for ``sampling._random_nonempty_submask``: the
+    submask picked by a nonzero ``rng.randrange`` selector, bit i of the
+    selector for the i-th lowest bit of ``mask``."""
+    positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    selector = rng.randrange(1, 1 << len(positions))
+    return sum(1 << position for i, position in enumerate(positions) if selector >> i & 1)
+
+
 def per_draw_selection_function(rng, universe):
     """The reference for ``random_selection_function``: one pass over
     every nonempty E, ascending, drawing S(E) only where E misses I."""
@@ -72,7 +80,7 @@ def per_draw_selection_function(rng, universe):
     choice = {}
     for event in range(1, full + 1):
         overlap = event & initial_mask
-        choice[event] = overlap if overlap else _random_nonempty_submask(rng, event)
+        choice[event] = overlap if overlap else per_draw_nonempty_submask(rng, event)
     return SelectionFunction(universe, BeliefSet(PointSet(universe, initial_mask)), choice)
 
 

@@ -50,6 +50,7 @@ from filtra.worlds import (
     Universe,
     UniverseMismatchError,
     canonical_universe,
+    submasks,
 )
 
 from conftest import enumerate_preorders, of_ids, random_revision_table, result_of
@@ -168,6 +169,14 @@ class TestSelectionRevision:
     def test_the_table_is_packed_once(self, u2):
         selection = random_selection_function(Random(3), u2)
         assert revision_from_selection(selection) is revision_from_selection(selection)
+
+    def test_the_table_shares_the_initial_theory(self, u2):
+        # S(I) = I, so the entry at I is the selection's own initial theory
+        for seed in range(5):
+            selection = random_selection_function(Random(seed), u2)
+            table = revision_from_selection(selection)
+            assert table.initial is selection.initial
+            assert table.entries[selection.initial.points.mask] is selection.initial
 
 
 def naive_selection_error(universe, initial, choice):
@@ -934,6 +943,21 @@ class TestPacking:
             slices = _transpose(masks, size)
             assert len(slices) == size and all(0 <= entry < 1 << count for entry in slices)
             assert _untranspose(slices, size) == masks
+
+    @pytest.mark.parametrize("size", [2, 4, 8, 16])
+    def test_pinned_entries_are_the_containment_build(self, size):
+        # _pinned's earlier build, the reference for its one AND: I's
+        # containment slices, packed by _untranspose, under the free values
+        universe = word_universe(size)
+        full = universe.full_mask
+        rng = Random(170 + size)
+        initials = range(1, full + 1) if size <= 4 else [rng.randrange(1, full + 1) for _ in range(50)]
+        for initial in initials:
+            free = {event: event for event in submasks(full & ~initial)[1:]}
+            masks = _untranspose([member if initial >> s & 1 else 0 for s, member in enumerate(_containment(size))], size)
+            for event, value in free.items():
+                masks[event] = value
+            assert SelectionFunction._pinned(universe, initial, free)._table._masks == masks
 
     @pytest.mark.parametrize("size,draws", [(1, 1), (5, 8), (9, 2)])
     def test_preorder_tables_at_every_word_width(self, size, draws):

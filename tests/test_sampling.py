@@ -4,9 +4,11 @@ from random import Random
 
 import pytest
 
+from filtra import fuzzing
 from filtra.choice import check_agm_consistency, validate_structure
 from filtra.revision import Credibility, check_agm, revision_from_selection
 from filtra.sampling import (
+    _below,
     all_choice_structures,
     all_labelings,
     random_choice_structure,
@@ -87,6 +89,48 @@ def test_three_and_four_atom_draws_match_their_pinned_digest():
             )
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "9d5b139024b21267d3d1032fc2ed3afda3dab7db29e49340492f591a65eb360c"
+
+
+def _case_key(case):
+    if isinstance(case, tuple):  # (selection or table, labeling)
+        first, labeling = case
+        table = getattr(first, "_table", first)
+        codes = "".join(label.value for label in labeling.labels.values())
+        return f"{table.initial.points.mask} {table._masks.tolist()} {codes}"
+    return _structure_key(case)
+
+
+def test_fuzz_cases_match_their_pinned_digest(monkeypatch):
+    # every case each suite hands to its check, with the verdict, at the
+    # golden runs' sizes: the suites' own draws (a table's corruption,
+    # the per-suite seeding) are pinned as well as the samplers'
+    lines = []
+
+    def recording(check):
+        def record(case):
+            verdict = check(case)
+            lines.append(f"{_case_key(case)} {verdict}")
+            return verdict
+
+        return record
+
+    suites = tuple((name, every, draw, recording(check)) for name, every, draw, check in fuzzing._SUITES)
+    monkeypatch.setattr(fuzzing, "_SUITES", suites)
+    for atoms, cases in ((1, 200), (2, 100)):
+        fuzzing.run_suites(atoms, cases, 0)
+    assert len(lines) == 3 * 300
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "2c4ba39919b8904519bb6bad816e042ee18d039dc596731ff61ff0d8156ee3b3"
+
+
+def test_bounded_draws_are_randrange_draws():
+    # the value and the generator state after it, at every bound up to
+    # 300 and on each side of every power of two up to 2**40
+    bounds = [*range(1, 301), *(2**k + d for k in range(1, 41) for d in (-1, 0, 1))]
+    for seed in range(5):
+        rng, old = Random(seed), Random(seed)
+        for n in bounds:
+            assert (_below(rng, n), rng.random()) == (old.randrange(n), old.random())
 
 
 def test_random_selection_functions_yield_basic_tables(u2):
