@@ -30,12 +30,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .beliefs import BeliefSet
 from .reports import CheckReport, CheckResult, Witness
 from .revision import (
-    _FILTER_CHECKS,
     Credibility,
     CredibilityLabeling,
     PlausibilityOrder,
     RevisionTable,
-    _filter_mask_holds,
+    _filter_faults,
     recover_basic,
 )
 from .worlds import PointSet, SizeLimitError, Universe, canonical_universe, set_bits
@@ -414,10 +413,9 @@ def extension_oracle(model: Model, build_certificate: bool = True) -> ExtensionO
     for event in sorted(structure.events):
         if quotient.saturate(event) != event:
             continue
-        prop, label, entry = quotient.rows(event), structure.family_of(event), quotient.rows(f[event])
-        failing = [
-            check for check in _FILTER_CHECKS if not _filter_mask_holds(check, initial, prop, label, entry)
-        ]
+        failing = _filter_faults(
+            initial, quotient.rows(event), structure.family_of(event), quotient.rows(f[event])
+        )
         if failing:
             reason = f"pinned entry fails {', '.join(failing)}"
             return ExtensionOutcome(False, None, PointSet(structure.universe, event), reason)

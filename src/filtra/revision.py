@@ -891,42 +891,33 @@ _FILTER_HOLDS = CheckReport(
 )
 
 
-def _filter_mask_holds(check: str, initial: int, e: int, label: Credibility, entry: int) -> bool:
-    """Whether filter law ``check`` holds at one proposition, read only
-    through its tuple (I, E, label, entry) (docs/semantics.md, "One
-    proposition at a time")."""
+def _filter_faults(initial: int, e: int, label: Credibility, entry: int) -> tuple[str, ...]:
+    """The filter laws the tuple (I, E, label, entry) fails, in
+    ``_FILTER_CHECKS`` order, each as docs/semantics.md writes it ("The
+    filter laws"; "One proposition at a time" says why a tuple suffices)."""
     overlap = e & initial
-    if check == "F1":
-        return label is not Credibility.REJECTED or entry == initial
-    if check == "F2a":
-        if overlap == 0 or label is not Credibility.CREDIBLE:
-            return True
-        return entry == overlap
-    if check == "F2b":
-        if overlap == 0 or label is not Credibility.ALLOWABLE:
-            return True
-        return entry == initial
-    if check == "F3":
-        return overlap != 0 or entry != 0
-    if check == "F3a":
-        if overlap != 0 or label is not Credibility.CREDIBLE:
-            return True
-        return entry & ~e == 0
-    if check == "F3b":
-        if overlap != 0 or label is not Credibility.ALLOWABLE:
-            return True
+    credible, allowable = label is Credibility.CREDIBLE, label is Credibility.ALLOWABLE
+    fails = (
+        label is Credibility.REJECTED and entry != initial,
+        overlap and credible and entry != overlap,
+        overlap and allowable and entry != initial,
+        not overlap and entry == 0,
+        not overlap and credible and entry & ~e != 0,
         # entry within the initial theory minus the refuting formula, and
         # re-adding that formula recovers the initial theory exactly
-        return initial & ~entry == 0 and entry & e != 0 and entry & ~e == initial
-    raise ValueError(f"unknown filter check {check!r}")
+        not overlap and allowable and not (initial & ~entry == 0 and entry & e != 0 and entry & ~e == initial),
+    )
+    return tuple(itertools.compress(_FILTER_CHECKS, fails))
 
 
 def filter_holds_at(
     table: RevisionTable, labeling: CredibilityLabeling, check: str, e: PointSet
 ) -> bool:
-    """Evaluate one filter law at a single proposition (see check_filtered)."""
+    """Evaluate one filter law, F4 included, at a single proposition (see check_filtered)."""
+    if check not in (*_FILTER_CHECKS, "F4"):
+        raise ValueError(f"unknown filter check {check!r}")
     initial = table.initial.points.mask
-    return _filter_mask_holds(check, initial, e.mask, labeling.labels[e.mask], table._masks[e.mask])
+    return check not in _filter_faults(initial, e.mask, labeling.labels[e.mask], table._masks[e.mask])
 
 
 def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> CheckReport:

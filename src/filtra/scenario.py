@@ -15,6 +15,7 @@ sorted event keys and id lists, two-space indent, trailing newline.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -247,8 +248,6 @@ def _parse_gcs(payload: Mapping, universe: Universe) -> ChoiceStructure:
         mask = _parse_event_key(key, universe, f"gcs.f[{key!r}]")
         if mask not in all_events:
             raise ScenarioError(f"gcs.f[{key!r}]", "event is in no family")
-        if mask in f:
-            raise ScenarioError(f"gcs.f[{key!r}]", "duplicate event key")
         f[mask] = _parse_event_list(value, universe, f"gcs.f[{key!r}]")
     missing = all_events - set(f)
     if missing:
@@ -312,8 +311,6 @@ def _parse_table(payload, universe: Universe, keys: Mapping[str, int]) -> Revisi
         mask = keys.get(key)
         if mask is None:
             mask = _parse_event_key(key, universe, f"table.entries[{key!r}]")
-        if mask in entries:
-            raise ScenarioError(f"table.entries[{key!r}]", "duplicate event key")
         entry = _lookup_list(value, keys)
         if entry is None:
             entry = _parse_event_list(value, universe, f"table.entries[{key!r}]")
@@ -368,11 +365,22 @@ def scenario_from_payload(payload) -> Scenario:
     return scenario
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """One JSON object as a dict; ``json`` alone lets a repeated key's last value win."""
+    payload = dict(pairs)
+    if len(payload) < len(pairs):
+        repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ScenarioError("<file>", f"a JSON object repeats the key {repeated!r}")
+    return payload
+
+
 def loads(text: str) -> Scenario:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>", f"invalid JSON: {exc}") from None
+    except ScenarioError:
+        raise
     except RecursionError:
         raise ScenarioError("<file>", "JSON nested too deeply to parse") from None
     except ValueError:  # an integer literal past the interpreter's digit limit

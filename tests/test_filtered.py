@@ -31,7 +31,7 @@ from filtra.revision import (
     _FILTER_CHECKS,
     _Labels,
     _filter_failures,
-    _filter_mask_holds,
+    _filter_faults,
     _recovery_reason,
     _transpose,
     _untranspose,
@@ -251,6 +251,31 @@ class TestCheckFiltered:
         assert result.witnesses[0].point_sets[0].mask == 1
         assert not filter_holds_at(mutated, labeling, "F1", PointSet(u2, 1))
 
+    def test_every_reported_result_replays_through_filter_holds_at(self, u2):
+        # a passing and a failing report: each law, F4 included, holds at
+        # every proposition iff its result holds, and fails at its witnesses
+        rng = Random(7)
+        labeling = random_labeling(rng, u2)
+        built = build_filtered(revision_from_selection(random_selection_function(rng, u2)), labeling)
+        masks = list(built._masks)
+        masks[0b0110] ^= 0b1001
+        corrupted = RevisionTable.from_masks(u2, built.initial.points.mask, masks)
+        props = [PointSet(u2, e) for e in range(u2.full_mask + 1)]
+        for table, passes in ((built, True), (corrupted, False)):
+            report = check_filtered(table, labeling)
+            assert report.all_hold == passes
+            for result in report.results:
+                assert all(filter_holds_at(table, labeling, result.check, e) for e in props) == result.holds
+                for witness in result.witnesses:
+                    assert not filter_holds_at(table, labeling, result.check, *witness.point_sets)
+
+    @pytest.mark.parametrize("check", ["F0", "F2", "f1", "AGM1", ""])
+    def test_filter_holds_at_refuses_an_unknown_law(self, u1, check):
+        table = revision_from_selection(random_selection_function(Random(8), u1))
+        labeling = CredibilityLabeling.all_credible(u1)
+        with pytest.raises(ValueError, match=f"unknown filter check {check!r}"):
+            filter_holds_at(table, labeling, check, PointSet(u1, 1))
+
     def test_unchanged_beliefs_fail_the_allowable_disjoint_law(self, u2):
         # allowable information disjoint from the initial set: keeping the
         # beliefs unchanged must fail F3b (the disbelief was never dropped)
@@ -353,7 +378,7 @@ def naive_check_filtered(table, labeling):
         failing = [
             e
             for e in range(universe.full_mask + 1)
-            if not _filter_mask_holds(check, initial, e, labeling.labels[e], table._masks[e])
+            if check in _filter_faults(initial, e, labeling.labels[e], table._masks[e])
         ]
         witnesses = tuple(
             Witness(("E",), (PointSet(universe, e),), f"label {labeling.labels[e].value}")
@@ -430,7 +455,7 @@ class TestBitSlicedLaws:
                     fails = _filter_failures(table, labels)
                     for check in _FILTER_CHECKS:
                         expected = [
-                            int(not _filter_mask_holds(check, initial, e, label, masks[e]))
+                            int(check in _filter_faults(initial, e, label, masks[e]))
                             for e in range(full + 1)
                         ]
                         assert bits(fails[check], u2.size) == expected, (initial, label, d, check)
@@ -503,9 +528,7 @@ class TestOnePropositionAtATime:
                     route = {R: lambda v: initial, A: lambda v: initial | v, C: lambda v: v}[label]
                     routed = set(map(route, values))
                     for entry in range(full + 1):
-                        lawful = all(
-                            _filter_mask_holds(check, initial, e, label, entry) for check in _FILTER_CHECKS
-                        )
+                        lawful = not _filter_faults(initial, e, label, entry)
                         value, _ = scan_step(e, entry, initial, label)
                         case = (initial, e, label, entry)
                         assert lawful == (value is not None) == (entry in routed), case

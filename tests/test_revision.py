@@ -337,6 +337,20 @@ class TestAgmChecker:
                     table, postulate, sets["E"].ids, sets["F"].ids if "F" in sets else None
                 )
 
+    @pytest.mark.parametrize(
+        "postulate,message",
+        [
+            (0, "unknown postulate 0"),
+            (9, "unknown postulate 9"),
+            (7, "postulate 7 needs a pair"),
+            (8, "postulate 8 needs a pair"),
+        ],
+    )
+    def test_agm_holds_at_refuses_a_bad_request(self, u2, postulate, message):
+        table = revision_from_preorder(spec_order(u2))
+        with pytest.raises(ValueError, match=message):
+            agm_holds_at(table, postulate, PointSet(u2, 1))
+
     def test_mutated_entry_breaks_success_postulate(self, u2):
         table = revision_from_preorder(spec_order(u2))
         entries = dict(table.entries)

@@ -2,8 +2,10 @@ import json
 from random import Random
 
 import pytest
+from click.testing import CliRunner
 
 from filtra import scenario as scenario_module
+from filtra.cli import main
 from filtra.revision import Credibility, revision_from_selection
 from filtra.sampling import random_labeling, random_selection_function
 from filtra.scenario import (
@@ -188,6 +190,62 @@ class TestLoading:
             {"atoms": ["p"], "states": [{"id": i, "true_atoms": []} for i in ids], "gcs": gcs}
         )
         assert loads(text).universe.size == STATE_LIMIT + 1
+
+
+def repeating(path, key):
+    """A valid scenario's text with ``key`` written twice, same value,
+    in the object at ``path`` (a tuple of keys and indices)."""
+    payload = json.loads(
+        payload_text(
+            preorder={"a": 0, "b": 1},
+            labeling={"a": "A"},
+            table={"initial": ["a"], "entries": {"": [], "a": ["a"], "a,b": ["a"], "b": ["b"]}},
+        )
+    )
+    target = payload
+    for step in path:
+        target = target[step]
+    target["~"] = 0  # a placeholder for the repeat, once in the text
+    pair = f"{json.dumps(key)}: {json.dumps(target[key])}"
+    return json.dumps(payload).replace('"~": 0', pair)
+
+
+class TestRepeatedKeys:
+    """``json`` keeps the last of two equal keys; a scenario file may
+    not rely on that, so a repeated key anywhere is an input error."""
+
+    @pytest.mark.parametrize(
+        "path,key",
+        [
+            ((), "atoms"),
+            (("states", 0), "id"),
+            (("gcs",), "credible"),
+            (("gcs", "f"), "a,b"),
+            (("preorder",), "a"),
+            (("labeling",), "a"),
+            (("table",), "initial"),
+            (("table", "entries"), "a"),
+        ],
+        ids=["root", "state", "gcs", "gcs.f", "preorder", "labeling", "table", "table.entries"],
+    )
+    def test_the_cli_refuses_it_naming_the_key(self, tmp_path, path, key):
+        text = repeating(path, key)
+        assert '"~"' not in text
+        file = tmp_path / "repeated.json"
+        file.write_text(text)
+        result = CliRunner().invoke(main, ["check", "filtered", str(file)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"{file}: <file>: a JSON object repeats the key {key!r}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_a_repeat_with_another_value_is_refused(self):
+        text = payload_text(preorder={"a": 0, "b": 1}, labeling={"a": "C"})
+        text = text.replace('"a": 0', '"a": 0, "b": 1, "a": 2').replace('"a": "C"', '"a": "C", "a": "R"')
+        with pytest.raises(ScenarioError, match="repeats the key 'a'"):
+            loads(text)
+        # the text parses once its repeats are dropped
+        assert loads(text.replace(', "b": 1, "a": 2', "").replace(', "a": "R"', ""))
 
 
 class TestSaving:
