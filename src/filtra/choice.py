@@ -21,7 +21,7 @@ worked out in docs/semantics.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from types import MappingProxyType
@@ -34,6 +34,7 @@ from .revision import (
     CredibilityLabeling,
     PlausibilityOrder,
     RevisionTable,
+    _cached_property,
     _filter_faults,
     recover_basic,
 )
@@ -53,15 +54,18 @@ class InvalidStructureError(ValueError):
 class ChoiceStructure:
     """States, three menu families and a choice map, all as bitmasks.
 
-    The caller's choice map is checked and copied once, and not kept:
-    ``f`` becomes a read-only view of that copy.
+    The caller's families and choice map are checked and copied once,
+    and not kept: the families become frozensets and ``f`` a read-only
+    view of its copy.  So the structural verdict, computed on first use
+    (``_faults``), holds for the structure's lifetime.  ``f`` is left
+    out of the hash (a view is unhashable); equality still compares it.
     """
 
     universe: Universe
     credible: frozenset[int]
     allowable: frozenset[int]
     rejected: frozenset[int]
-    f: Mapping[int, int]
+    f: Mapping[int, int] = field(hash=False)
 
     def __post_init__(self):
         full = self.universe.full_mask
@@ -74,6 +78,8 @@ class ChoiceStructure:
                     raise ValueError(f"{kind} mask {mask:#x} out of range")
 
         check("menu", chain(self.credible, self.allowable, self.rejected))
+        for name in ("credible", "allowable", "rejected"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
         events = self.events
         if set(self.f) != events:
             missing = sorted(events - set(self.f))
@@ -99,6 +105,10 @@ class ChoiceStructure:
         if mask in self.rejected:
             return Credibility.REJECTED
         return None
+
+    @_cached_property
+    def _faults(self) -> tuple[_Fault, ...]:
+        return _structure_faults(self)
 
 
 def with_valuation(
@@ -132,9 +142,10 @@ _HOLDS = {clause: CheckResult(clause, True) for clause in (*_CLAUSES[1:], "1a", 
 _HOLDS["1"] = CheckResult("1", True, note="state space is nonempty by construction")
 
 
-def _structure_faults(structure: ChoiceStructure) -> list[_Fault]:
+def _structure_faults(structure: ChoiceStructure) -> tuple[_Fault, ...]:
     """Every failing instance of structural laws 2-3d, in clause order;
-    a valid structure's [] costs set and mask tests only."""
+    a valid structure's () costs set and mask tests only.  Read it as
+    ``structure._faults``, which computes it once per structure."""
     full, f = structure.universe.full_mask, structure.f
     credible, allowable, rejected = structure.credible, structure.allowable, structure.rejected
     f_omega = f.get(full)
@@ -145,7 +156,7 @@ def _structure_faults(structure: ChoiceStructure) -> list[_Fault]:
         [m for m in allowable if f[m] & m == 0],
     )
     if f_omega and full in credible and 0 in rejected and not any(shared) and not any(failing):
-        return []
+        return ()
     faults: list[_Fault] = [
         ("2", _E, (mask,), f"in both {name_a} and {name_b}")
         for (name_a, name_b), both in zip(combinations(("credible", "allowable", "rejected"), 2), shared)
@@ -162,14 +173,14 @@ def _structure_faults(structure: ChoiceStructure) -> list[_Fault]:
     details = ("differs from f(omega)", "must be nonempty and within E", "must keep part of E possible")
     for clause, menus, detail in zip(_CLAUSES[3:], failing, details):
         faults.extend((clause, _EF, (m, f[m]), detail) for m in sorted(menus))
-    return faults
+    return tuple(faults)
 
 
 def _fault_report(
     structure: ChoiceStructure,
     title: str,
     clauses: Sequence[str],
-    faults: list[_Fault],
+    faults: Sequence[_Fault],
     notes: Sequence[str] = (),
 ) -> CheckReport:
     """One result per clause: the shared passing one, or a failing one
@@ -185,6 +196,11 @@ def _fault_report(
     return CheckReport(title, tuple(results), tuple(notes))
 
 
+_LAWS_TITLE = "choice structure laws"
+# every valid structure's validate_structure returns this one report; it is frozen
+_LAWS_HOLD = CheckReport(_LAWS_TITLE, tuple(_HOLDS[clause] for clause in _CLAUSES))
+
+
 def validate_structure(structure: ChoiceStructure) -> CheckReport:
     """Check the structural laws clause by clause.
 
@@ -192,15 +208,16 @@ def validate_structure(structure: ChoiceStructure) -> CheckReport:
     credible and the empty menu rejected; 3a: something is initially
     possible; 3b: rejected menus change nothing; 3c: credible menus
     choose nonempty within the menu; 3d: allowable menus keep the menu
-    possible.
+    possible.  A valid structure gets the one shared passing report.
     """
-    return _fault_report(structure, "choice structure laws", _CLAUSES, _structure_faults(structure))
+    faults = structure._faults
+    return _fault_report(structure, _LAWS_TITLE, _CLAUSES, faults) if faults else _LAWS_HOLD
 
 
 def _require_valid(structure: ChoiceStructure) -> None:
     """Raise InvalidStructureError, with the full report (built only on
     a fault), unless the structure passes the structural laws."""
-    if _structure_faults(structure):
+    if structure._faults:
         raise InvalidStructureError(validate_structure(structure))
 
 
@@ -509,6 +526,18 @@ def _partition_tables(
     return partitions, tuple(closed), tuple(map(tuple, within))
 
 
+@lru_cache(maxsize=None)
+def _valuation_rows(n_atoms: int) -> tuple[tuple[str, ...], tuple[tuple[bool, ...], ...]]:
+    """A counter-model's atom names under a budget of ``n_atoms``, and
+    the assignment of each row: row r gives atom j bit n_atoms-1-j of r
+    (a partition's block i lies on row i).  Built once per budget."""
+    names = tuple(f"a{j}" for j in range(n_atoms))
+    rows = tuple(
+        tuple(bool(row >> (n_atoms - 1 - j) & 1) for j in range(n_atoms)) for row in range(1 << n_atoms)
+    )
+    return names, rows
+
+
 def agm_consistency_bruteforce(
     structure: ChoiceStructure, atoms: int | None = None
 ) -> BruteforceOutcome:
@@ -576,11 +605,9 @@ def agm_consistency_bruteforce(
     # two allowable conditions when both fail
     event, reason, _ = min((item for item in failures if item[2] & first), key=lambda item: item[0])
     checked = first.bit_length()
-    atom_names = tuple(f"a{i}" for i in range(n_atoms))
-    assignments = tuple(
-        (point.id, tuple(bool(cls >> (n_atoms - 1 - j) & 1) for j in range(n_atoms)))
-        for point, cls in zip(universe.points, partitions[checked - 1])
-    )
+    atom_names, rows = _valuation_rows(n_atoms)
+    ids = [point.id for point in universe.points]
+    assignments = tuple(zip(ids, map(rows.__getitem__, partitions[checked - 1])))
     counter = CounterModel(atom_names, assignments, PointSet(universe, event), reason)
     return BruteforceOutcome(False, checked, counter)
 

@@ -786,6 +786,8 @@ def agm_holds_at(
     """
     if postulate in (7, 8) and f is None:
         raise ValueError(f"postulate {postulate} needs a pair of propositions")
+    if e.universe != table.universe or (f is not None and f.universe != table.universe):
+        raise UniverseMismatchError("proposition over a different universe")
     f_mask = 0 if f is None else f.mask
     return _agm_mask_holds(table._masks, table.initial.points.mask, postulate, e.mask, f_mask)
 
@@ -916,6 +918,10 @@ def filter_holds_at(
     """Evaluate one filter law, F4 included, at a single proposition (see check_filtered)."""
     if check not in (*_FILTER_CHECKS, "F4"):
         raise ValueError(f"unknown filter check {check!r}")
+    if labeling.universe != table.universe:
+        raise UniverseMismatchError("labeling over a different universe")
+    if e.universe != table.universe:
+        raise UniverseMismatchError("proposition over a different universe")
     initial = table.initial.points.mask
     return check not in _filter_faults(initial, e.mask, labeling.labels[e.mask], table._masks[e.mask])
 

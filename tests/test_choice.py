@@ -1,5 +1,7 @@
+import hashlib
 import inspect
 import itertools
+import json
 import re
 import time
 from collections import Counter
@@ -1095,6 +1097,78 @@ class TestMaskChecksEqualTheirPredecessors:
             assert report.all_hold
             for result in report.results:
                 assert result is choice._HOLDS[result.check] and result.witnesses == ()
+        # every valid structure shares one structural report
+        assert validate_structure(g) is validate_structure(random_choice_structure(Random(3), 4))
+
+    def test_each_structure_is_scanned_once(self, monkeypatch):
+        scanned = []
+        scan = choice._structure_faults
+        monkeypatch.setattr(choice, "_structure_faults", lambda g: scanned.append(g) or scan(g))
+        checks = (
+            validate_structure,
+            check_agm_consistency,
+            agm_consistency_bruteforce,
+            build_model,
+            find_rationalizing_preorder,
+        )
+        # a copy of the shared edge case, which earlier tests may have scanned
+        valid, invalid = detective_structure(), replace(EDGE_CASES["everything-fails"][0])
+        for g in (valid, invalid, valid, invalid):
+            for check in checks:
+                try:
+                    check(g)
+                except InvalidStructureError:
+                    assert g is invalid
+        assert scanned == [valid, invalid]
+
+
+def verdict_text(structure):
+    """Every verdict the choice layer gives on ``structure``, as text:
+    the structural report, then the criteria report, the brute-force
+    outcome and the model's labels, or the message each refusal gives
+    (its report is the structural one)."""
+    laws = validate_structure(structure)
+    parts = [f"{laws!r}\n{laws.render_text()}\n{json.dumps(laws.to_json())}"]
+    for check in (check_agm_consistency, agm_consistency_bruteforce, build_model):
+        try:
+            out = check(structure)
+        except InvalidStructureError as refusal:
+            assert refusal.report == laws
+            parts.append(f"refused: {refusal}")
+        else:
+            if isinstance(out, CheckReport):
+                parts.append(f"{out!r}\n{out.render_text()}\n{json.dumps(out.to_json())}")
+            elif isinstance(out, BruteforceOutcome):
+                parts.append(repr(out))
+            else:
+                parts.append(f"{out.canonical!r} {out.point_classes} {out.labeling._codes!r}")
+    return "\n".join(parts)
+
+
+def test_repeated_verdicts_match_their_pinned_digest():
+    # each check twice on one structure and once on a fresh equal one;
+    # the digest pins the text of every verdict, so a verdict kept on a
+    # structure cannot drift from a fresh one.  The 2,704 two-state
+    # shapes hold every one-value change of each other, so only the
+    # draws get a corrupted copy
+    rng = Random("repeated-verdicts")
+    corpus = list(all_choice_structures(("p",)))
+    for size in (2, 3, 4):
+        for _ in range(150):
+            g = random_choice_structure(rng, size)
+            corpus += [g, corrupted(rng, g)]
+    lines = []
+    for g in corpus:
+        first = verdict_text(g)
+        assert verdict_text(g) == first
+        fresh = ChoiceStructure(g.universe, g.credible, g.allowable, g.rejected, dict(g.f))
+        assert verdict_text(fresh) == first
+        if validate_structure(g).all_hold:
+            assert agm_consistency_bruteforce(g) == naive_bruteforce(g)
+        lines.append(first)
+    assert len(lines) == 2704 + 900
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4c492932e78baafff42ac4613912794ca1023b1c554e6b39dd38ed81e12567ef"
 
 
 class TestMaskTypes:
@@ -1151,6 +1225,33 @@ class TestMaskTypes:
         assert 6 in g.f and g.f != f
         with pytest.raises(TypeError):
             g.f[6] = 0
+
+    def test_the_callers_families_are_not_kept(self):
+        # a menu added to the caller's sets reaches neither the structure
+        # nor any check; it used to make validate_structure raise KeyError
+        universe = canonical_universe(("p",))
+        families = ({3}, set(), {0})
+        g = ChoiceStructure(universe, *families, {3: 1, 0: 1})
+        for family in families:
+            family.add(2)
+        expected = ChoiceStructure(universe, frozenset({3}), frozenset(), frozenset({0}), {3: 1, 0: 1})
+        assert g == expected
+        assert all(type(family) is frozenset for family in (g.credible, g.allowable, g.rejected))
+        checks = (validate_structure, check_agm_consistency, agm_consistency_bruteforce, find_rationalizing_preorder)
+        assert [check(g) for check in checks] == [check(expected) for check in checks]
+        assert build_model(g).labeling == build_model(expected).labeling
+
+    def test_structures_hash_and_work_as_keys(self):
+        # f stays out of the hash, so equal structures hash equal whatever
+        # the type of the caller's families and map
+        g = random_choice_structure(Random(2), 3)
+        same = ChoiceStructure(g.universe, set(g.credible), list(g.allowable), set(g.rejected), dict(g.f))
+        assert same == g and hash(same) == hash(g)
+        f = dict(g.f)
+        f[g.universe.full_mask] ^= 1
+        other = ChoiceStructure(g.universe, g.credible, g.allowable, g.rejected, f)
+        verdicts = {g: "drawn", other: "changed"}
+        assert other != g and verdicts[same] == "drawn" and len(verdicts) == 2
 
 
 class TestRationalization:

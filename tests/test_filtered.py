@@ -44,7 +44,7 @@ from filtra.sampling import (
     random_plausibility_order,
     random_selection_function,
 )
-from filtra.worlds import PointSet, Universe, canonical_universe, submasks
+from filtra.worlds import PointSet, Universe, UniverseMismatchError, canonical_universe, submasks
 
 from conftest import of_ids, permute, permuted_universe, result_of
 from test_revision import assert_entries_shared, bits, kernel_tables, word_universe
@@ -275,6 +275,18 @@ class TestCheckFiltered:
         labeling = CredibilityLabeling.all_credible(u1)
         with pytest.raises(ValueError, match=f"unknown filter check {check!r}"):
             filter_holds_at(table, labeling, check, PointSet(u1, 1))
+
+    def test_filter_holds_at_refuses_another_universe(self, u1, u2):
+        # as check_filtered and RevisionTable.entry refuse them; the first
+        # call answered True, the second raised a bare KeyError
+        table = revision_from_selection(random_selection_function(Random(8), u2))
+        one_atom = CredibilityLabeling.all_credible(u1)
+        for mask in (1, 9):
+            with pytest.raises(UniverseMismatchError, match="^labeling over a different universe$"):
+                filter_holds_at(table, one_atom, "F1", PointSet(u2, mask))
+        labeling = CredibilityLabeling.all_credible(u2)
+        with pytest.raises(UniverseMismatchError, match="^proposition over a different universe$"):
+            filter_holds_at(table, labeling, "F1", PointSet(u1, 1))
 
     def test_unchanged_beliefs_fail_the_allowable_disjoint_law(self, u2):
         # allowable information disjoint from the initial set: keeping the

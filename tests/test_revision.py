@@ -351,6 +351,18 @@ class TestAgmChecker:
         with pytest.raises(ValueError, match=message):
             agm_holds_at(table, postulate, PointSet(u2, 1))
 
+    def test_agm_holds_at_refuses_another_universe(self, u1, u2):
+        # as RevisionTable.entry refuses it; the first call answered True
+        table = revision_from_selection(random_selection_function(Random(8), u2))
+        requests = (
+            (2, PointSet(u1, 3), None),
+            (7, PointSet(u1, 1), PointSet(u2, 1)),
+            (8, PointSet(u2, 1), PointSet(u1, 1)),
+        )
+        for postulate, e, f in requests:
+            with pytest.raises(UniverseMismatchError, match="^proposition over a different universe$"):
+                agm_holds_at(table, postulate, e, f)
+
     def test_mutated_entry_breaks_success_postulate(self, u2):
         table = revision_from_preorder(spec_order(u2))
         entries = dict(table.entries)
