@@ -373,15 +373,6 @@ def induced_beliefs(model: Model) -> PartialRevision:
     return PartialRevision(initial, entries)
 
 
-# Why a pinned menu admits no selection value under some partition,
-# one per condition the brute force tests (docs/semantics.md,
-# "Every partition at once").
-_NOT_OVERLAP = "credible entry must be the theory of the overlap"
-_NOT_UNCHANGED = "entry must leave the initial theory unchanged"
-_NEW_BELIEFS = "allowable entry may not add new beliefs"
-_OUTSIDE = "allowable entry adds worlds outside the information"
-
-
 @dataclass(frozen=True)
 class ExtensionCertificate:
     """A filtered table extending the model's pinned entries, plus the
@@ -573,27 +564,27 @@ def agm_consistency_bruteforce(
     partitions, closed, within = _partition_tables(size, 1 << n_atoms)
     f = structure.f
     initial = f[universe.full_mask]
-    # (event, reason, partitions under which the menu is pinned and
-    # fails the condition): the filter laws at the menu's proposition,
-    # rewritten over saturation, in the order docs/semantics.md lists
-    # them ("Every partition at once").  Law 3b pins a rejected menu's
-    # choice to f(omega), so only credible menus meeting f(omega) and
-    # allowable menus can fail.  sat(a) = sat(b) iff a lies within
-    # sat(b) and b within sat(a).
+    # (event, law, partitions under which the menu is pinned and fails
+    # the law): the filter laws at the menu's proposition, rewritten over
+    # saturation (docs/semantics.md, "Every partition at once").  Laws
+    # 3b-3d leave each kind of pinned menu one law that can fail: none
+    # for a rejected menu or a credible one missing f(omega), F2a for a
+    # credible one meeting it, F2b or F3b for an allowable one meeting it
+    # or not.  sat(a) = sat(b) iff a lies within sat(b) and b within sat(a).
     failures: list[tuple[int, str, int]] = []
     for event in structure.credible:
         overlap, chosen = event & initial, f[event]
         if overlap:
             holds = within[chosen][overlap] & within[overlap][chosen]
-            failures.append((event, _NOT_OVERLAP, closed[event] & ~holds))
+            failures.append((event, "F2a", closed[event] & ~holds))
     for event in structure.allowable:
         chosen, pinned = f[event], closed[event]
         if event & initial:
             holds = within[chosen][initial] & within[initial][chosen]
-            failures.append((event, _NOT_UNCHANGED, pinned & ~holds))
+            failures.append((event, "F2b", pinned & ~holds))
         else:
-            failures.append((event, _NEW_BELIEFS, pinned & ~within[initial][chosen]))
-            failures.append((event, _OUTSIDE, pinned & ~within[chosen & ~event][initial]))
+            holds = within[initial][chosen] & within[chosen & ~event][initial]
+            failures.append((event, "F3b", pinned & ~holds))
     failing = 0
     for _, _, bad in failures:
         failing |= bad
@@ -601,13 +592,13 @@ def agm_consistency_bruteforce(
     if not failing:
         return BruteforceOutcome(True, len(partitions))
     first = failing & -failing
-    # the lowest menu failing there; min keeps the first of a menu's
-    # two allowable conditions when both fail
-    event, reason, _ = min((item for item in failures if item[2] & first), key=lambda item: item[0])
+    # the lowest menu failing there, as extension_oracle reports it
+    event, law, _ = min(item for item in failures if item[2] & first)
     checked = first.bit_length()
     atom_names, rows = _valuation_rows(n_atoms)
     ids = [point.id for point in universe.points]
     assignments = tuple(zip(ids, map(rows.__getitem__, partitions[checked - 1])))
+    reason = f"pinned entry fails {law}"
     counter = CounterModel(atom_names, assignments, PointSet(universe, event), reason)
     return BruteforceOutcome(False, checked, counter)
 

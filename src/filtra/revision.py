@@ -39,7 +39,7 @@ import operator
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .beliefs import BeliefSet
@@ -146,12 +146,14 @@ class SelectionFunction:
     ``choice`` is keyed by proposition bitmask.  It is packed once, with
     0 at 0, into the table that is checked and kept as its revision;
     the caller's mapping is not kept, and ``choice`` becomes a read-only
-    view over that table's array for keys 1..full.
+    view over that table's array for keys 1..full.  ``choice`` is left
+    out of the hash, so functions that differ only in it share one;
+    equality still compares it.
     """
 
     universe: Universe
     initial: BeliefSet
-    choice: Mapping[int, int]
+    choice: Mapping[int, int] = field(hash=False)
 
     def __post_init__(self):
         if self.initial.universe is not self.universe and self.initial.universe != self.universe:
@@ -315,12 +317,13 @@ class RevisionTable:
     ``entries`` is a read-only view (``_Entries``) that stores the table
     and wraps each distinct entry in a BeliefSet on first lookup; a
     caller's mapping passed as ``entries`` is checked and packed into
-    that view once.
+    that view once.  ``entries`` is left out of the hash, so tables that
+    differ only in their entries share one; equality still compares them.
     """
 
     universe: Universe
     initial: BeliefSet
-    entries: Mapping[int, BeliefSet]
+    entries: Mapping[int, BeliefSet] = field(hash=False)
 
     def __post_init__(self):
         universe = self.universe
@@ -412,11 +415,13 @@ class CredibilityLabeling:
 
     The caller's mapping is checked and encoded once as one code byte
     per proposition (b"C", b"A" or b"R"), and not kept: ``labels``
-    becomes a read-only view over those codes.
+    becomes a read-only view over those codes.  ``labels`` is left out
+    of the hash, so labelings of one universe share one; equality still
+    compares the labels.
     """
 
     universe: Universe
-    labels: Mapping[int, Credibility]
+    labels: Mapping[int, Credibility] = field(hash=False)
 
     def __post_init__(self):
         labels, full = self.labels, self.universe.full_mask
@@ -1012,7 +1017,7 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     filter law fails (docs/semantics.md, "Recovery arithmetic"), so the
     infeasible set is the union of ``_filter_failures``; the reported
     proposition is its lowest bit, i.e. the first in ascending bitmask
-    order, with the reason of the branch it falls in.
+    order, with the laws it fails there (``_filter_faults``).
 
     The basic table is built straight from those selection values, one
     slice per state (docs/semantics.md, "Bit-sliced evaluation"), and
@@ -1028,8 +1033,9 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     infeasible = functools.reduce(operator.or_, _filter_failures(filtered, view).values())
     if infeasible:
         event = next(set_bits(infeasible))
-        reason = _recovery_reason(event, initial, labeling.labels[event])
-        return RecoveryOutcome(None, PointSet(universe, event), reason)
+        # a table kept as slices is packed here, on the failure path only
+        failing = _filter_faults(initial, event, labeling.labels[event], filtered._masks[event])
+        return RecoveryOutcome(None, PointSet(universe, event), f"entry fails {', '.join(failing)}")
     # S(E) is E & I on overlap; off it, the entry (C), the entry minus I
     # (A) or E itself (R)
     t = filtered._terms
@@ -1046,15 +1052,3 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     _check_selection(recovered)
     return RecoveryOutcome(recovered)
 
-
-def _recovery_reason(event: int, initial: int, label: Credibility) -> str:
-    """Why ``event`` is infeasible, by the branch it falls in."""
-    if event == 0:
-        return "revision by a contradiction must preserve the initial beliefs"
-    if event & initial:
-        return f"entry incompatible with label {label.value} on overlapping information"
-    if label is Credibility.CREDIBLE:
-        return "credible entry must be a consistent theory of points within the information"
-    if label is Credibility.ALLOWABLE:
-        return "allowable entry must add a nonempty set of information points to the initial ones"
-    return "rejected information must preserve the initial beliefs"

@@ -428,7 +428,8 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         payload["preorder"] = {
             point.id: scenario.preorder.ranks[i] for i, point in enumerate(universe.points)
         }
-    labeling = scenario.labeling if scenario.labeling_overrides is None else None
+    overrides = scenario.labeling_overrides
+    labeling = scenario.labeling if overrides is None else None
     if labeling is not None or scenario.table is not None:
         # each proposition's key and id list, made once: the key is a
         # key and a sort key, the list the value of every entry with
@@ -438,9 +439,14 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         keys = _event_keys(universe)
         ids = _id_lists(universe)
         by_key = sorted(range(len(keys)), key=keys.__getitem__)
-    if scenario.labeling_overrides is not None:
+    if overrides is not None:
+        # the overrides choose which keys are listed, the labeling their
+        # letters; a key the table misses gets the loader's validating parse
+        codes = scenario.credibility()._codes.decode()
+        masks = _key_masks(universe) if 4 * len(overrides) > universe.full_mask else {}
         payload["labeling"] = {
-            key: scenario.labeling_overrides[key] for key in sorted(scenario.labeling_overrides)
+            key: codes[masks[key] if key in masks else _parse_event_key(key, universe, f"labeling[{key!r}]")]
+            for key in sorted(overrides)
         }
     elif labeling is not None:
         # with no overrides read from a file, every label is written

@@ -253,13 +253,13 @@ def menus_of(structure):
 def infeasible_event(menus, initial, saturate):
     """The first of ``menus`` whose pinned entry admits no selection
     value under the valuation with saturation map ``saturate``, with
-    the brute force's reason, or None; ``initial`` is f(omega).
+    the filter law it fails, or None; ``initial`` is f(omega).
 
     This is the per-partition reference: the saturation conditions of
     docs/semantics.md ("Choice structures"), hand-derived from the
     filter laws.  Only menus equal to their saturation are pinned, and
     off f(omega) laws 3b-3d settle every condition but an allowable
-    menu's two.
+    menu's two, which are both F3b.
     """
     sat_initial = saturate(initial)
     for event, chosen, family in menus:
@@ -268,14 +268,13 @@ def infeasible_event(menus, initial, saturate):
         if event & initial:
             if family is C:
                 if saturate(chosen) != saturate(event & initial):
-                    return event, choice._NOT_OVERLAP
+                    return event, "F2a"
             elif saturate(chosen) != sat_initial:
-                return event, choice._NOT_UNCHANGED
+                return event, "F2b"
         elif family is A:
-            if sat_initial & ~saturate(chosen):
-                return event, choice._NEW_BELIEFS
-            if (chosen & ~sat_initial) & ~event:
-                return event, choice._OUTSIDE
+            # no new beliefs, or a world outside the information
+            if sat_initial & ~saturate(chosen) or (chosen & ~sat_initial) & ~event:
+                return event, "F3b"
     return None
 
 
@@ -286,15 +285,6 @@ def walk_of(model):
     return infeasible_event(menus_of(structure), structure.f[structure.universe.full_mask], saturate)
 
 
-# The one filter law each of the walk's conditions rewrites.
-LAW_OF_REASON = {
-    choice._NOT_OVERLAP: "F2a",
-    choice._NOT_UNCHANGED: "F2b",
-    choice._NEW_BELIEFS: "F3b",
-    choice._OUTSIDE: "F3b",
-}
-
-
 def assert_oracle_equals_the_walk(model):
     """The oracle's verdict, reported menu and failing law equal the
     walk's; returns the verdict."""
@@ -302,9 +292,9 @@ def assert_oracle_equals_the_walk(model):
     found = walk_of(model)
     assert outcome.feasible == (found is None)
     if found is not None:
-        event, reason = found
+        event, law = found
         assert outcome.infeasible_event.mask == event
-        assert outcome.reason == f"pinned entry fails {LAW_OF_REASON[reason]}"
+        assert outcome.reason == f"pinned entry fails {law}"
     return outcome.feasible
 
 
@@ -522,6 +512,7 @@ class TestBruteforce:
         replay_outcome = extension_oracle(build_model(replayed))
         assert not replay_outcome.feasible
         assert replay_outcome.infeasible_event.mask == counter.event.mask
+        assert replay_outcome.reason == counter.reason == "pinned entry fails F2b"
 
     def test_matches_the_full_valuation_product_at_two_states(self):
         structures = [g for g in all_choice_structures() if validate_structure(g).all_hold]
@@ -676,12 +667,13 @@ def naive_bruteforce(structure, atoms=None):
     for checked, valuation in enumerate(partitions, 1):
         found = infeasible_event(menus, initial, choice._quotient(valuation, max(valuation) + 1).saturate)
         if found is not None:
-            event, reason = found
+            event, law = found
             assignments = tuple(
                 (point.id, tuple(bool(cls >> (n_atoms - 1 - j) & 1) for j in range(n_atoms)))
                 for point, cls in zip(universe.points, valuation)
             )
             atom_names = tuple(f"a{i}" for i in range(n_atoms))
+            reason = f"pinned entry fails {law}"
             counter = CounterModel(atom_names, assignments, PointSet(universe, event), reason)
             return BruteforceOutcome(False, checked, counter)
     return BruteforceOutcome(True, len(partitions))
@@ -718,19 +710,21 @@ class TestBitSlicedOracle:
                 outcome = agm_consistency_bruteforce(g, atoms=budget)
                 assert outcome == naive_bruteforce(g, budget)
                 counts[outcome.consistent] += 1
-                if outcome.counterexample is not None:
-                    counter_models.add((outcome.valuations_checked, outcome.counterexample.reason))
+                counter = outcome.counterexample
+                if counter is not None:
+                    counter_models.add((outcome.valuations_checked, counter.reason))
+                    # a replay labels all 2**2**atoms canonical propositions
+                    if len(counter.atoms) <= 2:
+                        replayed = build_model(with_valuation(g, counter.atoms, counter.rows()))
+                        assert extension_oracle(replayed, build_certificate=False).reason == counter.reason
         if conforming:  # conforming draws pass the criteria
             assert counts == {True: 500 * len(BUDGETS), False: 0}
             return
         assert counts[True] > 100 and counts[False] > 500
-        if size > 2:  # failures at several partitions, for every reason
+        if size > 2:  # failures at several partitions, for every law
             assert len({checked for checked, _ in counter_models}) > 2
             assert {reason for _, reason in counter_models} == {
-                choice._NOT_OVERLAP,
-                choice._NOT_UNCHANGED,
-                choice._NEW_BELIEFS,
-                choice._OUTSIDE,
+                f"pinned entry fails {law}" for law in ("F2a", "F2b", "F3b")
             }
 
     @pytest.mark.parametrize("size", range(1, 5))
@@ -797,6 +791,7 @@ def assert_matches_full_product(structure, n_atoms):
         replay = extension_oracle(build_model(replayed), build_certificate=False)
         assert not replay.feasible
         assert replay.infeasible_event.mask == counter.event.mask
+        assert replay.reason == counter.reason
     return consistent
 
 
@@ -1168,7 +1163,7 @@ def test_repeated_verdicts_match_their_pinned_digest():
         lines.append(first)
     assert len(lines) == 2704 + 900
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "4c492932e78baafff42ac4613912794ca1023b1c554e6b39dd38ed81e12567ef"
+    assert digest == "86852aa77621a0724a82d0ebc492d47448514c7ffbde40f3eb8b69d5282ec27b"
 
 
 class TestMaskTypes:
@@ -1393,3 +1388,11 @@ class TestStateSymmetry:
                 # None for an invalid structure, else the oracle's verdict
                 seen[verdicts[oracle] if len(verdicts) > oracle else None] += 1
         assert set(seen) == {None, True, False}
+
+
+@pytest.mark.parametrize("rows", [0, 2, 4], ids=["none", "fewer", "more"])
+def test_with_valuation_refuses_a_row_count_other_than_the_states(rows):
+    g = detective_structure()
+    with pytest.raises(ValueError) as raised:
+        with_valuation(g, ("p",), [(True,)] * rows)
+    assert str(raised.value) == f"expected 3 assignment rows, got {rows}"

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtra import fuzzing
+from filtra import cli, fuzzing
 from filtra.cli import main
 from filtra.revision import revision_from_selection
 from filtra.sampling import random_plausibility_order, random_selection_function
@@ -242,6 +242,17 @@ class TestExitCodes:
         result = runner.invoke(main, ["validate", "nowhere.json"])
         assert result.exit_code == 2
 
+    def test_a_file_that_cannot_be_read_is_a_usage_error(self, runner, detective_file, monkeypatch):
+        # click has checked that the file exists; a read can still fail,
+        # as for a file without read permission (which root reads anyway)
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "load_scenario", unreadable)
+        result = runner.invoke(main, ["validate", detective_file])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == f"Error: cannot read {detective_file}: [Errno 13] Permission denied"
+
     def test_malformed_json_is_a_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -286,6 +297,32 @@ class TestExitCodes:
         result = runner.invoke(main, ["check", "filtered", str(path)])
         assert result.exit_code == 2
         assert f"{path}: {name}: a {name} section supports at most 16 states, got 17" in result.output
+        assert "Traceback" not in result.output
+
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["oracle", "def6", "FIVE"], "brute force supports up to 4 states, got 5"),
+            (["check", "agm", "PREORDER", "--postulates", "x"], "cannot parse postulate selection 'x'"),
+            (["fuzz", "--atoms", "3"], "fuzz supports --atoms 1 or 2"),
+            (["fuzz", "--atoms", "0"], "fuzz supports --atoms 1 or 2"),
+            (["fuzz", "--cases", "all", "--atoms", "2"], "--cases all is only tractable with --atoms 1"),
+            (["fuzz", "--cases", "x"], "--cases must be a positive integer or 'all', got 'x'"),
+            (["fuzz", "--cases", "0"], "--cases must be positive"),
+        ],
+        ids=["five-state-oracle", "postulate-word", "fuzz-atoms-3", "fuzz-atoms-0", "all-cases-2-atoms", "cases-word", "cases-0"],
+    )
+    def test_every_documented_refusal_is_a_usage_error(self, runner, tmp_path, preorder_file, argv, message):
+        states = [{"id": f"s{i}", "true_atoms": []} for i in range(5)]
+        ids = [state["id"] for state in states]
+        gcs = {"credible": [ids], "allowable": [], "rejected": [[]], "f": {"": ["s0"], ",".join(ids): ["s0"]}}
+        five = tmp_path / "five.json"
+        five.write_text(json.dumps({"atoms": ["p"], "states": states, "gcs": gcs}), encoding="utf-8")
+        files = {"FIVE": str(five), "PREORDER": preorder_file}
+        result = runner.invoke(main, [files.get(word, word) for word in argv])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == f"Error: {message}"
         assert "Traceback" not in result.output
 
 

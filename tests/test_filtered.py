@@ -32,7 +32,6 @@ from filtra.revision import (
     _Labels,
     _filter_failures,
     _filter_faults,
-    _recovery_reason,
     _transpose,
     _untranspose,
 )
@@ -404,41 +403,34 @@ def naive_check_filtered(table, labeling):
 
 def scan_step(event, got, initial, label):
     """One proposition of the ascending recovery scan: its selection
-    value, or None and the reason it is infeasible."""
+    value, or None where it is infeasible."""
     if event == 0:
-        if got != initial:
-            return None, "revision by a contradiction must preserve the initial beliefs"
-        return 0, ""
+        return 0 if got == initial else None
     overlap = event & initial
     if overlap:
         required = overlap if label is C else initial
-        if got != required:
-            return None, f"entry incompatible with label {label.value} on overlapping information"
-        return overlap, ""
+        return overlap if got == required else None
     if label is C:
-        if got == 0 or got & ~event:
-            return None, "credible entry must be a consistent theory of points within the information"
-        return got, ""
+        return None if got == 0 or got & ~event else got
     if label is A:
         extra = got & ~initial
-        if initial & ~got or extra == 0 or extra & ~event:
-            return None, "allowable entry must add a nonempty set of information points to the initial ones"
-        return extra, ""
-    if got != initial:
-        return None, "rejected information must preserve the initial beliefs"
-    return event, ""
+        return None if initial & ~got or extra == 0 or extra & ~event else extra
+    return event if got == initial else None
 
 
 def naive_recover_basic(filtered, labeling):
     """recover_basic as it was: scan the propositions in ascending order
-    and stop at the first infeasible one."""
+    and stop at the first infeasible one, giving the laws that
+    ``filter_holds_at`` finds failing there."""
     universe = filtered.universe
     initial = filtered.initial.points.mask
     choice = {}
     for event in range(universe.full_mask + 1):
-        value, reason = scan_step(event, filtered._masks[event], initial, labeling.labels[event])
+        value = scan_step(event, filtered._masks[event], initial, labeling.labels[event])
         if value is None:
-            return RecoveryOutcome(None, PointSet(universe, event), reason)
+            e = PointSet(universe, event)
+            failing = [check for check in _FILTER_CHECKS if not filter_holds_at(filtered, labeling, check, e)]
+            return RecoveryOutcome(None, e, f"entry fails {', '.join(failing)}")
         if event:
             choice[event] = value
     selection = SelectionFunction(universe, filtered.initial, choice)
@@ -476,10 +468,8 @@ class TestBitSlicedLaws:
                         seen.add((initial, e, label, masks[e]))
                         if e == 0 and label is not R:
                             continue
-                        value, reason = scan_step(e, masks[e], initial, label)
+                        value = scan_step(e, masks[e], initial, label)
                         assert infeasible >> e & 1 == (value is None), (initial, label, d, e)
-                        if value is None:
-                            assert _recovery_reason(e, initial, label) == reason
         assert len(seen) == 11_520
 
     @pytest.mark.parametrize("n_atoms,draws", [(1, 30), (2, 10), (3, 3), (4, 1)])
@@ -541,7 +531,7 @@ class TestOnePropositionAtATime:
                     routed = set(map(route, values))
                     for entry in range(full + 1):
                         lawful = not _filter_faults(initial, e, label, entry)
-                        value, _ = scan_step(e, entry, initial, label)
+                        value = scan_step(e, entry, initial, label)
                         case = (initial, e, label, entry)
                         assert lawful == (value is not None) == (entry in routed), case
                         if value is not None:

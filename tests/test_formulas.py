@@ -57,6 +57,23 @@ def test_syntax_error_carries_position():
         parse_formula("p $ q", ("p", "q"))
 
 
+@pytest.mark.parametrize(
+    ("text", "error", "message"),
+    [
+        ("p & r", UnknownAtomError, "unknown atom 'r' (column 5)"),
+        ("p $ q", FormulaSyntaxError, "unexpected character '$' (column 3)"),
+        ("(p | q", FormulaSyntaxError, "expected ')', found 'end of input' (column 7)"),
+        ("p | | q", FormulaSyntaxError, "expected an atom, '~' or '(', found '|' (column 5)"),
+        ("p q", FormulaSyntaxError, "unexpected 'q' (column 3)"),
+    ],
+    ids=["unknown-atom", "character", "unclosed", "operand", "trailing-token"],
+)
+def test_every_refusal_names_its_column(text, error, message):
+    with pytest.raises(error) as raised:
+        parse_formula(text, ("p", "q"))
+    assert str(raised.value) == message
+
+
 def test_precedence_not_binds_tightest():
     assert parse_formula("~p | q", ("p", "q")) == Or(Not(Atom("p")), Atom("q"))
     assert parse_formula("~(p | q)", ("p", "q")) == Not(Or(Atom("p"), Atom("q")))

@@ -24,6 +24,7 @@ from filtra.revision import (
     agm_holds_at,
     build_filtered,
     check_agm,
+    check_filtered,
     recover_basic,
     revision_from_preorder,
     revision_from_selection,
@@ -309,6 +310,59 @@ def independent_agm_simulation(table, postulate, e_ids, f_ids=None):
         f = set(f_ids)
         return not (entry(e) & f) or entry(e & f) <= (entry(e) & f)
     raise AssertionError(postulate)
+
+
+def _table(u):
+    return revision_from_preorder(PlausibilityOrder(u, tuple(range(u.size))))
+
+
+def _theory(u, mask):
+    return BeliefSet(PointSet(u, mask))
+
+
+@pytest.mark.parametrize(
+    ("call", "error", "message"),
+    [
+        (lambda u1, u2: PlausibilityOrder(u2, (0, 1)), ValueError, "one rank per point required"),
+        (
+            lambda u1, u2: spec_order(u2).most_plausible(PointSet(u1, 1)),
+            UniverseMismatchError,
+            "point set over a different universe",
+        ),
+        (
+            lambda u1, u2: SelectionFunction(u2, _theory(u1, 1), {}),
+            UniverseMismatchError,
+            "initial beliefs over a different universe",
+        ),
+        (lambda u1, u2: SelectionFunction(u2, _theory(u2, 0), {}), SelectionError, "initial beliefs must be consistent"),
+        (
+            lambda u1, u2: RevisionTable(u2, _theory(u1, 1), {}),
+            UniverseMismatchError,
+            "initial beliefs over a different universe",
+        ),
+        (lambda u1, u2: RevisionTable(u2, _theory(u2, 0), {}), ValueError, "initial beliefs must be consistent"),
+        (lambda u1, u2: _table(u2).entry(PointSet(u1, 1)), UniverseMismatchError, "proposition over a different universe"),
+        (lambda u1, u2: check_agm(_table(u2), ()), ValueError, "postulates must be a nonempty subset of 1..8, got []"),
+        (lambda u1, u2: check_agm(_table(u2), (0, 9)), ValueError, "postulates must be a nonempty subset of 1..8, got [0, 9]"),
+        *(
+            (
+                lambda u1, u2, check=check: check(_table(u2), CredibilityLabeling.all_credible(u1)),
+                UniverseMismatchError,
+                "labeling over a different universe",
+            )
+            for check in (check_filtered, build_filtered, recover_basic)
+        ),
+    ],
+    ids=[
+        "rank-count", "plausible-among", "selection-universe", "selection-inconsistent", "table-universe",
+        "table-inconsistent", "entry-universe", "no-postulates", "unknown-postulates", "check-filtered-labeling",
+        "build-filtered-labeling", "recover-basic-labeling",
+    ],  # fmt: skip
+)
+def test_every_documented_refusal_is_raised(u1, u2, call, error, message):
+    with pytest.raises(error) as raised:
+        call(u1, u2)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestAgmChecker:
@@ -835,6 +889,24 @@ class TestPackedViews:
         allowable = CredibilityLabeling.from_overrides(u2, {6: Credibility.ALLOWABLE})
         assert allowable.labels != labeling.labels
         assert allowable.labels == {**labeling.labels, 6: Credibility.ALLOWABLE}
+
+    def test_values_hash_and_work_as_keys(self, u2):
+        # the views stay out of the hash, so equal values hash equal
+        # whether they were made from a dict or packed
+        initial = BeliefSet(PointSet(u2, 1))
+        choice = {event: event & 1 or event for event in range(1, 16)}
+        selection = SelectionFunction(u2, initial, choice)
+        labeling = CredibilityLabeling.from_overrides(u2, {6: Credibility.ALLOWABLE})
+        table = revision_from_selection(selection)
+        made = {
+            selection: (SelectionFunction(u2, initial, dict(choice)), SelectionFunction(u2, initial, {**choice, 6: 2})),
+            labeling: (CredibilityLabeling(u2, dict(labeling.labels)), CredibilityLabeling.all_credible(u2)),
+            table: (RevisionTable(u2, initial, dict(table.entries)), build_filtered(table, labeling)),
+        }
+        for value, (equal, other) in made.items():
+            assert equal == value and hash(equal) == hash(value)
+            verdicts = {value: "made", other: "changed"}
+            assert other != value and verdicts[equal] == "made" and len(verdicts) == 2
 
     def test_the_callers_dicts_are_not_kept(self):
         universe, selection, choice, labeling, labels = self.made(2, 100)

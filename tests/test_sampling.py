@@ -11,13 +11,14 @@ from filtra.sampling import (
     _below,
     all_choice_structures,
     all_labelings,
+    all_revision_tables,
     random_choice_structure,
     random_formula,
     random_labeling,
     random_plausibility_order,
     random_selection_function,
 )
-from filtra.worlds import canonical_universe
+from filtra.worlds import SizeLimitError, Universe, canonical_universe
 
 from conftest import per_draw_labeling, per_draw_selection_function
 
@@ -190,3 +191,16 @@ def test_all_labelings_are_unchanged(u1):
         for combo in itertools.product(Credibility, repeat=full - 1)
     ]
     assert [labeling.labels for labeling in all_labelings(u1)] == old_all
+
+
+@pytest.mark.parametrize(
+    ("enumerate_all", "what"),
+    [(all_labelings, "labeling"), (all_revision_tables, "table")],
+    ids=["labelings", "tables"],
+)
+def test_exhaustive_enumerations_refuse_three_points(enumerate_all, what):
+    # the refusal comes with the first item, as the enumerations are generators
+    items = enumerate_all(Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(3)]))
+    with pytest.raises(SizeLimitError) as raised:
+        next(items)
+    assert str(raised.value) == f"exhaustive {what} enumeration supports up to 2 points"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -6,7 +7,7 @@ from click.testing import CliRunner
 
 from filtra import scenario as scenario_module
 from filtra.cli import main
-from filtra.revision import Credibility, revision_from_selection
+from filtra.revision import Credibility, CredibilityLabeling, revision_from_selection
 from filtra.sampling import random_labeling, random_selection_function
 from filtra.scenario import (
     Scenario,
@@ -192,6 +193,56 @@ class TestLoading:
         assert loads(text).universe.size == STATE_LIMIT + 1
 
 
+def _states(*extra):
+    return [{"id": "a", "true_atoms": ["p"]}, {"id": "b", "true_atoms": []}, *extra]
+
+
+_GCS = json.loads(payload_text())["gcs"]
+_ENTRIES = {"": [], "a": ["a"], "a,b": ["a"], "b": ["b"]}
+
+
+@pytest.mark.parametrize(
+    ("section", "message"),
+    [
+        ({"atoms": []}, "atoms: at least one atom is required"),
+        ({"atoms": list("pqrstuv")}, "atoms: at most 6 atoms are supported"),
+        ({"atoms": ["p q"]}, "atoms[0]: invalid atom name 'p q'"),
+        ({"atoms": ["p", "p"]}, "atoms[1]: duplicate atom 'p'"),
+        ({"states": [1]}, "states[0]: expected an object, got int"),
+        ({"states": _states({"id": "c", "true_atoms": [], "rank": 0})}, "states[2]: unknown field(s) ['rank']"),
+        ({"states": _states({"id": "", "true_atoms": []})}, "states[2].id: state id must be a nonempty string"),
+        (
+            {"states": _states({"id": "c,d", "true_atoms": []})},
+            "states[2].id: state id 'c,d' may not contain commas or whitespace",
+        ),
+        ({"states": _states({"id": "a", "true_atoms": []})}, "states[2].id: duplicate state id 'a'"),
+        ({"states": _states({"id": "c", "true_atoms": ["q"]})}, "states[2].true_atoms: undeclared atom 'q'"),
+        ({"states": _states({"id": "c", "true_atoms": ["p", "p"]})}, "states[2].true_atoms: duplicate atom"),
+        ({"gcs": {**_GCS, "g": []}}, "gcs: unknown field(s) ['g']"),
+        ({"gcs": {**_GCS, "rejected": [[], []]}}, "gcs.rejected[1]: duplicate event in family"),
+        ({"gcs": {**_GCS, "f": {**_GCS["f"], "b": ["b"]}}}, "gcs.f['b']: event is in no family"),
+        ({"table": {"initial": ["a"], "entries": _ENTRIES, "basic": {}}}, "table: unknown field(s) ['basic']"),
+        ({"table": {"initial": [], "entries": _ENTRIES}}, "table: initial beliefs must be consistent"),
+        ({"comments": ["ok", 1]}, "comments: comments must be a string or a list of strings"),
+    ],
+    ids=[
+        "no-atoms", "seven-atoms", "atom-name", "repeated-atom", "state-object", "state-field", "empty-id", "comma-id", "repeated-id",
+        "undeclared-atom", "repeated-true-atom", "gcs-field", "repeated-event", "unlisted-menu", "table-field",
+        "inconsistent-table", "comments",
+    ],  # fmt: skip
+)
+def test_every_schema_refusal_is_a_usage_error_naming_the_field(tmp_path, section, message):
+    path = tmp_path / "refused.json"
+    path.write_text(payload_text(**section), encoding="utf-8")
+    with pytest.raises(ScenarioError) as raised:
+        scenario_module.load_scenario(path)
+    assert str(raised.value) == message
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == f"Error: {path}: {message}"
+    assert "Traceback" not in result.output
+
+
 def repeating(path, key):
     """A valid scenario's text with ``key`` written twice, same value,
     in the object at ``path`` (a tuple of keys and indices)."""
@@ -316,6 +367,31 @@ class TestSaving:
             universe.atoms, universe, table=table, labeling=labeling, labeling_overrides=overrides
         )
         assert dumps(scenario) == dumps(given)
+
+    @pytest.mark.parametrize("name", ["preorder_3atoms.json", "failing_laws_3atoms.json"])
+    def test_overrides_list_keys_and_the_labeling_gives_their_letters(self, name):
+        # a labeling set after loading is written, not the letters read
+        scenario = scenario_module.load_scenario(Path(__file__).parent / "golden" / name)
+        kept = dict(scenario.labeling_overrides)
+        key_masks = _key_masks(scenario.universe)
+        for labeling in (
+            CredibilityLabeling.all_credible(scenario.universe),
+            random_labeling(Random(5), scenario.universe),
+        ):
+            scenario.labeling = labeling
+            saved = loads(dumps(scenario))
+            assert saved.labeling_overrides.keys() == kept.keys()
+            for key in kept:
+                assert saved.labeling.labels[key_masks[key]] is labeling.labels[key_masks[key]]
+            assert dumps(saved) == dumps(scenario)
+        assert scenario.labeling_overrides == kept
+
+    @pytest.mark.parametrize("key", ["zz", "a,zz", "b,a", "a,a"])
+    def test_an_override_key_naming_no_proposition_is_refused(self, key):
+        scenario = loads(payload_text(labeling={"a": "A"}))
+        scenario.labeling_overrides[key] = "C"
+        with pytest.raises(ValueError, match=f"labeling\\[{key!r}\\]: .*{key!r}"):
+            dumps(scenario)
 
     def test_event_key_helper(self):
         assert event_key([]) == ""

@@ -265,3 +265,35 @@ def test_exhaustive_universe_masks_cover_all_formula_classes(u2):
 @pytest.mark.parametrize("mask", [0, 0b1, 0b1010, 0b10110, 0xFF])
 def test_submasks_are_every_submask_in_ascending_order(mask):
     assert submasks(mask) == [sub for sub in range(mask + 1) if sub & ~mask == 0]
+
+
+def _universe(atoms, points):
+    return Universe(atoms, tuple(Point(point_id, values) for point_id, values in points))
+
+
+@pytest.mark.parametrize(
+    ("make", "message"),
+    [
+        (lambda: _universe((), [("a", ())]), "a universe needs at least one atom"),
+        (lambda: _universe(("p q",), [("a", (True,))]), "invalid atom name 'p q'"),
+        (lambda: _universe(("p", "p"), [("a", (True, True))]), "duplicate atom 'p'"),
+        (lambda: _universe(("p",), []), "a universe needs at least one point"),
+        (lambda: _universe(("p",), [("", (True,))]), "point ids must be nonempty"),
+        (lambda: _universe(("p",), [("a", (True,)), ("a", (False,))]), "duplicate point id 'a'"),
+        (lambda: _universe(("p", "q"), [("a", (True,))]), "point 'a' assigns 1 atoms, expected 2"),
+        (
+            lambda: Universe.from_assignments(("p",), [("a", {"q": True, "r": False})]),
+            "point 'a' assigns undeclared atoms ['q', 'r']",
+        ),
+        (lambda: PointSet(canonical_universe(("p",)), 4), "mask 0x4 out of range for universe"),
+        (lambda: PointSet(canonical_universe(("p",)), -1), "mask -0x1 out of range for universe"),
+    ],
+    ids=[
+        "no-atoms", "atom-name", "repeated-atom", "no-points", "empty-id", "repeated-id",
+        "row-width", "undeclared-atoms", "mask-too-wide", "negative-mask",
+    ],  # fmt: skip
+)
+def test_constructors_refuse_what_they_document(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == message
