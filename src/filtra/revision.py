@@ -1033,8 +1033,9 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     infeasible = functools.reduce(operator.or_, _filter_failures(filtered, view).values())
     if infeasible:
         event = next(set_bits(infeasible))
-        # a table kept as slices is packed here, on the failure path only
-        failing = _filter_faults(initial, event, labeling.labels[event], filtered._masks[event])
+        # B(E) read from the slices the laws just used, one bit per state
+        entry = sum((s >> event & 1) << i for i, s in enumerate(filtered._slices))
+        failing = _filter_faults(initial, event, labeling.labels[event], entry)
         return RecoveryOutcome(None, PointSet(universe, event), f"entry fails {', '.join(failing)}")
     # S(E) is E & I on overlap; off it, the entry (C), the entry minus I
     # (A) or E itself (R)

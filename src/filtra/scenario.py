@@ -429,7 +429,7 @@ def scenario_to_payload(scenario: Scenario) -> dict:
             point.id: scenario.preorder.ranks[i] for i, point in enumerate(universe.points)
         }
     overrides = scenario.labeling_overrides
-    labeling = scenario.labeling if overrides is None else None
+    labeling = scenario.labeling if overrides is None else scenario.credibility()
     if labeling is not None or scenario.table is not None:
         # each proposition's key and id list, made once: the key is a
         # key and a sort key, the list the value of every entry with
@@ -439,19 +439,22 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         keys = _event_keys(universe)
         ids = _id_lists(universe)
         by_key = sorted(range(len(keys)), key=keys.__getitem__)
-    if overrides is not None:
-        # the overrides choose which keys are listed, the labeling their
-        # letters; a key the table misses gets the loader's validating parse
-        codes = scenario.credibility()._codes.decode()
-        masks = _key_masks(universe) if 4 * len(overrides) > universe.full_mask else {}
-        payload["labeling"] = {
-            key: codes[masks[key] if key in masks else _parse_event_key(key, universe, f"labeling[{key!r}]")]
-            for key in sorted(overrides)
-        }
-    elif labeling is not None:
-        # with no overrides read from a file, every label is written
+    if labeling is not None:
+        # every label is written, unless overrides were read from a file
         codes = labeling._codes.decode()
-        payload["labeling"] = {keys[mask]: codes[mask] for mask in by_key}
+        listed = by_key
+        if overrides is not None:
+            # then their keys are listed, and every key whose label is
+            # not the loader's default (C, and R at the empty proposition);
+            # a key not in ``mask_of`` gets the loader's validating parse
+            mask_of = dict(zip(keys, range(len(keys))))
+            chosen = {
+                mask_of[key] if key in mask_of else _parse_event_key(key, universe, f"labeling[{key!r}]")
+                for key in overrides
+            }
+            chosen.update(mask for mask, code in enumerate(codes) if code != ("C" if mask else "R"))
+            listed = [mask for mask in by_key if mask in chosen]
+        payload["labeling"] = {keys[mask]: codes[mask] for mask in listed}
     if scenario.table is not None:
         table = scenario.table
         masks = table._masks

@@ -45,33 +45,20 @@ def test_unknown_atom_is_reported_by_name():
     with pytest.raises(UnknownAtomError) as err:
         parse_formula("p & r", ("p", "q"))
     assert err.value.name == "r"
+    assert str(err.value) == "unknown atom 'r' (column 5)"
 
 
 def test_syntax_error_carries_position():
-    with pytest.raises(FormulaSyntaxError) as err:
-        parse_formula("p | | q", ("p", "q"))
-    assert err.value.position == 5
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("(p | q", ("p", "q"))
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("p $ q", ("p", "q"))
-
-
-@pytest.mark.parametrize(
-    ("text", "error", "message"),
-    [
-        ("p & r", UnknownAtomError, "unknown atom 'r' (column 5)"),
-        ("p $ q", FormulaSyntaxError, "unexpected character '$' (column 3)"),
-        ("(p | q", FormulaSyntaxError, "expected ')', found 'end of input' (column 7)"),
-        ("p | | q", FormulaSyntaxError, "expected an atom, '~' or '(', found '|' (column 5)"),
-        ("p q", FormulaSyntaxError, "unexpected 'q' (column 3)"),
-    ],
-    ids=["unknown-atom", "character", "unclosed", "operand", "trailing-token"],
-)
-def test_every_refusal_names_its_column(text, error, message):
-    with pytest.raises(error) as raised:
-        parse_formula(text, ("p", "q"))
-    assert str(raised.value) == message
+    for text, position, message in [
+        ("p | | q", 5, "expected an atom, '~' or '(', found '|' (column 5)"),
+        ("(p | q", 7, "expected ')', found 'end of input' (column 7)"),
+        ("p $ q", 3, "unexpected character '$' (column 3)"),
+        ("p q", 3, "unexpected 'q' (column 3)"),
+    ]:
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text, ("p", "q"))
+        assert err.value.position == position
+        assert str(err.value) == message
 
 
 def test_precedence_not_binds_tightest():

@@ -370,19 +370,22 @@ class TestSaving:
 
     @pytest.mark.parametrize("name", ["preorder_3atoms.json", "failing_laws_3atoms.json"])
     def test_overrides_list_keys_and_the_labeling_gives_their_letters(self, name):
-        # a labeling set after loading is written, not the letters read
+        # a labeling set after loading is written, not the letters read:
+        # the kept keys and every key off the loader's default are listed
         scenario = scenario_module.load_scenario(Path(__file__).parent / "golden" / name)
         kept = dict(scenario.labeling_overrides)
         key_masks = _key_masks(scenario.universe)
+        default = CredibilityLabeling.from_overrides(scenario.universe, {})
         for labeling in (
             CredibilityLabeling.all_credible(scenario.universe),
             random_labeling(Random(5), scenario.universe),
         ):
             scenario.labeling = labeling
             saved = loads(dumps(scenario))
-            assert saved.labeling_overrides.keys() == kept.keys()
-            for key in kept:
-                assert saved.labeling.labels[key_masks[key]] is labeling.labels[key_masks[key]]
+            assert saved.labeling == labeling
+            assert saved.labeling_overrides.keys() == kept.keys() | {
+                key for key, mask in key_masks.items() if labeling.labels[mask] is not default.labels[mask]
+            }
             assert dumps(saved) == dumps(scenario)
         assert scenario.labeling_overrides == kept
 
