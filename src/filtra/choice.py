@@ -34,11 +34,10 @@ from .revision import (
     CredibilityLabeling,
     PlausibilityOrder,
     RevisionTable,
-    _cached_property,
     _filter_faults,
     recover_basic,
 )
-from .worlds import PointSet, SizeLimitError, Universe, canonical_universe, set_bits
+from .worlds import PointSet, SizeLimitError, Universe, _cached_property, canonical_universe, set_bits
 
 
 class InvalidStructureError(ValueError):
@@ -520,13 +519,11 @@ def _partition_tables(
 @lru_cache(maxsize=None)
 def _valuation_rows(n_atoms: int) -> tuple[tuple[str, ...], tuple[tuple[bool, ...], ...]]:
     """A counter-model's atom names under a budget of ``n_atoms``, and
-    the assignment of each row: row r gives atom j bit n_atoms-1-j of r
-    (a partition's block i lies on row i).  Built once per budget."""
+    the assignment of each row, in ``canonical_universe``'s
+    binary-counting order (a partition's block i lies on row i).  Built
+    once per budget."""
     names = tuple(f"a{j}" for j in range(n_atoms))
-    rows = tuple(
-        tuple(bool(row >> (n_atoms - 1 - j) & 1) for j in range(n_atoms)) for row in range(1 << n_atoms)
-    )
-    return names, rows
+    return names, tuple(point.values for point in canonical_universe(names).points)
 
 
 def agm_consistency_bruteforce(
@@ -558,8 +555,8 @@ def agm_consistency_bruteforce(
     if size > _STATE_LIMIT:
         raise SizeLimitError(f"brute force supports up to {_STATE_LIMIT} states, got {size}")
     n_atoms = atoms if atoms is not None else max(1, math.ceil(math.log2(size)))
-    if not 1 <= n_atoms <= _ATOM_LIMIT:
-        raise SizeLimitError(f"atom budget must be 1..{_ATOM_LIMIT}, got {n_atoms}")
+    if type(n_atoms) is not int or not 1 <= n_atoms <= _ATOM_LIMIT:  # a bool or 2.0 is no budget
+        raise SizeLimitError(f"atom budget must be 1..{_ATOM_LIMIT}, got {n_atoms!r}")
 
     partitions, closed, within = _partition_tables(size, 1 << n_atoms)
     f = structure.f

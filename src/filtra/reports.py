@@ -9,10 +9,9 @@ ASCII only.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
-from .worlds import PointSet, dnf_of
+from .worlds import PointSet, _cached_property, dnf_of
 
 
 @dataclass(frozen=True)
@@ -21,7 +20,7 @@ class Witness:
     point_sets: tuple[PointSet, ...]
     detail: str = ""
 
-    @functools.cached_property
+    @_cached_property
     def formulas(self) -> tuple[str | None, ...]:
         """A representative formula per point set, built on first use
         (rendering), since most witnesses are only counted."""

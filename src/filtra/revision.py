@@ -21,13 +21,13 @@ the latter).  A table's entry view (``_Entries``) keeps it as one
 packed array with a native word per proposition, as those per-state
 ints, or both, either made from the other on first read.  The pre-order
 constructor, ``build_filtered`` and ``recover_basic`` compute their
-tables as per-state ints; the first two keep them and pack them
-(``_untranspose``) only when the array is read, the last packs them at
-once; a seeded selection's pinned entries take one AND, not a transpose
-(``SelectionFunction._pinned``).  ``_pack`` checks only masks from
-outside.  A selection function keeps only its packed table and a
-labeling one code byte per proposition, each behind a read-only view
-(``_Packed``).
+tables as per-state ints, keep them and pack them (``_untranspose``)
+only when the array is read; a table given masks transposes them on the
+first law read.  A seeded selection's pinned entries take one AND, not
+a transpose (``SelectionFunction._pinned``).  ``_pack`` checks only
+masks from outside.  A selection function keeps only its packed table
+and a labeling one code byte per proposition, each behind a read-only
+view (``_Packed``).
 """
 
 from __future__ import annotations
@@ -48,24 +48,11 @@ from .worlds import (
     PointSet,
     Universe,
     UniverseMismatchError,
+    _cached_property,
     set_bits,
     submasks,
     truth_set,
 )
-
-
-class _cached_property:
-    """``functools.cached_property`` without the lock it takes on 3.11,
-    which costs more than a small table's first read."""
-
-    def __init__(self, method):
-        self.method, self.name = method, method.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.method(instance)
-        return value
 
 
 class SelectionError(ValueError):
@@ -116,7 +103,7 @@ class PlausibilityOrder:
         dense = {value: i for i, value in enumerate(sorted(set(ranking.values())))}
         return cls(universe, tuple(dense[ranking[point.id]] for point in universe.points))
 
-    @functools.cached_property
+    @_cached_property
     def _levels(self) -> tuple[int, ...]:
         masks = [0] * (max(self.ranks) + 1)
         for i, rank in enumerate(self.ranks):
@@ -776,9 +763,7 @@ def _agm_mask_holds(
         return (entry == 0) == (e == 0)
     if postulate == 7:
         return (entry & f) & ~entries[e & f] == 0
-    if postulate == 8:
-        return entry & f == 0 or entries[e & f] & ~(entry & f) == 0
-    raise ValueError(f"unknown postulate {postulate}")
+    return entry & f == 0 or entries[e & f] & ~(entry & f) == 0  # 8
 
 
 def agm_holds_at(
@@ -789,6 +774,8 @@ def agm_holds_at(
     This is the same predicate ``check_agm`` quantifies, so a reported
     witness always reproduces its failure here.
     """
+    if type(postulate) is not int or postulate not in ALL_POSTULATES:  # a bool or 2.0 is no postulate
+        raise ValueError(f"unknown postulate {postulate!r}")
     if postulate in (7, 8) and f is None:
         raise ValueError(f"postulate {postulate} needs a pair of propositions")
     if e.universe != table.universe or (f is not None and f.universe != table.universe):
@@ -862,7 +849,11 @@ def check_agm(
     order, found by scanning F only for the first E's with a nonzero
     count, so reports match a full pair scan exactly.
     """
-    wanted = sorted(set(postulates))
+    given = list(postulates)
+    # by type, not equality: True == 1 and 2.0 == 2, but neither names a postulate
+    if any(type(p) is not int for p in given):
+        raise ValueError(f"postulates must be a nonempty subset of 1..8, got {given}")
+    wanted = sorted(set(given))
     if not wanted or not set(wanted) <= set(ALL_POSTULATES):
         raise ValueError(f"postulates must be a nonempty subset of 1..8, got {wanted}")
     universe = table.universe
@@ -1017,26 +1008,25 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     filter law fails (docs/semantics.md, "Recovery arithmetic"), so the
     infeasible set is the union of ``_filter_failures``; the reported
     proposition is its lowest bit, i.e. the first in ascending bitmask
-    order, with the laws it fails there (``_filter_faults``).
+    order, with the laws whose failure sets hold it.
 
     The basic table is built straight from those selection values, one
     slice per state (docs/semantics.md, "Bit-sliced evaluation"), and
-    packed once.  It is not given those slices: ``_check_selection``
-    checks it on the masks it stores, transposed afresh; a failure there
-    means the routing is wrong and raises SelectionError.
+    keeps them, as every table the package computes does.
+    ``_check_selection`` reads those slices; a failure there means the
+    routing is wrong and raises SelectionError.
     """
     if labeling.universe != filtered.universe:
         raise UniverseMismatchError("labeling over a different universe")
     universe = filtered.universe
     initial = filtered.initial.points.mask
     view = labeling._view
-    infeasible = functools.reduce(operator.or_, _filter_failures(filtered, view).values())
+    fails = _filter_failures(filtered, view)
+    infeasible = functools.reduce(operator.or_, fails.values())
     if infeasible:
-        event = next(set_bits(infeasible))
-        # B(E) read from the slices the laws just used, one bit per state
-        entry = sum((s >> event & 1) << i for i, s in enumerate(filtered._slices))
-        failing = _filter_faults(initial, event, labeling.labels[event], entry)
-        return RecoveryOutcome(None, PointSet(universe, event), f"entry fails {', '.join(failing)}")
+        low = infeasible & -infeasible
+        failing = ", ".join(law for law, bits in fails.items() if bits & low)
+        return RecoveryOutcome(None, PointSet(universe, low.bit_length() - 1), f"entry fails {failing}")
     # S(E) is E & I on overlap; off it, the entry (C), the entry minus I
     # (A) or E itself (R)
     t = filtered._terms
@@ -1048,8 +1038,7 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
         else (disjoint ^ free) & entry | free & member
         for s, (entry, member) in enumerate(zip(filtered._slices, _containment(universe.size)))
     ]
-    basic = _Entries(universe, filtered.initial, _untranspose(slices, universe.size))
-    recovered = RevisionTable(universe, filtered.initial, basic)
+    recovered = RevisionTable._of_slices(universe, filtered.initial, slices)
     _check_selection(recovered)
     return RecoveryOutcome(recovered)
 

@@ -20,6 +20,20 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .formulas import ATOM_NAME, Atom, Formula, Not, UnknownAtomError
 
 
+class _cached_property:
+    """``functools.cached_property`` without the lock it takes on 3.10
+    and 3.11, which can cost more than computing the value it caches."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 class UniverseMismatchError(ValueError):
     """Two values built over different universes were combined."""
 
@@ -90,7 +104,7 @@ class Universe:
             points.append(Point(point_id, tuple(bool(assignment.get(a, False)) for a in atoms)))
         return cls(atoms, tuple(points))
 
-    @functools.cached_property
+    @_cached_property
     def _index(self) -> dict[str, int]:
         # point id -> position, for loaders that resolve ids by the thousand
         return {point.id: i for i, point in enumerate(self.points)}

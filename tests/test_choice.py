@@ -761,6 +761,14 @@ class TestBitSlicedOracle:
             assert str(raised.value) == f"atom budget must be 1..4, got {budget}"
         assert list(inspect.signature(agm_consistency_bruteforce).parameters) == ["structure", "atoms"]
 
+    @pytest.mark.parametrize("budget", [2.0, True, "2"])
+    def test_atom_budget_must_be_an_int(self, budget):
+        # 2.0 and "2" used to raise TypeError from << or <=, and True
+        # would have run as a budget of one atom
+        with pytest.raises(SizeLimitError) as raised:
+            agm_consistency_bruteforce(detective_structure(), atoms=budget)
+        assert str(raised.value) == f"atom budget must be 1..4, got {budget!r}"
+
 
 def stirling2(n, k):
     """Partitions of n labelled states into exactly k nonempty blocks."""

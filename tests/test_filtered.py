@@ -30,6 +30,8 @@ from filtra.revision import (
 from filtra.revision import (
     _FILTER_CHECKS,
     _Labels,
+    _agm_failures,
+    _agm_mask_holds,
     _filter_failures,
     _filter_faults,
     _transpose,
@@ -541,6 +543,48 @@ class TestOnePropositionAtATime:
         # empty one and C on the full one
         assert checked == 15 * 16 * (14 * 3 + 2)
 
+    def test_one_row_per_venn_pattern_settles_every_size(self):
+        # docs/semantics.md, "Every size at once": each side reads (I, E,
+        # T) only through which of the 7 Venn regions of I | E | T are
+        # occupied.  Region r (bit 0: in I, bit 1: in E, bit 2: in T) holds
+        # point r - 1 when occupied; the 8th point lies outside all three,
+        # so E is never full and every label is one a labeling admits.
+        universe = canonical_universe(("p", "q", "r"))
+        route = {R: lambda i, v: i, A: lambda i, v: i | v, C: lambda i, v: v}
+        rows = 0
+        for pattern in range(1 << 7):
+            points = [r - 1 for r in range(1, 8) if pattern >> r - 1 & 1]
+            initial, e, entry = (sum(1 << p for p in points if p + 1 >> k & 1) for k in range(3))
+            # the selection values a basic table may hold at E
+            values = [0] if e == 0 else [e & initial] if e & initial else submasks(e)[1:]
+            for label in (C, A, R):
+                if initial == 0 or (e == 0 and label is not R):  # no consistent I, no labeling
+                    continue
+                case = (initial, e, label, entry)
+                faults = _filter_faults(initial, e, label, entry)
+                value = scan_step(e, entry, initial, label)
+                routed = {route[label](initial, v) for v in values}
+                assert (not faults) == (value is not None) == (entry in routed), case
+                if value is not None:
+                    assert value in values and route[label](initial, value) == entry, case
+                masks = [initial] * (universe.full_mask + 1)
+                masks[e] = entry
+                table = RevisionTable.from_masks(universe, initial, masks)
+                labeling = CredibilityLabeling.from_overrides(universe, {e: label})
+                fails = _filter_failures(table, labeling._view)
+                assert tuple(law for law in _FILTER_CHECKS if fails[law] >> e & 1) == faults, case
+                # AGM2-5 at E are the selection invariants, so they admit
+                # exactly the values above
+                agm = _agm_failures(table)
+                for postulate in (2, 3, 4, 5):
+                    holds = _agm_mask_holds(masks, initial, postulate, e)
+                    assert agm[f"AGM{postulate}"] >> e & 1 == (not holds), (case, postulate)
+                assert (not any(bits >> e & 1 for bits in agm.values())) == (entry in values), case
+                rows += 1
+        # 120 patterns with I nonempty under R, 114 with I and E nonempty
+        # under each of C and A
+        assert rows == 120 + 2 * 114
+
 
 class TestWordWidths:
     """The per-state routing, packed into words (B at 5 states, H at 9)
@@ -617,9 +661,9 @@ def packed(table):
 
 
 def lazy_tables(n_atoms):
-    """Makers of fresh tables from revision_from_preorder and
-    build_filtered (packed on first read) and recover_basic (packed at
-    once), over one seeded draw."""
+    """Makers of fresh tables from revision_from_preorder,
+    build_filtered and recover_basic, each packed on first read, over
+    one seeded draw."""
     universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
     rng = Random(190 + n_atoms)
     order = random_plausibility_order(rng, universe)
@@ -646,7 +690,7 @@ class TestLazyPacking:
             eager = RevisionTable.from_masks(
                 table.universe, table.initial.points.mask, _untranspose(table._slices, size)
             )
-            assert packed(table) == (kind == "recover"), kind
+            assert not packed(table), kind
             assert table == eager
             assert packed(table)
             assert table._masks == eager._masks
@@ -680,7 +724,7 @@ class TestLazyPacking:
             for name, probe in probes.items():
                 fresh = make()
                 assert probe(fresh.entries) == probe(read.entries), (kind, name)
-        for make in (makers["preorder"], makers["build"]):
+        for make in makers.values():
             fresh = make()
             assert len(fresh.entries) == full + 1
             assert list(fresh.entries) == list(range(full + 1))
@@ -705,6 +749,28 @@ class TestLazyPacking:
         if n_atoms < 4:  # AGM7 at 4 atoms takes seconds
             assert check_agm(table, (7,)).all_hold
             assert packed(table)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_recovery_round_trip_neither_packs_nor_transposes(self, n_atoms, monkeypatch):
+        # recover_basic reads the built table's slices and keeps the ones
+        # it routes, its selection check and build_filtered read those,
+        # and two tables that keep slices compare by them
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        rng = Random(220 + n_atoms)
+        basic = revision_from_selection(random_selection_function(rng, universe))
+        labeling = random_labeling(rng, universe)
+        built = build_filtered(basic, labeling)
+        calls = Counter()
+        for name in ("_transpose", "_untranspose"):
+
+            def counted(*args, name=name, convert=getattr(revision, name)):
+                calls[name] += 1
+                return convert(*args)
+
+            monkeypatch.setattr(revision, name, counted)
+        outcome = recover_basic(built, labeling)
+        assert outcome and build_filtered(outcome.basic, labeling) == built
+        assert not calls, calls
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
     def test_slice_equality_agrees_with_mask_equality(self, n_atoms):

@@ -396,6 +396,11 @@ class TestAgmChecker:
         [
             (0, "unknown postulate 0"),
             (9, "unknown postulate 9"),
+            # 2.0 was answered as postulate 2, True as postulate 1
+            (2.0, "unknown postulate 2.0"),
+            (7.0, "unknown postulate 7.0"),
+            (True, "unknown postulate True"),
+            ("2", "unknown postulate '2'"),
             (7, "postulate 7 needs a pair"),
             (8, "postulate 8 needs a pair"),
         ],
@@ -404,6 +409,16 @@ class TestAgmChecker:
         table = revision_from_preorder(spec_order(u2))
         with pytest.raises(ValueError, match=message):
             agm_holds_at(table, postulate, PointSet(u2, 1))
+
+    @pytest.mark.parametrize("postulates", [(2.0,), (7.0,), (True,), (1, True), (2, None), ("2",)])
+    def test_check_agm_refuses_postulates_that_are_no_ints(self, u2, postulates):
+        # 2.0 == 2 and True == 1, yet neither names a postulate: (2.0,)
+        # raised KeyError, and (True,) and (7.0,) named results AGMTrue
+        # and AGM7.0
+        table = revision_from_preorder(spec_order(u2))
+        with pytest.raises(ValueError) as raised:
+            check_agm(table, postulates)
+        assert str(raised.value) == f"postulates must be a nonempty subset of 1..8, got {list(postulates)}"
 
     def test_agm_holds_at_refuses_another_universe(self, u1, u2):
         # as RevisionTable.entry refuses it; the first call answered True
