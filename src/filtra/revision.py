@@ -38,7 +38,7 @@ import itertools
 import operator
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -213,6 +213,9 @@ class _Packed(Mapping):
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._first, self._stop))
 
+    def keys(self) -> KeysView:
+        return _Keys(self)
+
     def __len__(self) -> int:
         return self._stop - self._first
 
@@ -224,6 +227,17 @@ class _Packed(Mapping):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
+
+
+class _Keys(KeysView):
+    """A packed view's keys, iterated by the view's own range iterator:
+    the mixin's generator resumes one Python frame per key, which
+    ``dict(view)`` would pay on top of its ``__getitem__`` call."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._mapping)
 
 
 class _Entries(_Packed):
@@ -304,8 +318,11 @@ class RevisionTable:
     ``entries`` is a read-only view (``_Entries``) that stores the table
     and wraps each distinct entry in a BeliefSet on first lookup; a
     caller's mapping passed as ``entries`` is checked and packed into
-    that view once.  ``entries`` is left out of the hash, so tables that
-    differ only in their entries share one; equality still compares them.
+    that view once.  When its keys come in proposition order it is read
+    in one pass, through its ``values()``; otherwise it is read
+    proposition by proposition.  The refusals are the same either way.
+    ``entries`` is left out of the hash, so tables that differ only in
+    their entries share one; equality still compares them.
     """
 
     universe: Universe
@@ -326,20 +343,25 @@ class RevisionTable:
                 raise UniverseMismatchError("entry belief set over a different universe")
             return
         propositions = range(universe.full_mask + 1)
-        if len(entries) != len(propositions) or not all(map(entries.__contains__, propositions)):
-            raise ValueError("entries must cover every proposition exactly once")
-        beliefs = list(map(entries.__getitem__, propositions))
+        # keys in proposition order are read in one pass, any others proposition by proposition
+        in_order = len(entries) == len(propositions) and all(map(operator.eq, entries, propositions))
+        beliefs = list(entries.values()) if in_order else []
+        if len(beliefs) != len(propositions):
+            if len(entries) != len(propositions) or not all(map(entries.__contains__, propositions)):
+                raise ValueError("entries must cover every proposition exactly once")
+            beliefs = list(map(entries.__getitem__, propositions))
         try:
-            # BeliefSet.universe is a property; count compares by identity first
-            universes = [belief.points.universe for belief in beliefs]
+            # only entries over this very universe; the loop below checks the rest
+            masks = [belief.points.mask for belief in beliefs if belief.points.universe is universe]
         except AttributeError:  # not a BeliefSet; the loop below names it
-            universes = []
-        if universes.count(universe) != len(beliefs):
+            masks = []
+        if len(masks) != len(beliefs):
             # the first fault in proposition order, as an entry-by-entry check finds it
             for belief in beliefs:
                 if belief.universe is not universe and belief.universe != universe:
                     raise UniverseMismatchError("entry belief set over a different universe")
-        masks = _pack(universe, [belief.points.mask for belief in beliefs])
+            masks = [belief.points.mask for belief in beliefs]
+        masks = _pack(universe, masks)
         object.__setattr__(self, "entries", _Entries(universe, self.initial, masks))
 
     @classmethod

@@ -2,8 +2,10 @@ import gc
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from array import array
+from collections.abc import KeysView
 from random import Random
 from types import SimpleNamespace
 
@@ -792,17 +794,80 @@ class TestEntriesView:
             "point set, then foreign universe": {**entries, 4: entries[4].points, 9: foreign},
         }
         for name, broken in cases.items():
-            want = object_loop_table_error(u2, table.initial, broken)
-            assert want is not None, name
-            with pytest.raises(type(want)) as got:
-                RevisionTable(u2, table.initial, broken)
-            assert type(got.value) is type(want) and str(got.value) == str(want), name
+            assert object_loop_table_error(u2, table.initial, broken) is not None, name
+            # keys in proposition order are read in one pass, any other
+            # order proposition by proposition
+            for mapping in (broken, reversed_keys(broken)):
+                assert_reads_as_the_object_loop(table, mapping, name)
+        # one key swapped in place: 1.0 and True equal 1 and are found;
+        # -1 is not, nor is IntLike(3), which an array would take as 3
+        for key, at in ((1.0, 1), (True, 1), (-1, 0), (IntLike(3), 3)):
+            rekeyed = {key if k == at else k: v for k, v in entries.items()}
+            for mapping in (rekeyed, reversed_keys(rekeyed)):
+                assert_reads_as_the_object_loop(table, mapping, f"{key!r} at {at}")
+        assert RevisionTable(u2, table.initial, reversed_keys(entries)) == table
         # an equal universe that is another object passes, as before
         twin = Universe(u2.atoms, u2.points)
         assert twin is not u2
         entries[9] = BeliefSet(PointSet(twin, entries[9].points.mask))
         assert object_loop_table_error(u2, table.initial, entries) is None
         assert RevisionTable(u2, table.initial, entries) == table
+        assert RevisionTable(u2, table.initial, reversed_keys(entries)) == table
+
+    def test_a_callers_mapping_in_proposition_order_is_read_in_one_pass(self, u2):
+        table = revision_from_preorder(spec_order(u2))
+        for keys in (range(16), range(15, -1, -1)):
+            mapping = CountingDict((key, table.entries[key]) for key in keys)
+            assert RevisionTable(u2, table.initial, mapping) == table
+            # the dict's own values() reads no overridden method
+            in_order = keys == range(16)
+            assert mapping.calls == ([] if in_order else ["__contains__"] * 16 + ["__getitem__"] * 16)
+
+
+class IntLike:
+    """A key that packs as the int it stands for but is not equal to it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"IntLike({self.value})"
+
+
+class CountingDict(dict):
+    """A dict that records each call of its overridden lookups."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.calls = []
+
+    def __contains__(self, key):
+        self.calls.append("__contains__")
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.calls.append("__getitem__")
+        return super().__getitem__(key)
+
+
+def reversed_keys(mapping):
+    return dict(reversed(mapping.items()))
+
+
+def assert_reads_as_the_object_loop(table, mapping, name):
+    """``RevisionTable`` given ``mapping`` raises what the object loop
+    raised, same type and message, or equals ``table`` where it raised
+    nothing."""
+    want = object_loop_table_error(table.universe, table.initial, mapping)
+    if want is None:
+        assert RevisionTable(table.universe, table.initial, mapping) == table, name
+        return
+    with pytest.raises(type(want)) as got:
+        RevisionTable(table.universe, table.initial, mapping)
+    assert type(got.value) is type(want) and str(got.value) == str(want), name
 
 
 def object_loop_table_error(universe, initial, entries):
@@ -904,6 +969,31 @@ class TestPackedViews:
         allowable = CredibilityLabeling.from_overrides(u2, {6: Credibility.ALLOWABLE})
         assert allowable.labels != labeling.labels
         assert allowable.labels == {**labeling.labels, 6: Credibility.ALLOWABLE}
+
+    def test_dict_of_a_view_makes_one_python_call_per_key(self):
+        # dict(view) asks the view for its keys, then makes one
+        # __getitem__ call per key, the floor for a mapping that is not a
+        # dict; the keys come from a range iterator, not a generator that
+        # resumes a Python frame per key on top of those calls
+        universe, selection, _, labeling, _ = self.made(2, 110)
+        table = revision_from_selection(selection)
+        for view in (table.entries, labeling.labels, selection.choice):
+            assert dict(view) == view  # the entry view makes its theories on first lookup
+            calls = []
+            previous = sys.getprofile()
+            sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code.co_name))
+            try:
+                dict(view)
+            finally:
+                sys.setprofile(previous)
+            assert calls.count("__getitem__") == len(view)
+            assert len(calls) <= len(view) + 8, calls
+            first = 1 if view is selection.choice else 0
+            keys, every = view.keys(), set(range(first, universe.full_mask + 1))
+            assert isinstance(keys, KeysView)
+            assert len(keys) == len(every) and keys == every and every == keys
+            assert first in keys and universe.full_mask in keys and first - 1 not in keys
+            assert keys & {0, 3, 99} == every & {0, 3} and keys | {99} == every | {99}
 
     def test_values_hash_and_work_as_keys(self, u2):
         # the views stay out of the hash, so equal values hash equal
