@@ -79,13 +79,13 @@ class ChoiceStructure:
         check("menu", chain(self.credible, self.allowable, self.rejected))
         for name in ("credible", "allowable", "rejected"):
             object.__setattr__(self, name, frozenset(getattr(self, name)))
+        for key in self.f:  # before the comparison, where 3.0 == 3 and True == 1
+            if type(key) is not int:
+                raise ValueError(f"choice key {key!r} is not an int")
         events = self.events
         if set(self.f) != events:
             missing = sorted(events - set(self.f))
             extra = set(self.f) - events
-            for key in self.f:  # mixed key types would not sort
-                if key in extra and type(key) is not int:
-                    raise ValueError(f"choice key {key!r} is not an int")
             raise ValueError(
                 f"choice map must cover the menus exactly (missing {missing}, extra {sorted(extra)})"
             )

@@ -267,9 +267,9 @@ def rationalize(file: str):
 
 @main.command()
 @click.option("--atoms", type=int, default=1, show_default=True)
-@click.option("--cases", default="200", show_default=True, help="case count, or 'all'")
+@click.option("--cases", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def fuzz(atoms: int, cases: str, seed: int):
+def fuzz(atoms: int, cases: int, seed: int):
     """Run the seeded round-trip suites and print a summary table."""
     env_seed = os.environ.get("FILTRA_SEED")
     if env_seed is not None:
@@ -279,24 +279,12 @@ def fuzz(atoms: int, cases: str, seed: int):
             raise click.UsageError(f"FILTRA_SEED must be an integer, got {env_seed!r}")
     if not 1 <= atoms <= 2:
         raise click.UsageError("fuzz supports --atoms 1 or 2")
-    if cases.lower() == "all":
-        if atoms != 1:
-            raise click.UsageError("--cases all is only tractable with --atoms 1")
-        case_count = None
-    else:
-        try:
-            case_count = int(cases)
-        except ValueError:
-            raise click.UsageError(f"--cases must be a positive integer or 'all', got {cases!r}")
-        if case_count <= 0:
-            raise click.UsageError("--cases must be positive")
-    results = run_suites(atoms, case_count, seed)
+    results = run_suites(atoms, cases, seed)
     passed = all(result.passed for result in results)
 
     def text() -> str:
-        shown = "all" if case_count is None else str(case_count)
         lines = [
-            f"fuzz report (atoms={atoms}, cases={shown}, seed={seed})",
+            f"fuzz report (atoms={atoms}, cases={cases}, seed={seed})",
             f"{'suite':<20}{'cases':>8}{'failures':>10}  result",
         ]
         for result in results:
@@ -308,7 +296,7 @@ def fuzz(atoms: int, cases: str, seed: int):
     def payload() -> dict:
         return {
             "atoms": atoms,
-            "cases": "all" if case_count is None else case_count,
+            "cases": cases,
             "seed": seed,
             "verdict": "pass" if passed else "fail",
             "suites": [

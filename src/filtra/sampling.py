@@ -1,8 +1,7 @@
-"""Seeded random generators and small exhaustive enumerations.
+"""Seeded random generators.
 
 Everything here is driven by an explicit ``random.Random`` so runs are
-reproducible from a seed; the ``all_*`` enumerations are the exhaustive
-counterparts used at the smallest sizes.
+reproducible from a seed.
 
 The table samplers draw in bulk, straight into the packed forms, yet
 take the draws the per-proposition loops take, seed for seed, on a
@@ -29,19 +28,12 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .beliefs import BeliefSet
 from .choice import ChoiceStructure
 from .formulas import Atom, Formula, Not, Or
-from .revision import (
-    Credibility,
-    CredibilityLabeling,
-    PlausibilityOrder,
-    RevisionTable,
-    SelectionFunction,
-)
-from .worlds import Point, PointSet, SizeLimitError, Universe, set_bits, submasks
+from .revision import CredibilityLabeling, PlausibilityOrder, SelectionFunction
+from .worlds import Point, Universe, set_bits, submasks
 
 
 def random_formula(rng: Random, atoms: Sequence[str], max_depth: int) -> Formula:
@@ -155,59 +147,3 @@ def random_choice_structure(
             f[event] = meet | rest
     return ChoiceStructure(universe, frozenset(credible), frozenset(allowable), frozenset(rejected), f)
 
-
-def all_selection_functions(universe: Universe) -> Iterator[SelectionFunction]:
-    """Every selection function over ``universe``, each exactly once."""
-    full = universe.full_mask
-    for initial_mask in range(1, full + 1):
-        initial = BeliefSet(PointSet(universe, initial_mask))
-        pinned = {e: e & initial_mask for e in range(1, full + 1) if e & initial_mask}
-        free_events = [e for e in range(1, full + 1) if e & initial_mask == 0]
-        options = [submasks(event)[1:] for event in free_events]
-        for picks in itertools.product(*options):
-            yield SelectionFunction(universe, initial, {**pinned, **dict(zip(free_events, picks))})
-
-
-def all_labelings(universe: Universe) -> Iterator[CredibilityLabeling]:
-    if universe.size > 2:
-        raise SizeLimitError("exhaustive labeling enumeration supports up to 2 points")
-    middles = range(1, universe.full_mask)
-    for combo in itertools.product(
-        (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED),
-        repeat=len(middles),
-    ):
-        yield CredibilityLabeling.from_overrides(universe, dict(zip(middles, combo)))
-
-
-def all_revision_tables(universe: Universe) -> Iterator[RevisionTable]:
-    """Every total table with a consistent initial theory (tiny
-    universes only: the count is (2^m) ** (2^m + ...))."""
-    if universe.size > 2:
-        raise SizeLimitError("exhaustive table enumeration supports up to 2 points")
-    full = universe.full_mask
-    for initial_mask in range(1, full + 1):
-        for picks in itertools.product(range(full + 1), repeat=full + 1):
-            yield RevisionTable.from_masks(universe, initial_mask, picks)
-
-
-def all_choice_structures(atoms: Sequence[str] = ("p",)) -> Iterator[ChoiceStructure]:
-    """Every two-state structure shape: all family assignments for the
-    two singleton menus crossed with all choice maps.  Includes shapes
-    failing the structural laws; filter with validate_structure."""
-    universe = _cycled_universe(tuple(atoms), 2)
-    full = universe.full_mask
-    for fam0, fam1 in itertools.product(range(4), repeat=2):
-        # as random_choice_structure's draws: 0 none, 1 credible, 2 allowable, 3 rejected
-        families: tuple[set[int], ...] = (set(), {full}, set(), {0})
-        families[fam0].add(1)
-        families[fam1].add(2)
-        _, credible, allowable, rejected = families
-        events = sorted(credible | allowable | rejected)
-        for picks in itertools.product(range(full + 1), repeat=len(events)):
-            yield ChoiceStructure(
-                universe,
-                frozenset(credible),
-                frozenset(allowable),
-                frozenset(rejected),
-                dict(zip(events, picks)),
-            )

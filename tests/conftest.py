@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from filtra.beliefs import BeliefSet
+from filtra.choice import ChoiceStructure
 from filtra.formulas import Atom, Not, Or
 from filtra.revision import (
     Credibility,
@@ -12,6 +13,7 @@ from filtra.revision import (
     RevisionTable,
     SelectionFunction,
 )
+from filtra.sampling import _cycled_universe
 from filtra.worlds import PointSet, Universe, canonical_universe, set_bits, submasks
 
 
@@ -61,6 +63,61 @@ def random_revision_table(rng, universe):
     full = universe.full_mask
     initial = rng.randrange(1, full + 1)
     return RevisionTable.from_masks(universe, initial, [rng.randrange(full + 1) for _ in range(full + 1)])
+
+
+def all_selection_functions(universe):
+    """Every selection function over ``universe``, each exactly once."""
+    full = universe.full_mask
+    for initial_mask in range(1, full + 1):
+        initial = BeliefSet(PointSet(universe, initial_mask))
+        pinned = {e: e & initial_mask for e in range(1, full + 1) if e & initial_mask}
+        free_events = [e for e in range(1, full + 1) if e & initial_mask == 0]
+        options = [submasks(event)[1:] for event in free_events]
+        for picks in itertools.product(*options):
+            yield SelectionFunction(universe, initial, {**pinned, **dict(zip(free_events, picks))})
+
+
+def all_labelings(universe):
+    """Every labeling: each proposition but the empty and the full one
+    takes C, A or R (tiny universes only: 3 ** (2^m - 2) of them)."""
+    middles = range(1, universe.full_mask)
+    for combo in itertools.product(
+        (Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED),
+        repeat=len(middles),
+    ):
+        yield CredibilityLabeling.from_overrides(universe, dict(zip(middles, combo)))
+
+
+def all_revision_tables(universe):
+    """Every total table with a consistent initial theory (tiny
+    universes only: the count is (2^m) ** (2^m + ...))."""
+    full = universe.full_mask
+    for initial_mask in range(1, full + 1):
+        for picks in itertools.product(range(full + 1), repeat=full + 1):
+            yield RevisionTable.from_masks(universe, initial_mask, picks)
+
+
+def all_choice_structures(atoms=("p",)):
+    """Every two-state structure shape: all family assignments for the
+    two singleton menus crossed with all choice maps.  Includes shapes
+    failing the structural laws; filter with validate_structure."""
+    universe = _cycled_universe(tuple(atoms), 2)
+    full = universe.full_mask
+    for fam0, fam1 in itertools.product(range(4), repeat=2):
+        # as random_choice_structure's draws: 0 none, 1 credible, 2 allowable, 3 rejected
+        families = (set(), {full}, set(), {0})
+        families[fam0].add(1)
+        families[fam1].add(2)
+        _, credible, allowable, rejected = families
+        events = sorted(credible | allowable | rejected)
+        for picks in itertools.product(range(full + 1), repeat=len(events)):
+            yield ChoiceStructure(
+                universe,
+                frozenset(credible),
+                frozenset(allowable),
+                frozenset(rejected),
+                dict(zip(events, picks)),
+            )
 
 
 def per_draw_nonempty_submask(rng, mask):

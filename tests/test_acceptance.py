@@ -27,19 +27,18 @@ from filtra.revision import (
     revision_from_preorder,
     revision_from_selection,
 )
-from filtra.sampling import (
+from filtra.sampling import random_choice_structure, random_formula, random_labeling, random_selection_function
+from filtra.worlds import PointSet, Universe, canonical_universe
+
+from conftest import (
     all_choice_structures,
     all_labelings,
     all_revision_tables,
     all_selection_functions,
-    random_choice_structure,
-    random_formula,
-    random_labeling,
-    random_selection_function,
+    enumerate_preorders,
+    eval_formula,
+    of_ids,
 )
-from filtra.worlds import PointSet, Universe, canonical_universe
-
-from conftest import enumerate_preorders, eval_formula, of_ids
 
 GOLDEN = Path(__file__).parent / "golden"
 

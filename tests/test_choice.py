@@ -36,9 +36,6 @@ from filtra.revision import (
     revision_from_selection,
 )
 from filtra.sampling import (
-    all_choice_structures,
-    all_labelings,
-    all_selection_functions,
     random_choice_structure,
     random_labeling,
     random_plausibility_order,
@@ -47,7 +44,17 @@ from filtra.sampling import (
 from filtra.reports import CheckReport, CheckResult, Witness
 from filtra.worlds import PointSet, SizeLimitError, Universe, canonical_universe, dnf_of, truth_set
 
-from conftest import enumerate_preorders, first_rationalizing_preorder, of_ids, permute, permuted_universe, result_of
+from conftest import (
+    all_choice_structures,
+    all_labelings,
+    all_selection_functions,
+    enumerate_preorders,
+    first_rationalizing_preorder,
+    of_ids,
+    permute,
+    permuted_universe,
+    result_of,
+)
 
 C, A, R = Credibility.CREDIBLE, Credibility.ALLOWABLE, Credibility.REJECTED
 
@@ -1194,6 +1201,16 @@ class TestMaskTypes:
         universe = canonical_universe(("p",))
         with pytest.raises(ValueError, match=r"^choice key 'x' is not an int$"):
             ChoiceStructure(universe, frozenset({3}), frozenset(), frozenset({0}), {3: 1, 0: 1, "x": 1, 2: 1})
+
+    @pytest.mark.parametrize("key", [3.0, True], ids=["float", "bool"])
+    def test_a_non_int_choice_key_equal_to_a_menu_is_refused(self, key):
+        # 3.0 == 3 and True == 1, so the key covers its menu; a dict
+        # keeps the first of two equal keys
+        universe = canonical_universe(("p",))
+        f = {key: 1, 0: 1, 3: 1}
+        assert type(next(iter(f))) is type(key)
+        with pytest.raises(ValueError, match=rf"^choice key {re.escape(repr(key))} is not an int$"):
+            ChoiceStructure(universe, frozenset({3, int(key)}), frozenset(), frozenset({0}), f)
 
     def test_an_extra_int_choice_key_message_is_unchanged(self):
         universe = canonical_universe(("p",))

@@ -37,17 +37,18 @@ from filtra.revision import (
     _transpose,
     _untranspose,
 )
-from filtra.sampling import (
+from filtra.sampling import random_labeling, random_plausibility_order, random_selection_function
+from filtra.worlds import PointSet, Universe, UniverseMismatchError, canonical_universe, submasks
+
+from conftest import (
     all_labelings,
     all_revision_tables,
     all_selection_functions,
-    random_labeling,
-    random_plausibility_order,
-    random_selection_function,
+    of_ids,
+    permute,
+    permuted_universe,
+    result_of,
 )
-from filtra.worlds import PointSet, Universe, UniverseMismatchError, canonical_universe, submasks
-
-from conftest import of_ids, permute, permuted_universe, result_of
 from test_revision import assert_entries_shared, bits, kernel_tables, word_universe
 
 ATOMS = ("p", "q")
@@ -310,7 +311,10 @@ class TestCheckFiltered:
 
 class TestRecovery:
     def test_exhaustive_one_atom_equivalence(self, u1):
+        # pins all_revision_tables and all_labelings: every case of the
+        # fuzz recover-roundtrip check at one atom
         labelings = list(all_labelings(u1))
+        verdicts = Counter()
         for table in all_revision_tables(u1):
             for labeling in labelings:
                 lawful = check_filtered(table, labeling).all_hold
@@ -318,6 +322,10 @@ class TestRecovery:
                 assert lawful == bool(outcome)
                 if lawful:
                     assert build_filtered(outcome.basic, labeling) == table
+                verdicts[lawful] += 1
+        # 3 initial theories x 4 ** 4 entry maps x 9 labelings
+        assert sum(verdicts.values()) == 6_912
+        assert verdicts[True] and verdicts[False]
 
     def test_exhaustive_one_atom_roundtrip_from_builds(self, u1):
         labelings = list(all_labelings(u1))
@@ -551,6 +559,7 @@ class TestOnePropositionAtATime:
         # so E is never full and every label is one a labeling admits.
         universe = canonical_universe(("p", "q", "r"))
         route = {R: lambda i, v: i, A: lambda i, v: i | v, C: lambda i, v: v}
+        rejected = dict.fromkeys(range(1, universe.full_mask), R)
         rows = 0
         for pattern in range(1 << 7):
             points = [r - 1 for r in range(1, 8) if pattern >> r - 1 & 1]
@@ -567,12 +576,23 @@ class TestOnePropositionAtATime:
                 assert (not faults) == (value is not None) == (entry in routed), case
                 if value is not None:
                     assert value in values and route[label](initial, value) == entry, case
+                # every entry but E's is I under R (and under C on the
+                # full proposition, where S = I), so lawful
                 masks = [initial] * (universe.full_mask + 1)
                 masks[e] = entry
                 table = RevisionTable.from_masks(universe, initial, masks)
-                labeling = CredibilityLabeling.from_overrides(universe, {e: label})
+                labeling = CredibilityLabeling.from_overrides(universe, {**rejected, e: label})
                 fails = _filter_failures(table, labeling._view)
                 assert tuple(law for law in _FILTER_CHECKS if fails[law] >> e & 1) == faults, case
+                # so the whole-table routings of recover_basic and
+                # build_filtered settle on bit E as the per-tuple step
+                outcome = recover_basic(table, labeling)
+                if faults:
+                    assert not outcome and outcome.infeasible.mask == e, case
+                    assert outcome.reason == f"entry fails {', '.join(faults)}", case
+                else:
+                    assert outcome.basic._masks[e] == value, case
+                    assert build_filtered(outcome.basic, labeling) == table, case
                 # AGM2-5 at E are the selection invariants, so they admit
                 # exactly the values above
                 agm = _agm_failures(table)

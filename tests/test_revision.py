@@ -41,12 +41,7 @@ from filtra.revision import (
     _transpose,
     _untranspose,
 )
-from filtra.sampling import (
-    all_revision_tables,
-    random_labeling,
-    random_plausibility_order,
-    random_selection_function,
-)
+from filtra.sampling import random_labeling, random_plausibility_order, random_selection_function
 from filtra.scenario import Scenario, detective_scenario, dumps, loads
 from filtra.worlds import (
     PointSet,
@@ -56,7 +51,7 @@ from filtra.worlds import (
     submasks,
 )
 
-from conftest import enumerate_preorders, of_ids, random_revision_table, result_of
+from conftest import all_revision_tables, enumerate_preorders, of_ids, random_revision_table, result_of
 
 ATOMS = ("p", "q")
 

@@ -9,18 +9,15 @@ from filtra.choice import check_agm_consistency, validate_structure
 from filtra.revision import Credibility, check_agm, revision_from_selection
 from filtra.sampling import (
     _below,
-    all_choice_structures,
-    all_labelings,
-    all_revision_tables,
     random_choice_structure,
     random_formula,
     random_labeling,
     random_plausibility_order,
     random_selection_function,
 )
-from filtra.worlds import SizeLimitError, Universe, canonical_universe
+from filtra.worlds import canonical_universe
 
-from conftest import per_draw_labeling, per_draw_selection_function
+from conftest import all_choice_structures, all_labelings, per_draw_labeling, per_draw_selection_function
 
 ATOMS = ("p", "q")
 
@@ -115,7 +112,7 @@ def test_fuzz_cases_match_their_pinned_digest(monkeypatch):
 
         return record
 
-    suites = tuple((name, every, draw, recording(check)) for name, every, draw, check in fuzzing._SUITES)
+    suites = tuple((name, draw, recording(check)) for name, draw, check in fuzzing._SUITES)
     monkeypatch.setattr(fuzzing, "_SUITES", suites)
     for atoms, cases in ((1, 200), (2, 100)):
         fuzzing.run_suites(atoms, cases, 0)
@@ -192,15 +189,3 @@ def test_all_labelings_are_unchanged(u1):
     ]
     assert [labeling.labels for labeling in all_labelings(u1)] == old_all
 
-
-@pytest.mark.parametrize(
-    ("enumerate_all", "what"),
-    [(all_labelings, "labeling"), (all_revision_tables, "table")],
-    ids=["labelings", "tables"],
-)
-def test_exhaustive_enumerations_refuse_three_points(enumerate_all, what):
-    # the refusal comes with the first item, as the enumerations are generators
-    items = enumerate_all(Universe.from_assignments(("p",), [(f"s{i}", {}) for i in range(3)]))
-    with pytest.raises(SizeLimitError) as raised:
-        next(items)
-    assert str(raised.value) == f"exhaustive {what} enumeration supports up to 2 points"
