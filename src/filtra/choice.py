@@ -131,9 +131,12 @@ def with_valuation(
 
 _CLAUSES = ("1", "2", "3a", "3b", "3c", "3d")
 
+# A line of report text as a template and the masks whose ids fill its
+# {} fields, rendered only when the report is read.
+_Text = tuple  # (str, *int)
 # One witness of a failing clause: the clause, the witness's names and
 # masks, and a detail line.
-_Fault = tuple[str, tuple[str, ...], tuple[int, ...], str]
+_Fault = tuple[str, tuple[str, ...], tuple[int, ...], _Text]
 _E, _EF = ("E",), ("E", "f(E)")
 
 # Passing results carry no witness, so every report shares them.
@@ -157,21 +160,21 @@ def _structure_faults(structure: ChoiceStructure) -> tuple[_Fault, ...]:
     if f_omega and full in credible and 0 in rejected and not any(shared) and not any(failing):
         return ()
     faults: list[_Fault] = [
-        ("2", _E, (mask,), f"in both {name_a} and {name_b}")
+        ("2", _E, (mask,), (f"in both {name_a} and {name_b}",))
         for (name_a, name_b), both in zip(combinations(("credible", "allowable", "rejected"), 2), shared)
         for mask in sorted(both)
     ]
     if full not in credible:
-        faults.append(("2", _E, (full,), "full menu is not credible"))
+        faults.append(("2", _E, (full,), ("full menu is not credible",)))
     if 0 not in rejected:
-        faults.append(("2", _E, (0,), "empty menu is not rejected"))
+        faults.append(("2", _E, (0,), ("empty menu is not rejected",)))
     if f_omega is None:
-        faults.append(("3a", _E, (full,), "no choice at the full menu"))
+        faults.append(("3a", _E, (full,), ("no choice at the full menu",)))
     elif f_omega == 0:
-        faults.append(("3a", ("f(omega)",), (0,), "nothing is initially possible"))
+        faults.append(("3a", ("f(omega)",), (0,), ("nothing is initially possible",)))
     details = ("differs from f(omega)", "must be nonempty and within E", "must keep part of E possible")
     for clause, menus, detail in zip(_CLAUSES[3:], failing, details):
-        faults.extend((clause, _EF, (m, f[m]), detail) for m in sorted(menus))
+        faults.extend((clause, _EF, (m, f[m]), (detail,)) for m in sorted(menus))
     return tuple(faults)
 
 
@@ -180,19 +183,29 @@ def _fault_report(
     title: str,
     clauses: Sequence[str],
     faults: Sequence[_Fault],
-    notes: Sequence[str] = (),
+    notes: Sequence[_Text] = (),
 ) -> CheckReport:
     """One result per clause: the shared passing one, or a failing one
-    with its witnesses (the only point sets built) in ``faults``."""
-    witnesses: dict[str, list[Witness]] = {}
-    for clause, names, masks, detail in faults:
-        sets = tuple([PointSet(structure.universe, mask) for mask in masks])
-        witnesses.setdefault(clause, []).append(Witness(names, sets, detail))
-    results = [
-        CheckResult(clause, False, tuple(witnesses[clause])) if clause in witnesses else _HOLDS[clause]
-        for clause in clauses
-    ]
-    return CheckReport(title, tuple(results), tuple(notes))
+    with its witnesses in ``faults``.  The verdict is read off the bare
+    faults; the witnesses (the only point sets built) and the text of
+    every detail and note are made on the report's first read."""
+    universe = structure.universe
+
+    def text(template: str, *masks: int) -> str:
+        return template.format(*map(universe.render, masks))
+
+    def build() -> tuple[tuple[CheckResult, ...], tuple[str, ...]]:
+        witnesses: dict[str, list[Witness]] = {}
+        for clause, names, masks, detail in faults:
+            sets = tuple([PointSet(universe, mask) for mask in masks])
+            witnesses.setdefault(clause, []).append(Witness(names, sets, text(*detail)))
+        results = [
+            CheckResult(clause, False, tuple(witnesses[clause])) if clause in witnesses else _HOLDS[clause]
+            for clause in clauses
+        ]
+        return tuple(results), tuple([text(*note) for note in notes])
+
+    return CheckReport._deferred(title, not faults, build)
 
 
 _LAWS_TITLE = "choice structure laws"
@@ -227,28 +240,29 @@ def check_agm_consistency(structure: ChoiceStructure) -> CheckReport:
     1a: credible menus overlapping the initial set choose exactly the
     overlap.  1b: allowable menus overlapping it change nothing.
     2: allowable menus disjoint from it choose f(omega) plus a nonempty
-    part E' of the menu.  Rejected menus, pinned by law 3b, never fail;
-    a passing menu costs mask tests only (and a clause-2 note).
+    part E' of the menu.  Rejected menus, pinned by law 3b, never fail.
+    The verdict costs mask tests only; the witnesses, details and
+    clause-2 notes are made on the report's first read.
     """
     _require_valid(structure)
-    f, credible, universe = structure.f, structure.credible, structure.universe
-    initial = f[universe.full_mask]
+    f, credible = structure.f, structure.credible
+    initial = f[structure.universe.full_mask]
     faults: list[_Fault] = []
-    notes: list[str] = []
+    notes: list[_Text] = []
     for event in sorted(credible | structure.allowable):
         chosen = f[event]
         if event & initial:
             if event in credible:
                 if chosen != event & initial:
-                    faults.append(("1a", _EF, (event, chosen), f"required {universe.render(event & initial)}"))
+                    faults.append(("1a", _EF, (event, chosen), ("required {}", event & initial)))
             elif chosen != initial:
-                faults.append(("1b", _EF, (event, chosen), f"required f(omega) = {universe.render(initial)}"))
+                faults.append(("1b", _EF, (event, chosen), ("required f(omega) = {}", initial)))
         elif event not in credible:
             extra = chosen & ~initial
             if initial & ~chosen or extra == 0 or extra & ~event:
-                faults.append(("2", _EF, (event, chosen), "must equal f(omega) plus a nonempty part of E"))
+                faults.append(("2", _EF, (event, chosen), ("must equal f(omega) plus a nonempty part of E",)))
             else:
-                notes.append(f"clause 2 holds at E = {universe.render(event)} with E' = {universe.render(extra)}")
+                notes.append(("clause 2 holds at E = {} with E' = {}", event, extra))
     return _fault_report(structure, "consistency criteria", ("1a", "1b", "2"), faults, notes)
 
 

@@ -5,11 +5,17 @@ witnesses.  A witness names the offending point set(s) and, when one
 exists, a representative formula, so a failure can be replayed against
 the checker in isolation.  Rendering is deterministic: fixed ordering,
 ASCII only.
+
+A checker may decide its verdict from bare masks and return a deferred
+report (``CheckReport._deferred``): its witnesses, details and notes
+are made on the first read of its results or notes, so a caller that
+reads only ``all_hold`` pays for none of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .worlds import PointSet, _cached_property, dnf_of
 
@@ -56,13 +62,43 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckReport:
     title: str
     results: tuple[CheckResult, ...]
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...]
 
-    @property
+    def __init__(self, title: str, results: tuple[CheckResult, ...], notes: tuple[str, ...] = ()):
+        # notes' default lives here, not on the class, so that a deferred
+        # report's missing notes reach __getattr__
+        self.__dict__.update(title=title, results=results, notes=notes)
+
+    @classmethod
+    def _deferred(
+        cls, title: str, holds: bool, build: Callable[[], tuple[tuple[CheckResult, ...], tuple[str, ...]]]
+    ) -> CheckReport:
+        """A report with verdict ``holds`` whose results and notes are
+        ``build()``, called on the first read of either."""
+        report = cls.__new__(cls)
+        report.__dict__.update(title=title, all_hold=holds, _build=build)
+        return report
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: a deferred report's fields
+        # before their first read.  The builder stays, so a second thread
+        # that missed them too builds equal ones rather than failing
+        build = self.__dict__.get("_build") if name in ("results", "notes") else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        results, notes = build()
+        self.__dict__.update(results=results, notes=notes)
+        return results if name == "results" else notes
+
+    def __getstate__(self) -> dict:
+        # the fields alone: never a builder, nor a cached verdict
+        return {"title": self.title, "results": self.results, "notes": self.notes}
+
+    @_cached_property
     def all_hold(self) -> bool:
         return all(result.holds for result in self.results)
 

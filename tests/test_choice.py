@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import inspect
 import itertools
 import json
+import pickle
 import re
 import time
 from collections import Counter
@@ -36,6 +38,7 @@ from filtra.revision import (
     revision_from_selection,
 )
 from filtra.sampling import (
+    _cycled_universe,
     random_choice_structure,
     random_labeling,
     random_plausibility_order,
@@ -603,6 +606,44 @@ class TestOneMenuAtATime:
         assert verdicts[R] == {True} and verdicts[A] == {True, False}
         assert verdicts[C] == ({True} if size == 2 else {True, False})
 
+    def test_one_row_per_menu_pattern_settles_every_size(self):
+        # docs/semantics.md, "Every size, one menu at a time": under a
+        # fixed budget both sides read a single-menu structure only through
+        # E's family and which of the 8 regions of f(omega), E and f(E) are
+        # occupied, the one outside all three included.  Region r (bit 0:
+        # in f(omega), bit 1: in E, bit 2: in f(E)) holds one state when
+        # occupied.  The walk is the oracle one partition at a time, which
+        # the brute force's state cap does not bound.
+        rows = []
+        for pattern in range(1 << 8):
+            regions = [r for r in range(8) if pattern >> r & 1]
+            initial, event, chosen = (sum(1 << i for i, r in enumerate(regions) if r >> k & 1) for k in range(3))
+            full = (1 << len(regions)) - 1
+            if not initial or event in (0, full):  # law 3a; E is a third menu
+                continue
+            universe = _cycled_universe(("p", "q", "r"), len(regions))
+            for family, lawful in ((C, chosen and not chosen & ~event), (A, chosen & event), (R, chosen == initial)):
+                if lawful:  # laws 3c, 3d and 3b
+                    menus = {C: {full}, A: set(), R: {0}}
+                    menus[family].add(event)
+                    f = {full: initial, 0: initial, event: chosen}
+                    rows.append(ChoiceStructure(universe, *map(frozenset, menus.values()), f))
+        assert Counter(g.universe.size for g in rows) == {2: 12, 3: 44, 4: 67, 5: 56, 6: 28, 7: 8, 8: 1}
+        for budget in (1, 2, 3):
+            agree, consistent = Counter(), 0  # rows by state count
+            for g in rows:
+                assert validate_structure(g).all_hold
+                walk = naive_bruteforce(g, budget)
+                if g.universe.size <= 4:
+                    assert agm_consistency_bruteforce(g, budget) == walk
+                agree[g.universe.size] += check_agm_consistency(g).all_hold == walk.consistent
+                consistent += walk.consistent
+            assert len(rows) == 216
+            if budget == 1:  # two blocks miss failures, but not at two states
+                assert agree.total() == 72 and agree[2] == 12 and consistent == 216 - 44
+            else:
+                assert agree.total() == 216 and consistent == 216 - 188
+
 
 def naive_union_through(table, mask):
     """Union of ``table[i]`` over the set bits i of ``mask``, one bit at
@@ -1043,6 +1084,62 @@ def assert_same_reports(structure):
     return tuple(verdicts)
 
 
+@pytest.fixture
+def made(monkeypatch):
+    """Counts what the choice checks make: ids rendered, witnesses and
+    point sets built, and builds of a deferred report's results."""
+    made = Counter()
+
+    def counting(kind, make):
+        def counted(*args):
+            made[kind] += 1
+            return make(*args)
+
+        return counted
+
+    monkeypatch.setattr(Universe, "render", counting("render", Universe.render))
+    monkeypatch.setattr(choice, "Witness", counting("Witness", Witness))
+    monkeypatch.setattr(choice, "PointSet", counting("PointSet", PointSet))
+    deferred = CheckReport._deferred.__func__
+    monkeypatch.setattr(
+        CheckReport,
+        "_deferred",
+        classmethod(lambda cls, title, holds, build: deferred(cls, title, holds, counting("build", build))),
+    )
+    return made
+
+
+def assert_built_on_first_read(structure, made):
+    """The structure's deferred report (the criteria's, or the
+    structural one of an invalid structure): its verdict renders no id
+    and builds no witness or point set, the first read of its results
+    or notes builds both once, and, read or not, it is the eager report
+    of its fields to ``type``, ``==`` both ways, ``hash``, ``repr``,
+    ``pickle`` and ``deepcopy``."""
+    check = check_agm_consistency if not structure._faults else validate_structure
+    for first, then in (("results", "notes"), ("notes", "results")):
+        made.clear()
+        report = check(structure)
+        verdict = report.all_hold
+        assert not made
+        getattr(report, first)
+        built = Counter(made)
+        getattr(report, then)
+        assert built["build"] == 1 and made == built
+    eager = CheckReport(report.title, report.results, report.notes)
+    assert verdict == eager.all_hold
+    # the deep copy keeps the universe every witness shares: only the
+    # report's own objects are copied
+    shared = {id(structure.universe): structure.universe}
+    copies = (pickle.loads(pickle.dumps(check(structure))), copy.deepcopy(check(structure), shared))
+    for other in (report, *copies):
+        assert type(other) is CheckReport and other == eager and eager == other
+        assert (hash(other), repr(other)) == (hash(eager), repr(eager))
+    for other in copies:  # no builder, and no cached verdict, is copied
+        assert vars(other) == vars(CheckReport(eager.title, eager.results, eager.notes))
+    return report
+
+
 def corrupted(rng, structure):
     """The structure with one choice value redrawn at random."""
     f = dict(structure.f)
@@ -1073,32 +1170,44 @@ EDGE_CASES = {
 class TestMaskChecksEqualTheirPredecessors:
     """``validate_structure`` and ``check_agm_consistency`` read bare
     masks and share passing results; their reports and refusals must be
-    the ones the per-family, point-set versions built."""
+    the ones the per-family, point-set versions built.  A report that
+    is not the shared passing one builds its results and notes only
+    when read."""
 
-    def test_every_two_state_structure(self):
-        verdicts = Counter(assert_same_reports(g) for g in all_choice_structures(("p",)))
+    def test_every_two_state_structure(self, made):
+        verdicts, deferred = Counter(), Counter()
+        for g in all_choice_structures(("p",)):
+            verdicts[assert_same_reports(g)] += 1
+            report = assert_built_on_first_read(g, made)
+            deferred[report.all_hold, bool(report.notes)] += 1
         assert sum(verdicts.values()) == 2704
         assert set(verdicts) == {(False, None), (True, True), (True, False)}
+        assert set(deferred) == {(False, False), (False, True), (True, False), (True, True)}
 
     @pytest.mark.parametrize("conforming", [True, False])
     @pytest.mark.parametrize("size", [2, 3, 4])
-    def test_seeded_draws_and_their_corruptions(self, size, conforming):
+    def test_seeded_draws_and_their_corruptions(self, size, conforming, made):
         rng = Random(f"maskchecks:{size}:{conforming}")
-        drawn, broken = Counter(), Counter()
+        drawn, broken, noted = Counter(), Counter(), 0
         for _ in range(500):
             g = random_choice_structure(rng, size, conforming=conforming)
             drawn[assert_same_reports(g)] += 1
-            broken[assert_same_reports(corrupted(rng, g))] += 1
+            noted += bool(assert_built_on_first_read(g, made).notes)
+            g = corrupted(rng, g)
+            broken[assert_same_reports(g)] += 1
+            assert_built_on_first_read(g, made)
         if conforming:  # conforming draws pass the criteria
             assert drawn == {(True, True): 500}
         else:
             assert drawn[True, False] > 100
         assert broken[False, None] > 300 and broken[True, False] > 10
+        assert noted > 10
 
     @pytest.mark.parametrize("name", EDGE_CASES)
-    def test_hand_built_edge_cases(self, name):
+    def test_hand_built_edge_cases(self, name, made):
         g, failing = EDGE_CASES[name]
         assert assert_same_reports(g) == (False, None)
+        assert_built_on_first_read(g, made)
         assert [result.check for result in validate_structure(g).failures()] == failing
 
     def test_passing_results_are_shared_and_carry_no_witness(self):
