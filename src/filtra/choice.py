@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .beliefs import BeliefSet
-from .reports import CheckReport, CheckResult, Witness
+from .reports import CheckReport, CheckResult, Witness, _Deferrable
 from .revision import (
     Credibility,
     CredibilityLabeling,
@@ -205,7 +205,7 @@ def _fault_report(
         ]
         return tuple(results), tuple([text(*note) for note in notes])
 
-    return CheckReport._deferred(title, not faults, build)
+    return CheckReport._deferred(build, title=title, all_hold=not faults)
 
 
 _LAWS_TITLE = "choice structure laws"
@@ -468,11 +468,25 @@ class CounterModel:
         return tuple(values for _, values in self.assignments)
 
 
-@dataclass(frozen=True)
-class BruteforceOutcome:
+@dataclass(frozen=True, init=False)
+class BruteforceOutcome(_Deferrable):
+    """The oracle's verdict, the valuations it checked and, when it
+    fails, a counter-model, which a deferred outcome
+    (``_deferred(build, consistent=..., valuations_checked=...)``) makes
+    on the first read of ``counterexample``."""
+
     consistent: bool
     valuations_checked: int
-    counterexample: CounterModel | None = None
+    counterexample: CounterModel | None
+
+    _LAZY = ("counterexample",)
+
+    def __init__(self, consistent: bool, valuations_checked: int, counterexample: CounterModel | None = None):
+        # counterexample's default lives here, not on the class, so that a
+        # deferred outcome's missing counter-model reaches __getattr__
+        self.__dict__.update(
+            consistent=consistent, valuations_checked=valuations_checked, counterexample=counterexample
+        )
 
     def __bool__(self) -> bool:
         return self.consistent
@@ -557,7 +571,10 @@ def agm_consistency_bruteforce(
     which it is infeasible.  The lowest failing bit is the first
     partition that a walk over the partitions in order would reject,
     and ``valuations_checked`` counts the partitions up to it (all of
-    them on a pass), as that walk would.
+    them on a pass), as that walk would.  The verdict and the count
+    cost those ANDs only: a failing outcome makes its counter-model
+    (the menu, the valuation's rows and the reason) on the first read
+    of ``counterexample``.
 
     The default budget is the smallest one admitting an injective
     valuation (atom count = ceil(log2 of the state count)), which is
@@ -603,15 +620,18 @@ def agm_consistency_bruteforce(
     if not failing:
         return BruteforceOutcome(True, len(partitions))
     first = failing & -failing
-    # the lowest menu failing there, as extension_oracle reports it
-    event, law, _ = min(item for item in failures if item[2] & first)
     checked = first.bit_length()
-    atom_names, rows = _valuation_rows(n_atoms)
-    ids = [point.id for point in universe.points]
-    assignments = tuple(zip(ids, map(rows.__getitem__, partitions[checked - 1])))
-    reason = f"pinned entry fails {law}"
-    counter = CounterModel(atom_names, assignments, PointSet(universe, event), reason)
-    return BruteforceOutcome(False, checked, counter)
+
+    def build() -> tuple[CounterModel]:
+        # the lowest menu failing there, as extension_oracle reports it
+        event, law, _ = min(item for item in failures if item[2] & first)
+        atom_names, rows = _valuation_rows(n_atoms)
+        ids = [point.id for point in universe.points]
+        assignments = tuple(zip(ids, map(rows.__getitem__, partitions[checked - 1])))
+        reason = f"pinned entry fails {law}"
+        return (CounterModel(atom_names, assignments, PointSet(universe, event), reason),)
+
+    return BruteforceOutcome._deferred(build, consistent=False, valuations_checked=checked)
 
 
 def find_rationalizing_preorder(structure: ChoiceStructure) -> PlausibilityOrder | None:

@@ -204,7 +204,11 @@ class _Parser:
 def parse_formula(text: str, atoms: Iterable[str]) -> Formula:
     """Parse ``text`` against the declared atom set.
 
-    Raises FormulaSyntaxError on malformed input and UnknownAtomError
+    Raises FormulaSyntaxError on malformed input, text nested too
+    deeply for the recursive descent included, and UnknownAtomError
     when the text mentions an undeclared atom; both carry the column.
     """
-    return _Parser(text, frozenset(atoms)).parse()
+    try:
+        return _Parser(text, frozenset(atoms)).parse()
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply to parse", 1) from None

@@ -7,15 +7,17 @@ the checker in isolation.  Rendering is deterministic: fixed ordering,
 ASCII only.
 
 A checker may decide its verdict from bare masks and return a deferred
-report (``CheckReport._deferred``): its witnesses, details and notes
-are made on the first read of its results or notes, so a caller that
-reads only ``all_hold`` pays for none of them.
+report: its witnesses, details and notes are made on the first read of
+its results or notes, so a caller that reads only ``all_hold`` pays for
+none of them.  The one helper behind it, ``_Deferrable``, serves any
+frozen dataclass; the brute-force oracle's outcome uses it too, for its
+counter-model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Any, Callable, ClassVar
 
 from .worlds import PointSet, _cached_property, dnf_of
 
@@ -62,41 +64,60 @@ class CheckResult:
     note: str = ""
 
 
+class _Deferrable:
+    """Base of a frozen dataclass whose fields named in ``_LAZY`` may be
+    made on first read.
+
+    ``cls._deferred(build, **known)`` makes an instance holding the
+    ``known`` attributes (the other fields, and any cached property's
+    value) and ``build``; the first read of any lazy field calls
+    ``build()``, which returns every lazy field's value in ``_LAZY``
+    order.  Pickle and deepcopy see the fields alone, so a copy is the
+    eagerly made instance.  A lazy field may have no default on the
+    class, where it would hide the missing attribute: a class giving it
+    one does so in its own ``__init__``.
+    """
+
+    _LAZY: ClassVar[tuple[str, ...]] = ()
+
+    @classmethod
+    def _deferred(cls, build: Callable[[], tuple], **known: Any):
+        instance = cls.__new__(cls)
+        instance.__dict__.update(known, _build=build)
+        return instance
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: a deferred instance's lazy
+        # fields before their first read.  The builder stays, so a second
+        # thread that missed them too builds equal ones rather than failing
+        build = self.__dict__.get("_build") if name in self._LAZY else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = dict(zip(self._LAZY, build()))
+        self.__dict__.update(values)
+        return values[name]
+
+    def __getstate__(self) -> dict:
+        # the fields alone: never a builder, nor a cached value
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+
 @dataclass(frozen=True, init=False)
-class CheckReport:
+class CheckReport(_Deferrable):
+    """A titled list of results and notes.  A deferred report
+    (``_deferred(build, title=..., all_hold=...)``) stores its verdict
+    and makes its results and notes with one ``build()``."""
+
     title: str
     results: tuple[CheckResult, ...]
     notes: tuple[str, ...]
+
+    _LAZY = ("results", "notes")
 
     def __init__(self, title: str, results: tuple[CheckResult, ...], notes: tuple[str, ...] = ()):
         # notes' default lives here, not on the class, so that a deferred
         # report's missing notes reach __getattr__
         self.__dict__.update(title=title, results=results, notes=notes)
-
-    @classmethod
-    def _deferred(
-        cls, title: str, holds: bool, build: Callable[[], tuple[tuple[CheckResult, ...], tuple[str, ...]]]
-    ) -> CheckReport:
-        """A report with verdict ``holds`` whose results and notes are
-        ``build()``, called on the first read of either."""
-        report = cls.__new__(cls)
-        report.__dict__.update(title=title, all_hold=holds, _build=build)
-        return report
-
-    def __getattr__(self, name: str):
-        # reached only for a missing attribute: a deferred report's fields
-        # before their first read.  The builder stays, so a second thread
-        # that missed them too builds equal ones rather than failing
-        build = self.__dict__.get("_build") if name in ("results", "notes") else None
-        if build is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        results, notes = build()
-        self.__dict__.update(results=results, notes=notes)
-        return results if name == "results" else notes
-
-    def __getstate__(self) -> dict:
-        # the fields alone: never a builder, nor a cached verdict
-        return {"title": self.title, "results": self.results, "notes": self.notes}
 
     @_cached_property
     def all_hold(self) -> bool:

@@ -87,6 +87,9 @@ class PlausibilityOrder:
     def __post_init__(self):
         if len(self.ranks) != self.universe.size:
             raise ValueError("one rank per point required")
+        for rank in self.ranks:  # before the comparison, where 1.0 == 1 and True == 1
+            if type(rank) is not int:
+                raise ValueError(f"rank {rank!r} is not an int")
         levels = set(self.ranks)
         if levels != set(range(len(levels))):
             raise ValueError(f"ranks must form a contiguous range from 0, got {sorted(levels)}")
@@ -960,19 +963,25 @@ def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> Check
     Each law is read off its bit-sliced failure set (``_filter_failures``):
     the count is its number of set bits, the witnesses its lowest ones.
     When every set is empty the one shared passing report is returned.
+    A verdict costs those sets only: a failing report makes its results,
+    witnesses and label details on the first read of ``results``.
     """
     if labeling.universe != table.universe:
         raise UniverseMismatchError("labeling over a different universe")
     fails = _filter_failures(table, labeling._view)
     if not any(fails.values()):
         return _FILTER_HOLDS
-    detail = lambda e: f"label {labeling.labels[e].value}"
-    results = []
-    for check in _FILTER_CHECKS:
-        bits = fails[check]
-        failing = ((e,) for e in set_bits(bits))
-        results.append(_law_result(table.universe, check, bits.bit_count(), failing, detail))
-    return CheckReport(_FILTER_TITLE, (*results, _F4))
+
+    def build() -> tuple[tuple[CheckResult, ...], tuple[str, ...]]:
+        detail = lambda e: f"label {labeling.labels[e].value}"
+        results = []
+        for check in _FILTER_CHECKS:
+            bits = fails[check]
+            failing = ((e,) for e in set_bits(bits))
+            results.append(_law_result(table.universe, check, bits.bit_count(), failing, detail))
+        return (*results, _F4), ()
+
+    return CheckReport._deferred(build, title=_FILTER_TITLE, all_hold=False)
 
 
 def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> RevisionTable:

@@ -1,11 +1,17 @@
+import copy
+import dataclasses
 import functools
 import itertools
+import pickle
+from collections import Counter
 
 import pytest
 
+from filtra import choice, revision
 from filtra.beliefs import BeliefSet
-from filtra.choice import ChoiceStructure
+from filtra.choice import ChoiceStructure, CounterModel
 from filtra.formulas import Atom, Not, Or
+from filtra.reports import _Deferrable
 from filtra.revision import (
     Credibility,
     CredibilityLabeling,
@@ -25,6 +31,58 @@ def u1():
 @pytest.fixture
 def u2():
     return canonical_universe(("p", "q"))
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Counts what the choice and revision checks make: ids rendered,
+    witnesses, point sets, results and counter-models built, and builds
+    of a deferred report's or outcome's lazy fields."""
+    made = Counter()
+
+    def counting(kind, make):
+        def counted(*args):
+            made[kind] += 1
+            return make(*args)
+
+        return counted
+
+    monkeypatch.setattr(Universe, "render", counting("render", Universe.render))
+    for module in (choice, revision):
+        for name in ("Witness", "PointSet", "CheckResult"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # counted where it is made, not where it is named: pickle finds
+    # CounterModel by its module's name for it
+    monkeypatch.setattr(CounterModel, "__init__", counting("CounterModel", CounterModel.__init__))
+    deferred = _Deferrable._deferred.__func__
+    monkeypatch.setattr(
+        _Deferrable,
+        "_deferred",
+        classmethod(lambda cls, build, **known: deferred(cls, counting("build", build), **known)),
+    )
+    return made
+
+
+def assert_same_as_eager(fresh, shared):
+    """What ``fresh()`` returns, a report or outcome that may be
+    deferred, is the eager instance of its fields: unread, read, and
+    through pickle and deepcopy (keeping the objects in ``shared``), to
+    ``type``, ``==`` both ways, ``hash`` and ``repr``.  A copy holds no
+    builder and no cached value.  Returns the eager instance."""
+    read = fresh()
+    cls = type(read)
+    values = [getattr(read, field.name) for field in dataclasses.fields(read)]
+    eager = cls(*values)
+    copies = (pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh(), shared))
+    for other in copies:
+        assert vars(other) == vars(cls(*values))
+    # each comparison of an unread instance reads a fresh one
+    assert type(fresh()) is cls and fresh() == eager and eager == fresh()
+    assert (hash(fresh()), repr(fresh())) == (hash(eager), repr(eager))
+    for other in (read, *copies):
+        assert type(other) is cls and other == eager and eager == other
+        assert (hash(other), repr(other)) == (hash(eager), repr(eager))
+    return eager
 
 
 def of_ids(universe, ids):

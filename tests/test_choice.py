@@ -1,9 +1,7 @@
-import copy
 import hashlib
 import inspect
 import itertools
 import json
-import pickle
 import re
 import time
 from collections import Counter
@@ -51,6 +49,7 @@ from conftest import (
     all_choice_structures,
     all_labelings,
     all_selection_functions,
+    assert_same_as_eager,
     enumerate_preorders,
     first_rationalizing_preorder,
     of_ids,
@@ -730,32 +729,54 @@ def naive_bruteforce(structure, atoms=None):
 BUDGETS = (None, 1, 2, 3, 4)
 
 
+def assert_counter_model_on_first_read(structure, budget, made):
+    """The structure's oracle outcome under ``budget``: its verdict and
+    count build no counter-model or point set, the first read of its
+    counter-model builds one, once, and, read or not, it is the eager
+    outcome of its fields to ``type``, ``==`` both ways, ``hash``,
+    ``repr``, ``pickle`` and ``deepcopy``."""
+    made.clear()
+    outcome = agm_consistency_bruteforce(structure, atoms=budget)
+    consistent, checked = outcome.consistent, outcome.valuations_checked
+    assert not made
+    counter = outcome.counterexample
+    built = Counter() if consistent else Counter(build=1, CounterModel=1, PointSet=1)
+    assert made == built and (counter is None) == consistent
+    assert outcome.counterexample is counter and made == built
+    # the deep copy keeps the universe the counter-model's menu shares
+    fresh = lambda: agm_consistency_bruteforce(structure, atoms=budget)
+    eager = assert_same_as_eager(fresh, {id(structure.universe): structure.universe})
+    assert outcome == eager == BruteforceOutcome(consistent, checked, counter)
+    return outcome
+
+
 class TestBitSlicedOracle:
     """The oracle decides every partition at once; it must return what
-    the one-partition-at-a-time loop returns, counter-model included."""
+    the one-partition-at-a-time loop returns, counter-model included.
+    A failing outcome builds its counter-model only when it is read."""
 
     @pytest.mark.parametrize("atoms", [("p",), ("p", "q")], ids=["1atom", "2atoms"])
-    def test_equals_the_per_partition_loop_on_every_two_state_structure(self, atoms):
+    def test_equals_the_per_partition_loop_on_every_two_state_structure(self, atoms, made):
         failing = 0
         for g in all_choice_structures(atoms):
             if not validate_structure(g).all_hold:
                 continue
             for budget in BUDGETS:
-                outcome = agm_consistency_bruteforce(g, atoms=budget)
+                outcome = assert_counter_model_on_first_read(g, budget, made)
                 assert outcome == naive_bruteforce(g, budget)
                 failing += not outcome.consistent
         assert failing > 50
 
     @pytest.mark.parametrize("conforming", [True, False])
     @pytest.mark.parametrize("size", [2, 3, 4])
-    def test_equals_the_per_partition_loop_on_seeded_draws(self, size, conforming):
+    def test_equals_the_per_partition_loop_on_seeded_draws(self, size, conforming, made):
         rng = Random(f"bitsliced:{size}:{conforming}")
         counts = {True: 0, False: 0}
         counter_models = set()  # (valuations checked, reason) per failure
         for _ in range(500):
             g = random_choice_structure(rng, size, conforming=conforming)
             for budget in BUDGETS:
-                outcome = agm_consistency_bruteforce(g, atoms=budget)
+                outcome = assert_counter_model_on_first_read(g, budget, made)
                 assert outcome == naive_bruteforce(g, budget)
                 counts[outcome.consistent] += 1
                 counter = outcome.counterexample
@@ -1084,31 +1105,6 @@ def assert_same_reports(structure):
     return tuple(verdicts)
 
 
-@pytest.fixture
-def made(monkeypatch):
-    """Counts what the choice checks make: ids rendered, witnesses and
-    point sets built, and builds of a deferred report's results."""
-    made = Counter()
-
-    def counting(kind, make):
-        def counted(*args):
-            made[kind] += 1
-            return make(*args)
-
-        return counted
-
-    monkeypatch.setattr(Universe, "render", counting("render", Universe.render))
-    monkeypatch.setattr(choice, "Witness", counting("Witness", Witness))
-    monkeypatch.setattr(choice, "PointSet", counting("PointSet", PointSet))
-    deferred = CheckReport._deferred.__func__
-    monkeypatch.setattr(
-        CheckReport,
-        "_deferred",
-        classmethod(lambda cls, title, holds, build: deferred(cls, title, holds, counting("build", build))),
-    )
-    return made
-
-
 def assert_built_on_first_read(structure, made):
     """The structure's deferred report (the criteria's, or the
     structural one of an invalid structure): its verdict renders no id
@@ -1126,17 +1122,10 @@ def assert_built_on_first_read(structure, made):
         built = Counter(made)
         getattr(report, then)
         assert built["build"] == 1 and made == built
-    eager = CheckReport(report.title, report.results, report.notes)
-    assert verdict == eager.all_hold
     # the deep copy keeps the universe every witness shares: only the
     # report's own objects are copied
-    shared = {id(structure.universe): structure.universe}
-    copies = (pickle.loads(pickle.dumps(check(structure))), copy.deepcopy(check(structure), shared))
-    for other in (report, *copies):
-        assert type(other) is CheckReport and other == eager and eager == other
-        assert (hash(other), repr(other)) == (hash(eager), repr(eager))
-    for other in copies:  # no builder, and no cached verdict, is copied
-        assert vars(other) == vars(CheckReport(eager.title, eager.results, eager.notes))
+    eager = assert_same_as_eager(lambda: check(structure), {id(structure.universe): structure.universe})
+    assert report == eager and verdict == eager.all_hold
     return report
 
 

@@ -44,6 +44,7 @@ from conftest import (
     all_labelings,
     all_revision_tables,
     all_selection_functions,
+    assert_same_as_eager,
     of_ids,
     permute,
     permuted_universe,
@@ -640,38 +641,52 @@ class TestWordWidths:
 
 class TestSharedPassingReport:
     """A passing check_filtered returns one shared report, equal to the
-    per-proposition reference report, in text and JSON too."""
+    per-proposition reference report, in text and JSON too.  A failing
+    one stores its verdict and builds its results when they are read."""
 
     @staticmethod
-    def same_report(table, labeling):
-        report = check_filtered(table, labeling)
+    def same_report(table, labeling, made, seen):
+        """The report's verdict builds nothing, and the report, read or
+        not, equals the reference one, in text and JSON too.  The first
+        time a report is ``seen`` it is also checked against the eager
+        report of its fields, which are all that pickle, deepcopy, hash
+        and repr read."""
+        fresh = lambda: check_filtered(table, labeling)
+        made.clear()
+        verdict = fresh().all_hold
+        assert not made
         expected = naive_check_filtered(table, labeling)
-        assert report == expected
-        assert report.render_text() == expected.render_text()
-        assert report.to_json() == expected.to_json()
-        assert (report is revision._FILTER_HOLDS) == report.all_hold
-        return report.all_hold
+        assert fresh() == expected and expected == fresh()
+        for render in (CheckReport.render_text, CheckReport.to_json):
+            assert render(fresh()) == render(expected)
+        assert (fresh() is revision._FILTER_HOLDS) == verdict == expected.all_hold
+        key = repr(expected)
+        if key not in seen:
+            seen.add(key)
+            assert assert_same_as_eager(fresh, {id(table.universe): table.universe}) == expected
+        return verdict
 
-    def test_every_one_atom_table_and_labeling(self, u1):
+    def test_every_one_atom_table_and_labeling(self, u1, made):
         cases = product(all_revision_tables(u1), all_labelings(u1))
-        verdicts = Counter(self.same_report(table, labeling) for table, labeling in cases)
-        assert verdicts[True] and verdicts[False]
+        seen = set()
+        verdicts = Counter(self.same_report(table, labeling, made, seen) for table, labeling in cases)
+        assert verdicts[True] and verdicts[False] and len(seen) == 336
 
     @pytest.mark.parametrize("n_atoms,draws", [(2, 10), (3, 3)])
-    def test_seeded_built_and_corrupted_tables(self, n_atoms, draws):
+    def test_seeded_built_and_corrupted_tables(self, n_atoms, draws, made):
         universe = canonical_universe(("p", "q", "r")[:n_atoms])
-        verdicts = Counter()
+        verdicts, seen = Counter(), set()
         for draw in range(draws):
             rng = Random(170 + 10 * n_atoms + draw)
             for kind, table in kernel_tables(n_atoms, seed=rng.randrange(10**6)):
                 labeling = random_labeling(rng, universe)
                 if kind in ("preorder", "selection"):
                     built = build_filtered(table, labeling)
-                    assert self.same_report(built, labeling)
+                    assert self.same_report(built, labeling, made, seen)
                     masks = list(built._masks)
                     masks[rng.randrange(len(masks))] ^= 1 + rng.randrange(universe.full_mask)
                     table = RevisionTable.from_masks(universe, built.initial.points.mask, masks)
-                verdicts[self.same_report(table, labeling)] += 1
+                verdicts[self.same_report(table, labeling, made, seen)] += 1
         assert verdicts[False]
 
 

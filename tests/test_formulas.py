@@ -54,6 +54,9 @@ def test_syntax_error_carries_position():
         ("(p | q", 7, "expected ')', found 'end of input' (column 7)"),
         ("p $ q", 3, "unexpected character '$' (column 3)"),
         ("p q", 3, "unexpected 'q' (column 3)"),
+        # too deep for the recursive descent: once a RecursionError
+        ("~" * 5000 + "p", 1, "formula nested too deeply to parse (column 1)"),
+        ("(" * 200 + "p" + ")" * 200, 1, "formula nested too deeply to parse (column 1)"),
     ]:
         with pytest.raises(FormulaSyntaxError) as err:
             parse_formula(text, ("p", "q"))
@@ -80,6 +83,15 @@ def test_iff_is_right_associative_and_binds_loosest():
     p, q, r = (Atom(a) for a in ATOMS)
     assert parse_formula("p <-> q <-> r", ATOMS) == iff(p, iff(q, r))
     assert parse_formula("p -> q <-> r", ATOMS) == iff(implies(p, q), r)
+
+
+def test_nesting_100_deep_parses_and_round_trips():
+    formula = Atom("p")
+    for _ in range(100):
+        formula = Not(formula)
+    assert parse_formula("~" * 100 + "p", ATOMS) == formula
+    assert parse_formula("(" * 100 + "p" + ")" * 100, ATOMS) == Atom("p")
+    assert parse_formula(print_formula(formula), ATOMS) == formula
 
 
 def test_print_examples():

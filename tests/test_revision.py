@@ -321,6 +321,10 @@ def _theory(u, mask):
     ("call", "error", "message"),
     [
         (lambda u1, u2: PlausibilityOrder(u2, (0, 1)), ValueError, "one rank per point required"),
+        # before the range test, where {1.0, 0.0} == {True, False} == {0, 1}
+        (lambda u1, u2: PlausibilityOrder(u1, (1.0, 0.0)), ValueError, "rank 1.0 is not an int"),
+        (lambda u1, u2: PlausibilityOrder(u1, (True, False)), ValueError, "rank True is not an int"),
+        (lambda u1, u2: PlausibilityOrder(u1, ("1", "0")), ValueError, "rank '1' is not an int"),
         (
             lambda u1, u2: spec_order(u2).most_plausible(PointSet(u1, 1)),
             UniverseMismatchError,
@@ -351,9 +355,9 @@ def _theory(u, mask):
         ),
     ],
     ids=[
-        "rank-count", "plausible-among", "selection-universe", "selection-inconsistent", "table-universe",
-        "table-inconsistent", "entry-universe", "no-postulates", "unknown-postulates", "check-filtered-labeling",
-        "build-filtered-labeling", "recover-basic-labeling",
+        "rank-count", "rank-float", "rank-bool", "rank-str", "plausible-among", "selection-universe",
+        "selection-inconsistent", "table-universe", "table-inconsistent", "entry-universe", "no-postulates",
+        "unknown-postulates", "check-filtered-labeling", "build-filtered-labeling", "recover-basic-labeling",
     ],  # fmt: skip
 )
 def test_every_documented_refusal_is_raised(u1, u2, call, error, message):
