@@ -117,13 +117,6 @@ def _parse_postulates(text: str) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _require_table(scenario: Scenario):
-    table = scenario.revision_table()
-    if table is None:
-        raise ScenarioError("table", "this command needs a 'table' or 'preorder' section")
-    return table
-
-
 @click.group(cls=_Group)
 def main():
     """Belief revision with credibility-filtered information."""
@@ -153,7 +146,7 @@ def check_prop2(file: str):
 @click.option("--postulates", default="1-8", show_default=True, help="e.g. '1-6' or '1,2,5'")
 def check_agm_cmd(file: str, postulates: str):
     """Check revision postulates on the file's table (or pre-order)."""
-    table = _require_table(_load(file))
+    table = _load(file).revision_table()
     return check_agm(table, _parse_postulates(postulates))
 
 
@@ -162,7 +155,7 @@ def check_agm_cmd(file: str, postulates: str):
 def check_filtered_cmd(file: str):
     """Check the filter laws on the file's table under its labeling."""
     scenario = _load(file)
-    return check_filtered(_require_table(scenario), scenario.credibility())
+    return check_filtered(scenario.revision_table(), scenario.credibility())
 
 
 @main.group()
@@ -177,7 +170,7 @@ def build_filtered_cmd(file: str, output: str):
     """Build the filtered table from the file's basic table and labeling."""
     scenario = _load(file)
     labeling = scenario.credibility()
-    filtered = build_filtered(_require_table(scenario), labeling)
+    filtered = build_filtered(scenario.revision_table(), labeling)
     result = Scenario(scenario.atoms, scenario.universe, table=filtered, labeling=labeling)
     try:
         save_scenario(result, output)

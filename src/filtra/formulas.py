@@ -86,13 +86,22 @@ def print_formula(formula: Formula) -> str:
     """Fully parenthesized canonical text.
 
     ``parse_formula(print_formula(f), atoms)`` is structurally equal
-    to ``f`` for any atom set covering the formula.
+    to ``f`` for any atom set covering the formula.  The text is the
+    desugared tree, so a ``<->`` chain's text doubles per ``<->``.  A
+    formula nested too deeply for the recursion raises FormulaError.
     """
+    try:
+        return _print(formula)
+    except RecursionError:
+        raise FormulaError("formula nested too deeply to print") from None
+
+
+def _print(formula: Formula) -> str:
     if isinstance(formula, Atom):
         return formula.name
     if isinstance(formula, Not):
-        return f"(~{print_formula(formula.operand)})"
-    return f"({print_formula(formula.left)} | {print_formula(formula.right)})"
+        return f"(~{_print(formula.operand)})"
+    return f"({_print(formula.left)} | {_print(formula.right)})"
 
 
 _TOKEN_RE = re.compile(

@@ -47,8 +47,8 @@ from .reports import CheckReport, CheckResult, Witness
 from .worlds import (
     PointSet,
     Universe,
-    UniverseMismatchError,
     _cached_property,
+    _require_same,
     set_bits,
     submasks,
     truth_set,
@@ -123,8 +123,7 @@ class PlausibilityOrder:
     def most_plausible(self, among: PointSet) -> PointSet:
         """The lowest-rank members of ``among`` (empty for the empty set).
         Kept as API: Grove's selection, the subject of acceptance criterion 7."""
-        if among.universe != self.universe:
-            raise UniverseMismatchError("point set over a different universe")
+        _require_same(self.universe, among.universe, "point set")
         return PointSet(self.universe, self._lowest(among.mask))
 
 
@@ -146,8 +145,7 @@ class SelectionFunction:
     choice: Mapping[int, int] = field(hash=False)
 
     def __post_init__(self):
-        if self.initial.universe is not self.universe and self.initial.universe != self.universe:
-            raise UniverseMismatchError("initial beliefs over a different universe")
+        _require_same(self.universe, self.initial.universe, "initial beliefs")
         if not self.initial.is_consistent:
             raise SelectionError("initial beliefs must be consistent")
         full, choice = self.universe.full_mask, self.choice
@@ -334,16 +332,14 @@ class RevisionTable:
 
     def __post_init__(self):
         universe = self.universe
-        if self.initial.universe is not universe and self.initial.universe != universe:
-            raise UniverseMismatchError("initial beliefs over a different universe")
+        _require_same(universe, self.initial.universe, "initial beliefs")
         if not self.initial.is_consistent:
             raise ValueError("initial beliefs must be consistent")
         entries = self.entries
         if type(entries) is _Entries:
             if entries._stop != 1 << universe.size:  # its keys start at 0
                 raise ValueError("entries must cover every proposition exactly once")
-            if entries.universe is not universe and entries.universe != universe:
-                raise UniverseMismatchError("entry belief set over a different universe")
+            _require_same(universe, entries.universe, "entry belief set")
             return
         propositions = range(universe.full_mask + 1)
         # keys in proposition order are read in one pass, any others proposition by proposition
@@ -361,8 +357,7 @@ class RevisionTable:
         if len(masks) != len(beliefs):
             # the first fault in proposition order, as an entry-by-entry check finds it
             for belief in beliefs:
-                if belief.universe is not universe and belief.universe != universe:
-                    raise UniverseMismatchError("entry belief set over a different universe")
+                _require_same(universe, belief.universe, "entry belief set")
             masks = [belief.points.mask for belief in beliefs]
         masks = _pack(universe, masks)
         object.__setattr__(self, "entries", _Entries(universe, self.initial, masks))
@@ -403,8 +398,7 @@ class RevisionTable:
         return _Terms.of(self._slices, self.initial.points.mask, self.universe.size)
 
     def entry(self, proposition: PointSet) -> BeliefSet:
-        if proposition.universe != self.universe:
-            raise UniverseMismatchError("proposition over a different universe")
+        _require_same(self.universe, proposition.universe, "proposition")
         return self.entries[proposition.mask]
 
     def revise(self, formula) -> BeliefSet:
@@ -803,8 +797,9 @@ def agm_holds_at(
         raise ValueError(f"unknown postulate {postulate!r}")
     if postulate in (7, 8) and f is None:
         raise ValueError(f"postulate {postulate} needs a pair of propositions")
-    if e.universe != table.universe or (f is not None and f.universe != table.universe):
-        raise UniverseMismatchError("proposition over a different universe")
+    _require_same(table.universe, e.universe, "proposition")
+    if f is not None:
+        _require_same(table.universe, f.universe, "proposition")
     f_mask = 0 if f is None else f.mask
     return _agm_mask_holds(table._masks, table.initial.points.mask, postulate, e.mask, f_mask)
 
@@ -939,10 +934,8 @@ def filter_holds_at(
     """Evaluate one filter law, F4 included, at a single proposition (see check_filtered)."""
     if check not in (*_FILTER_CHECKS, "F4"):
         raise ValueError(f"unknown filter check {check!r}")
-    if labeling.universe != table.universe:
-        raise UniverseMismatchError("labeling over a different universe")
-    if e.universe != table.universe:
-        raise UniverseMismatchError("proposition over a different universe")
+    _require_same(table.universe, labeling.universe, "labeling")
+    _require_same(table.universe, e.universe, "proposition")
     initial = table.initial.points.mask
     return check not in _filter_faults(initial, e.mask, labeling.labels[e.mask], table._masks[e.mask])
 
@@ -966,8 +959,7 @@ def check_filtered(table: RevisionTable, labeling: CredibilityLabeling) -> Check
     A verdict costs those sets only: a failing report makes its results,
     witnesses and label details on the first read of ``results``.
     """
-    if labeling.universe != table.universe:
-        raise UniverseMismatchError("labeling over a different universe")
+    _require_same(table.universe, labeling.universe, "labeling")
     fails = _filter_failures(table, labeling._view)
     if not any(fails.values()):
         return _FILTER_HOLDS
@@ -997,8 +989,7 @@ def build_filtered(star: RevisionTable, labeling: CredibilityLabeling) -> Revisi
 
     Requires ``star`` to satisfy AGM1-AGM6 (PostulateViolation otherwise).
     """
-    if labeling.universe != star.universe:
-        raise UniverseMismatchError("labeling over a different universe")
+    _require_same(star.universe, labeling.universe, "labeling")
     # AGM1 and AGM6 hold by representation; a report is built only on a failure
     if any(_agm_failures(star).values()):
         raise PostulateViolation(check_agm(star, (1, 2, 3, 4, 5, 6)))
@@ -1047,8 +1038,7 @@ def recover_basic(filtered: RevisionTable, labeling: CredibilityLabeling) -> Rec
     ``_check_selection`` reads those slices; a failure there means the
     routing is wrong and raises SelectionError.
     """
-    if labeling.universe != filtered.universe:
-        raise UniverseMismatchError("labeling over a different universe")
+    _require_same(filtered.universe, labeling.universe, "labeling")
     universe = filtered.universe
     initial = filtered.initial.points.mask
     view = labeling._view

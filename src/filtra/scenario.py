@@ -9,6 +9,8 @@ key: the member ids sorted lexicographically and joined with commas
 
 Serialization is canonical and deterministic: fixed field order,
 sorted event keys and id lists, two-space indent, trailing newline.
+A labeling lists the labels off the loader's default (C, and R at the
+empty event) and every key its ``labeling_overrides`` names, so
 ``dumps(load(x))`` is byte-identical for inputs already in that form.
 """
 
@@ -30,7 +32,7 @@ from .revision import (
     RevisionTable,
     revision_from_preorder,
 )
-from .worlds import PointSet, Universe
+from .worlds import PointSet, Universe, _require_same
 
 ATOM_LIMIT = 6
 # a labeling, pre-order or table section stands for one entry per
@@ -74,13 +76,14 @@ class Scenario:
             raise ScenarioError("gcs", "this command needs a 'gcs' section")
         return self.structure
 
-    def revision_table(self) -> RevisionTable | None:
-        """The declared table, or one built from the pre-order."""
+    def revision_table(self) -> RevisionTable:
+        """The declared table, or one built from the pre-order; with
+        neither, ScenarioError on "table"."""
         if self.table is not None:
             return self.table
-        if self.preorder is not None:
-            return revision_from_preorder(self.preorder)
-        return None
+        if self.preorder is None:
+            raise ScenarioError("table", "this command needs a 'table' or 'preorder' section")
+        return revision_from_preorder(self.preorder)
 
     def credibility(self) -> CredibilityLabeling:
         """Declared labeling, defaulting to everything-credible."""
@@ -283,7 +286,6 @@ def _parse_labeling(
 ) -> tuple[CredibilityLabeling, dict[str, str]]:
     section = _expect_object(payload, "labeling")
     overrides: dict[int, Credibility] = {}
-    raw: dict[str, str] = {}
     letters = {item.value: item for item in Credibility}
     for key, letter in section.items():
         mask = keys.get(key)
@@ -292,9 +294,8 @@ def _parse_labeling(
         if not isinstance(letter, str) or letter not in letters:
             raise ScenarioError(f"labeling[{key!r}]", f"label must be one of C, A, R, got {letter!r}")
         overrides[mask] = letters[letter]
-        raw[key] = letter
     try:
-        return CredibilityLabeling.from_overrides(universe, overrides), raw
+        return CredibilityLabeling.from_overrides(universe, overrides), dict(section)
     except ValueError as exc:
         raise ScenarioError("labeling", str(exc)) from None
 
@@ -398,6 +399,16 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_payload(scenario: Scenario) -> dict:
     universe = scenario.universe
+    if tuple(scenario.atoms) != universe.atoms:
+        raise ScenarioError("atoms", f"{list(scenario.atoms)} differ from the universe's {list(universe.atoms)}")
+    for what, section in (
+        ("choice structure", scenario.structure),
+        ("pre-order", scenario.preorder),
+        ("labeling", scenario.labeling),
+        ("table", scenario.table),
+    ):
+        if section is not None:
+            _require_same(universe, section.universe, what)
     payload: dict[str, Any] = {
         "atoms": list(scenario.atoms),
         "states": [
@@ -440,21 +451,17 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         ids = _id_lists(universe)
         by_key = sorted(range(len(keys)), key=keys.__getitem__)
     if labeling is not None:
-        # every label is written, unless overrides were read from a file
+        # the keys the overrides name, and every key whose label is not
+        # the loader's default (C, and R at the empty proposition); a
+        # key not in ``mask_of`` gets the loader's validating parse
         codes = labeling._codes.decode()
-        listed = by_key
-        if overrides is not None:
-            # then their keys are listed, and every key whose label is
-            # not the loader's default (C, and R at the empty proposition);
-            # a key not in ``mask_of`` gets the loader's validating parse
-            mask_of = dict(zip(keys, range(len(keys))))
-            chosen = {
-                mask_of[key] if key in mask_of else _parse_event_key(key, universe, f"labeling[{key!r}]")
-                for key in overrides
-            }
-            chosen.update(mask for mask, code in enumerate(codes) if code != ("C" if mask else "R"))
-            listed = [mask for mask in by_key if mask in chosen]
-        payload["labeling"] = {keys[mask]: codes[mask] for mask in listed}
+        mask_of = dict(zip(keys, range(len(keys))))
+        listed = {
+            mask_of[key] if key in mask_of else _parse_event_key(key, universe, f"labeling[{key!r}]")
+            for key in overrides or ()
+        }
+        listed.update(mask for mask, code in enumerate(codes) if code != ("C" if mask else "R"))
+        payload["labeling"] = {keys[mask]: codes[mask] for mask in by_key if mask in listed}
     if scenario.table is not None:
         table = scenario.table
         masks = table._masks

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .formulas import ATOM_NAME, Atom, Formula, Not, UnknownAtomError
+from .formulas import ATOM_NAME, Atom, Formula, FormulaError, Not, UnknownAtomError
 
 
 class _cached_property:
@@ -36,6 +36,13 @@ class _cached_property:
 
 class UniverseMismatchError(ValueError):
     """Two values built over different universes were combined."""
+
+
+def _require_same(universe: "Universe", other: "Universe", what: str) -> None:
+    """Refuse ``other`` unless it is ``universe`` or equal to it, with
+    UniverseMismatchError("<what> over a different universe")."""
+    if other is not universe and other != universe:
+        raise UniverseMismatchError(f"{what} over a different universe")
 
 
 class SizeLimitError(ValueError):
@@ -156,6 +163,8 @@ class PointSet:
     mask: int
 
     def __post_init__(self):
+        if type(self.mask) is not int:  # before the range test, where True == 1
+            raise ValueError(f"mask {self.mask!r} is not an int")
         if not 0 <= self.mask <= self.universe.full_mask:
             raise ValueError(f"mask {self.mask:#x} out of range for universe")
 
@@ -236,17 +245,32 @@ def _atom_mask(universe: Universe, name: str) -> int:
 
 
 def truth_set(formula: Formula, universe: Universe) -> PointSet:
-    """Exactly the points of ``universe`` satisfying ``formula``."""
+    """Exactly the points of ``universe`` satisfying ``formula``.
+
+    Each connective is evaluated once, keyed by identity: ``iff`` shares
+    both sides, so a parsed ``<->`` chain is a DAG whose tree size
+    doubles per ``<->``.  A formula nested too deeply for the recursion
+    raises FormulaError.
+    """
     full = universe.full_mask
+    made: dict[int, int] = {}
 
     def walk(node: Formula) -> int:
         if isinstance(node, Atom):
             return _atom_mask(universe, node.name)
-        if isinstance(node, Not):
-            return full & ~walk(node.operand)
-        return walk(node.left) | walk(node.right)
+        mask = made.get(id(node))
+        if mask is None:
+            if isinstance(node, Not):
+                mask = full & ~walk(node.operand)
+            else:
+                mask = walk(node.left) | walk(node.right)
+            made[id(node)] = mask
+        return mask
 
-    return PointSet(universe, walk(formula))
+    try:
+        return PointSet(universe, walk(formula))
+    except RecursionError:
+        raise FormulaError("formula nested too deeply to evaluate") from None
 
 
 def dnf_of(points: PointSet) -> str | None:

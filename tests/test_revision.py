@@ -27,6 +27,7 @@ from filtra.revision import (
     build_filtered,
     check_agm,
     check_filtered,
+    filter_holds_at,
     recover_basic,
     revision_from_preorder,
     revision_from_selection,
@@ -342,7 +343,41 @@ def _theory(u, mask):
             "initial beliefs over a different universe",
         ),
         (lambda u1, u2: RevisionTable(u2, _theory(u2, 0), {}), ValueError, "initial beliefs must be consistent"),
+        (
+            # an entry view of the same size over other atoms
+            lambda u1, u2: RevisionTable(u2, _theory(u2, 1), _table(canonical_universe(("p", "r"))).entries),
+            UniverseMismatchError,
+            "entry belief set over a different universe",
+        ),
+        (
+            # the first foreign entry of a caller's mapping
+            lambda u1, u2: RevisionTable(
+                u1, _theory(u1, 1), dict.fromkeys(range(4), _theory(u1, 1)) | {2: _theory(u2, 1)}
+            ),
+            UniverseMismatchError,
+            "entry belief set over a different universe",
+        ),
         (lambda u1, u2: _table(u2).entry(PointSet(u1, 1)), UniverseMismatchError, "proposition over a different universe"),
+        (
+            lambda u1, u2: agm_holds_at(_table(u2), 1, PointSet(u1, 1)),
+            UniverseMismatchError,
+            "proposition over a different universe",
+        ),
+        (
+            lambda u1, u2: agm_holds_at(_table(u2), 7, PointSet(u2, 1), PointSet(u1, 1)),
+            UniverseMismatchError,
+            "proposition over a different universe",
+        ),
+        (
+            lambda u1, u2: filter_holds_at(_table(u2), CredibilityLabeling.all_credible(u1), "F1", PointSet(u2, 1)),
+            UniverseMismatchError,
+            "labeling over a different universe",
+        ),
+        (
+            lambda u1, u2: filter_holds_at(_table(u2), CredibilityLabeling.all_credible(u2), "F1", PointSet(u1, 1)),
+            UniverseMismatchError,
+            "proposition over a different universe",
+        ),
         (lambda u1, u2: check_agm(_table(u2), ()), ValueError, "postulates must be a nonempty subset of 1..8, got []"),
         (lambda u1, u2: check_agm(_table(u2), (0, 9)), ValueError, "postulates must be a nonempty subset of 1..8, got [0, 9]"),
         *(
@@ -356,8 +391,10 @@ def _theory(u, mask):
     ],
     ids=[
         "rank-count", "rank-float", "rank-bool", "rank-str", "plausible-among", "selection-universe",
-        "selection-inconsistent", "table-universe", "table-inconsistent", "entry-universe", "no-postulates",
-        "unknown-postulates", "check-filtered-labeling", "build-filtered-labeling", "recover-basic-labeling",
+        "selection-inconsistent", "table-universe", "table-inconsistent", "entries-view-universe",
+        "entry-belief-universe", "entry-universe", "agm-at-e-universe", "agm-at-f-universe",
+        "filter-at-labeling", "filter-at-proposition", "no-postulates", "unknown-postulates",
+        "check-filtered-labeling", "build-filtered-labeling", "recover-basic-labeling",
     ],  # fmt: skip
 )
 def test_every_documented_refusal_is_raised(u1, u2, call, error, message):

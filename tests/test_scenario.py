@@ -7,8 +7,8 @@ from click.testing import CliRunner
 
 from filtra import scenario as scenario_module
 from filtra.cli import main
-from filtra.revision import Credibility, CredibilityLabeling, revision_from_selection
-from filtra.sampling import random_labeling, random_selection_function
+from filtra.revision import Credibility, CredibilityLabeling, PlausibilityOrder, revision_from_selection
+from filtra.sampling import random_choice_structure, random_labeling, random_selection_function
 from filtra.scenario import (
     Scenario,
     STATE_LIMIT,
@@ -18,10 +18,11 @@ from filtra.scenario import (
     event_key,
     ids_of_mask,
     loads,
+    save_scenario,
     scenario_to_payload,
 )
 from filtra.scenario import _key_masks, _parse_event_key, _parse_event_list
-from filtra.worlds import PointSet, Universe, canonical_universe
+from filtra.worlds import PointSet, Universe, UniverseMismatchError, canonical_universe
 
 from conftest import of_ids, random_revision_table
 
@@ -345,28 +346,25 @@ class TestSaving:
             assert list(payload["table"]["entries"]) == list(old["entries"])
             assert dumps(scenario) == json.dumps({**payload, "table": old}, indent=2) + "\n"
 
-    def test_a_labeling_without_overrides_is_saved_in_full(self):
-        # a labeling built in code has no overrides read from a file; it
-        # is written label by label, as if every label were an override
-        from random import Random
-
-        from filtra.revision import revision_from_selection
-        from filtra.sampling import random_labeling, random_selection_function
-
-        rng = Random(3)
-        universe = canonical_universe(("p", "q"))
-        labeling = random_labeling(rng, universe)
-        table = revision_from_selection(random_selection_function(rng, universe))
-        scenario = Scenario(universe.atoms, universe, table=table, labeling=labeling)
-        assert loads(dumps(scenario)).labeling.labels == labeling.labels
-        overrides = {
-            event_key(ids_of_mask(universe, mask)): label.value
-            for mask, label in labeling.labels.items()
-        }
-        given = Scenario(
-            universe.atoms, universe, table=table, labeling=labeling, labeling_overrides=overrides
-        )
-        assert dumps(scenario) == dumps(given)
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_a_saved_labeling_lists_its_non_default_labels_and_the_override_keys(self, n_atoms):
+        # one rule, whether the overrides were read from a file, set by
+        # hand or left out: every label off the loader's default (C, and
+        # R at the empty proposition), and every key the overrides name
+        rng = Random(30 + n_atoms)
+        universe = canonical_universe(("p", "q", "r", "s")[:n_atoms])
+        key_masks = _key_masks(universe)
+        default = CredibilityLabeling.all_credible(universe)
+        for labeling in (default, random_labeling(rng, universe)):
+            off_default = {
+                key for key, mask in key_masks.items() if labeling.labels[mask] is not default.labels[mask]
+            }
+            named = rng.sample(sorted(key_masks), rng.randrange(len(key_masks) + 1))
+            for overrides in (None, {key: rng.choice("CAR") for key in named}):
+                scenario = Scenario(universe.atoms, universe, labeling=labeling, labeling_overrides=overrides)
+                saved = loads(dumps(scenario))
+                assert saved.labeling == labeling
+                assert saved.labeling_overrides.keys() == off_default | set(overrides or ())
 
     @pytest.mark.parametrize("name", ["preorder_3atoms.json", "failing_laws_3atoms.json"])
     def test_overrides_list_keys_and_the_labeling_gives_their_letters(self, name):
@@ -388,6 +386,53 @@ class TestSaving:
             }
             assert dumps(saved) == dumps(scenario)
         assert scenario.labeling_overrides == kept
+
+    @pytest.mark.parametrize(
+        ("make", "error", "message"),
+        [
+            # a bigger universe's table used to raise a bare IndexError,
+            # and one of the same size over other atoms misstated them
+            (
+                lambda p, pq, pr: Scenario(p.atoms, p, table=random_revision_table(Random(1), pq)),
+                UniverseMismatchError,
+                "table over a different universe",
+            ),
+            (
+                lambda p, pq, pr: Scenario(pq.atoms, pq, table=random_revision_table(Random(1), pr)),
+                UniverseMismatchError,
+                "table over a different universe",
+            ),
+            (
+                lambda p, pq, pr: Scenario(pq.atoms, pq, labeling=CredibilityLabeling.all_credible(pr)),
+                UniverseMismatchError,
+                "labeling over a different universe",
+            ),
+            (
+                lambda p, pq, pr: Scenario(pq.atoms, pq, preorder=PlausibilityOrder(pr, (0, 1, 2, 3))),
+                UniverseMismatchError,
+                "pre-order over a different universe",
+            ),
+            (
+                # two states over (p, q), as the one-atom universe's two
+                lambda p, pq, pr: Scenario(p.atoms, p, structure=random_choice_structure(Random(1), 2)),
+                UniverseMismatchError,
+                "choice structure over a different universe",
+            ),
+            (
+                lambda p, pq, pr: Scenario(pr.atoms, pq),
+                ScenarioError,
+                "atoms: ['p', 'r'] differ from the universe's ['p', 'q']",
+            ),
+        ],
+        ids=["table-bigger", "table-other-atoms", "labeling", "preorder", "structure", "atoms"],
+    )
+    def test_a_section_over_another_universe_is_refused_before_writing(self, tmp_path, make, error, message):
+        p, pq, pr = (canonical_universe(atoms) for atoms in (("p",), ("p", "q"), ("p", "r")))
+        path = tmp_path / "saved.json"
+        with pytest.raises(ValueError) as raised:
+            save_scenario(make(p, pq, pr), path)
+        assert type(raised.value) is error and str(raised.value) == message
+        assert not path.exists()
 
     @pytest.mark.parametrize("key", ["zz", "a,zz", "b,a", "a,a"])
     def test_an_override_key_naming_no_proposition_is_refused(self, key):
@@ -452,11 +497,13 @@ KEY_UNIVERSES = {
 
 
 def full_scenario(universe, seed):
-    """A scenario with a random table and every label written."""
+    """A scenario with a random table and every label written: its
+    overrides name every key."""
     rng = Random(seed)
     labeling = random_labeling(rng, universe)
     table = revision_from_selection(random_selection_function(rng, universe))
-    return Scenario(universe.atoms, universe, table=table, labeling=labeling)
+    overrides = {key: labeling.labels[mask].value for key, mask in _key_masks(universe).items()}
+    return Scenario(universe.atoms, universe, table=table, labeling=labeling, labeling_overrides=overrides)
 
 
 def full_scenario_text(universe, seed):

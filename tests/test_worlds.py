@@ -1,12 +1,15 @@
 import dataclasses
+import functools
 import itertools
+import time
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from filtra.formulas import Atom, Not, Or, parse_formula
+from filtra.beliefs import BeliefSet
+from filtra.formulas import Atom, FormulaError, Not, Or, parse_formula, print_formula
 from filtra.sampling import random_formula
 from filtra.worlds import (
     Point,
@@ -137,6 +140,49 @@ class TestTruthSets:
             for i, point in enumerate(u2.points):
                 expected = eval_formula(formula, dict(zip(ATOMS, point.values)))
                 assert (hits.mask >> i & 1 == 1) == expected
+
+    def test_an_iff_chain_is_evaluated_once_per_node(self, u2):
+        # iff shares both sides, so the parsed chain's tree doubles per
+        # <->: 40 of them were ~2^40 node visits
+        operands = ["p", "q"] * 20 + ["p"]
+        formula = parse_formula(" <-> ".join(operands), ATOMS)
+        masks = [truth_set(Atom(name), u2).mask for name in operands]
+        expected = functools.reduce(lambda right, left: u2.full_mask & ~(left ^ right), reversed(masks))
+        start = time.perf_counter()
+        assert truth_set(formula, u2).mask == expected
+        assert time.perf_counter() - start < 1.0
+
+
+def _nested(depth):
+    formula = Atom("p")
+    for _ in range(depth):
+        formula = Not(formula)
+    return formula
+
+
+@pytest.mark.parametrize(
+    ("call", "message", "shallow"),
+    [
+        (print_formula, "formula nested too deeply to print", "(~" * 101 + "p" + ")" * 101),
+        (
+            lambda formula: truth_set(formula, canonical_universe(("p",))).mask,
+            "formula nested too deeply to evaluate",
+            0b01,
+        ),
+        (
+            lambda formula: BeliefSet(PointSet(canonical_universe(("p",)), 0b01)).contains(formula),
+            "formula nested too deeply to evaluate",
+            True,
+        ),
+    ],
+    ids=["print", "truth-set", "contains"],
+)
+def test_a_formula_built_too_deep_is_refused(call, message, shallow):
+    # 101 nested negations of p are ~p, and still evaluate
+    assert call(_nested(101)) == shallow
+    with pytest.raises(FormulaError) as raised:
+        call(_nested(3000))
+    assert type(raised.value) is FormulaError and str(raised.value) == message
 
 
 @given(formulas, formulas)
@@ -287,10 +333,15 @@ def _universe(atoms, points):
         ),
         (lambda: PointSet(canonical_universe(("p",)), 4), "mask 0x4 out of range for universe"),
         (lambda: PointSet(canonical_universe(("p",)), -1), "mask -0x1 out of range for universe"),
+        # before the range test, where 1.0 and True pass as 1 and "1" raises TypeError
+        (lambda: PointSet(canonical_universe(("p",)), 1.0), "mask 1.0 is not an int"),
+        (lambda: PointSet(canonical_universe(("p",)), True), "mask True is not an int"),
+        (lambda: PointSet(canonical_universe(("p",)), "1"), "mask '1' is not an int"),
     ],
     ids=[
         "no-atoms", "atom-name", "repeated-atom", "no-points", "empty-id", "repeated-id",
-        "row-width", "undeclared-atoms", "mask-too-wide", "negative-mask",
+        "row-width", "undeclared-atoms", "mask-too-wide", "negative-mask", "mask-float",
+        "mask-bool", "mask-str",
     ],  # fmt: skip
 )
 def test_constructors_refuse_what_they_document(make, message):
